@@ -104,6 +104,22 @@ def _write_rows(path: str, cfg: dict, columns: list, rows: list,
                               for v in row) + "\n")
 
 
+def _check_config_value(action: argparse.Action, value) -> None:
+    """Reject a config-file value its flag's parser could not produce."""
+    if value is None:
+        return
+    # store_const flags (nargs 0) yield their const; others parse to type
+    expected = type(action.const) if action.nargs == 0 else action.type or str
+    accepted = (int, float) if expected is float else expected
+    wrong_bool = isinstance(value, bool) != (expected is bool)
+    if wrong_bool or not isinstance(value, accepted):
+        raise ValueError(f"config key {action.dest!r} must be "
+                         f"{expected.__name__}, got {value!r}")
+    if action.choices is not None and value not in action.choices:
+        raise ValueError(f"config key {action.dest!r} must be one of "
+                         f"{list(action.choices)}, got {value!r}")
+
+
 def _merged(args: argparse.Namespace, defaults: dict) -> dict:
     """flags > config file > defaults, with None meaning 'not given'."""
     cfg = dict(defaults)
@@ -115,6 +131,9 @@ def _merged(args: argparse.Namespace, defaults: dict) -> dict:
         unknown = set(loaded) - set(defaults)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        actions = {a.dest: a for a in args.parser._actions}
+        for key, value in loaded.items():
+            _check_config_value(actions[key], value)
         cfg.update(loaded)
     for key in defaults:
         val = getattr(args, key, None)
@@ -188,8 +207,7 @@ def cmd_asymptotics(args) -> int:
 
 def cmd_spectrum(args) -> int:
     defaults = {"model": None, "omega": None, "p": 0.0, "n": None,
-                "scale": None, "margin": None, "backend": "auto",
-                "out": None, "format": "csv"}
+                "scale": None, "margin": None, "out": None, "format": "csv"}
     cfg = _merged(args, defaults)
     model = _model_of(cfg)
     omega = float(_require(cfg, "omega"))
@@ -197,7 +215,7 @@ def cmd_spectrum(args) -> int:
     grid = build_grid(int(cfg["n"]), float(cfg["scale"]))
     op = assemble(model, omega, float(cfg["p"]), grid,
                   form=OperatorForm.BLOCK_DIAGONALIZED)
-    es = eigvals(op.matrix_a, backend=cfg["backend"])
+    es = eigvals(op.matrix_a)
     bands = continuous_bands(model, omega, float(cfg["p"]))
     margin = (float(cfg["margin"]) if cfg["margin"] is not None
               else default_margin(bands))
@@ -220,8 +238,8 @@ def cmd_spectrum(args) -> int:
 
 def cmd_sweep(args) -> int:
     defaults = {"model": None, "omega": None, "p_range": None, "n": None,
-                "scale": None, "jobs": 1, "backend": "auto", "out": None,
-                "summary_out": None, "format": "csv"}
+                "scale": None, "jobs": 1, "out": None, "summary_out": None,
+                "format": "csv"}
     cfg = _merged(args, defaults)
     model = _model_of(cfg)
     omega = float(_require(cfg, "omega"))
@@ -232,8 +250,7 @@ def cmd_sweep(args) -> int:
     if len(ps) < 2:
         raise ValueError(f"p-range {cfg['p_range']!r} has fewer than 2 points")
     grid = build_grid(int(cfg["n"]), float(cfg["scale"]))
-    branches = track_branches(model, omega, ps, grid,
-                              jobs=int(cfg["jobs"]), backend=cfg["backend"])
+    branches = track_branches(model, omega, ps, grid, jobs=int(cfg["jobs"]))
     cfg["model"] = model.value
     cfg["omega"] = omega
     rows = []
@@ -267,7 +284,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_validate(args) -> int:
     defaults = {"model": None, "n_values": "100,300", "scale": None,
-                "backend": "auto", "out": None}
+                "out": None}
     cfg = _merged(args, defaults)
     models = ([ModelKind(cfg["model"])] if cfg["model"]
               else [ModelKind.MASSIVE_THIRRING, ModelKind.GROSS_NEVEU])
@@ -284,7 +301,7 @@ def cmd_validate(args) -> int:
                     continue
                 op = assemble(model, om, 0.0, grid,
                               form=OperatorForm.BLOCK_DIAGONALIZED)
-                es = eigvals(op.matrix_a, backend=cfg["backend"])
+                es = eigvals(op.matrix_a)
                 metric = spurious_metric(es, im_cutoff=10.0)
                 reference = _REFERENCE_METRICS[key]
                 ceiling = _STATED_CEILINGS.get(key, 10.0 * reference)
@@ -305,10 +322,13 @@ def cmd_validate(args) -> int:
     return 0 if all_ok else 4
 
 
-def _add_common(sp: argparse.ArgumentParser) -> None:
+def _subcommand(sub, name: str, func, help_text: str):
+    sp = sub.add_parser(name, help=help_text)
     sp.add_argument("--model", choices=["mtm", "gn"])
     sp.add_argument("--config", help="JSON config file (flag names as keys)")
     sp.add_argument("--out", help="output file path")
+    sp.set_defaults(func=func, parser=sp)
+    return sp
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -319,55 +339,45 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("soliton", help="sample a soliton profile to CSV")
-    _add_common(sp)
+    sp = _subcommand(sub, "soliton", cmd_soliton,
+                     "sample a soliton profile to CSV")
     sp.add_argument("--omega", type=float)
     sp.add_argument("--x-max", dest="x_max", type=float)
     sp.add_argument("--points", type=int)
     sp.add_argument("--allow-limit", dest="allow_limit", action="store_const",
                     const=True, help="permit the omega=-1 algebraic profile")
     sp.add_argument("--format", choices=["csv", "json"])
-    sp.set_defaults(func=cmd_soliton)
 
-    sp = sub.add_parser("asymptotics",
-                        help="small-p eigenvalue slopes over an omega grid")
-    _add_common(sp)
+    sp = _subcommand(sub, "asymptotics", cmd_asymptotics,
+                     "small-p eigenvalue slopes over an omega grid")
     sp.add_argument("--omega-range", dest="omega_range",
                     help="start:stop:step")
     sp.add_argument("--format", choices=["csv", "json"])
-    sp.set_defaults(func=cmd_asymptotics)
 
-    sp = sub.add_parser("spectrum", help="one eigensolve at fixed (omega, p)")
-    _add_common(sp)
+    sp = _subcommand(sub, "spectrum", cmd_spectrum,
+                     "one eigensolve at fixed (omega, p)")
     sp.add_argument("--omega", type=float)
     sp.add_argument("--p", type=float)
     sp.add_argument("--n", type=int)
     sp.add_argument("--scale", type=float)
     sp.add_argument("--margin", type=float)
-    sp.add_argument("--backend", choices=["auto", "native", "lapack"])
     sp.add_argument("--format", choices=["csv", "json"])
-    sp.set_defaults(func=cmd_spectrum)
 
-    sp = sub.add_parser("sweep", help="track eigenvalue branches over p")
-    _add_common(sp)
+    sp = _subcommand(sub, "sweep", cmd_sweep,
+                     "track eigenvalue branches over p")
     sp.add_argument("--omega", type=float)
     sp.add_argument("--p-range", dest="p_range", help="start:stop:step")
     sp.add_argument("--n", type=int)
     sp.add_argument("--scale", type=float)
     sp.add_argument("--jobs", type=int)
-    sp.add_argument("--backend", choices=["auto", "native", "lapack"])
     sp.add_argument("--summary-out", dest="summary_out")
     sp.add_argument("--format", choices=["csv", "json"])
-    sp.set_defaults(func=cmd_sweep)
 
-    sp = sub.add_parser("validate",
-                        help="recompute the p=0 accuracy tables and compare")
-    _add_common(sp)
+    sp = _subcommand(sub, "validate", cmd_validate,
+                     "recompute the p=0 accuracy tables and compare")
     sp.add_argument("--n-values", dest="n_values",
                     help="comma-separated list, e.g. 100,300")
     sp.add_argument("--scale", type=float)
-    sp.add_argument("--backend", choices=["auto", "native", "lapack"])
-    sp.set_defaults(func=cmd_validate)
 
     return ap
 

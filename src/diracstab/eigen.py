@@ -1,17 +1,9 @@
 """Dense complex nonsymmetric eigensolver.
 
-Native pipeline: diagonal balancing with powers of 2, Householder reduction
-to upper Hessenberg form, implicit single-shift QR iteration with Wilkinson
-shifts and standard deflation to Schur form, eigenvectors by
-back-substitution / inverse iteration on the triangular factor.  Output
-order is deterministic: sorted by (imaginary part, real part).
-
-The native path is the reference implementation and is authoritative for
-the test suite.  For the physics-scale operators (dimension about 1e3) a
-delegate to the LAPACK backend shipped with numpy is available through
-backend='lapack'; backend='auto' switches to it above dimension 96 purely
-for speed.  A dedicated test cross-checks the two paths on a mid-size
-stability operator.
+Every solve goes to LAPACK (zgeev) through numpy.linalg.  Output order is
+deterministic: sorted by (imaginary part, real part).  A LAPACK failure to
+converge is re-raised as ConvergenceError, which the command line maps to
+exit code 3.
 """
 
 from __future__ import annotations
@@ -22,20 +14,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 _EPS = np.finfo(float).eps
-_AUTO_NATIVE_LIMIT = 96
 
 
 class ConvergenceError(RuntimeError):
-    """QR iteration exhausted its sweep budget.
-
-    Carries a partial Schur diagnostic in the `diagnostic` attribute:
-    sweeps used, the active window that failed to deflate, and the largest
-    remaining subdiagonal magnitude.
-    """
-
-    def __init__(self, message: str, diagnostic: dict):
-        super().__init__(message)
-        self.diagnostic = diagnostic
+    """The eigensolve did not converge; the LAPACK error is the __cause__."""
 
 
 @dataclass
@@ -44,14 +26,15 @@ class EigenSet:
 
     values are sorted by (imag, real); vectors, when present, are unit
     columns aligned with values; residuals are ||A v - lambda v|| / ||A||_F
-    per pair.  iterations counts QR sweeps (0 for the LAPACK delegate).
+    per pair.  backend names the solver and iterations is always 0: LAPACK
+    does not report its QR sweep count.
     """
 
     values: np.ndarray
     vectors: np.ndarray | None = None
     residuals: np.ndarray | None = None
     iterations: int = 0
-    backend: str = "native"
+    backend: str = "lapack"
     flags: list = field(default_factory=list)
 
 
@@ -64,211 +47,6 @@ def _as_square_complex(matrix) -> np.ndarray:
     return a
 
 
-def _balance(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonal similarity scaling by powers of 2 (norm-1 row/col equalization)."""
-    n = a.shape[0]
-    d = np.ones(n)
-    b = a.copy()
-    for _ in range(100):
-        changed = False
-        for i in range(n):
-            c = np.abs(b[:, i]).sum() - abs(b[i, i])
-            r = np.abs(b[i, :]).sum() - abs(b[i, i])
-            if c == 0.0 or r == 0.0:
-                continue
-            f = 1.0
-            c0, r0 = c, r
-            while c < r / 2.0:
-                c *= 2.0
-                r /= 2.0
-                f *= 2.0
-            while c >= r * 2.0:
-                c /= 2.0
-                r *= 2.0
-                f /= 2.0
-            if c + r < 0.95 * (c0 + r0):
-                changed = True
-                d[i] *= f
-                b[:, i] *= f
-                b[i, :] /= f
-        if not changed:
-            break
-    return b, d
-
-
-def _hessenberg(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Householder reduction; returns (H, Q) with A = Q H Q^H."""
-    n = a.shape[0]
-    h = a.copy()
-    q = np.eye(n, dtype=complex)
-    for k in range(n - 2):
-        col = h[k + 1:, k]
-        norm = np.linalg.norm(col)
-        if norm <= _EPS * np.linalg.norm(h[:, k]):
-            continue
-        pivot = col[0]
-        phase = pivot / abs(pivot) if pivot != 0 else 1.0
-        v = col.copy()
-        v[0] += phase * norm
-        v /= np.linalg.norm(v)
-        # H <- P H P with P = I - 2 v v^H acting on the trailing block
-        h[k + 1:, k:] -= 2.0 * np.outer(v, v.conj() @ h[k + 1:, k:])
-        h[:, k + 1:] -= 2.0 * np.outer(h[:, k + 1:] @ v, v.conj())
-        q[:, k + 1:] -= 2.0 * np.outer(q[:, k + 1:] @ v, v.conj())
-        h[k + 2:, k] = 0.0
-    return h, q
-
-
-def _givens(a: complex, b: complex) -> tuple[float, complex]:
-    """Rotation [[c, s], [-conj(s), c]] zeroing the second entry of (a, b)."""
-    if b == 0:
-        return 1.0, 0.0 + 0.0j
-    if a == 0:
-        return 0.0, np.conj(b) / abs(b)
-    r = np.hypot(abs(a), abs(b))
-    c = abs(a) / r
-    s = (a / abs(a)) * np.conj(b) / r
-    return c, s
-
-
-def _wilkinson_shift(h: np.ndarray, hi: int) -> complex:
-    """Eigenvalue of the trailing 2x2 block closest to the corner entry."""
-    if hi == 0:
-        return h[0, 0]
-    a, b = h[hi - 1, hi - 1], h[hi - 1, hi]
-    c, d = h[hi, hi - 1], h[hi, hi]
-    tr = a + d
-    disc = np.sqrt((a - d) ** 2 + 4.0 * b * c + 0j)
-    r1 = (tr + disc) / 2.0
-    r2 = (tr - disc) / 2.0
-    return r1 if abs(r1 - d) < abs(r2 - d) else r2
-
-
-def _schur(a: np.ndarray, max_sweep_factor: int = 30):
-    """Schur decomposition A = Z T Z^H of a balanced matrix."""
-    n = a.shape[0]
-    h, z = _hessenberg(a)
-    if n == 1:
-        return h, z, 0
-    budget = max_sweep_factor * n
-    sweeps = 0
-    hi = n - 1
-    stagnant = 0
-    while hi > 0:
-        # deflate: zero small subdiagonals relative to their diagonal neighbors
-        for i in range(hi):
-            bound = _EPS * (abs(h[i, i]) + abs(h[i + 1, i + 1]))
-            if abs(h[i + 1, i]) <= bound:
-                h[i + 1, i] = 0.0
-        if h[hi, hi - 1] == 0.0:
-            hi -= 1
-            stagnant = 0
-            continue
-        lo = hi
-        while lo > 0 and h[lo, lo - 1] != 0.0:
-            lo -= 1
-        if sweeps >= budget:
-            raise ConvergenceError(
-                f"QR iteration did not converge in {budget} sweeps",
-                diagnostic={
-                    "sweeps": sweeps,
-                    "window": (lo, hi),
-                    "max_subdiagonal": float(np.abs(np.diag(h, -1)).max()),
-                },
-            )
-        sweeps += 1
-        stagnant += 1
-        if stagnant % 12 == 0:
-            # exceptional shift to break symmetric stalls
-            shift = h[hi, hi] + 0.75 * abs(h[hi, hi - 1])
-        else:
-            shift = _wilkinson_shift(h, hi)
-        # implicit single-shift sweep: chase the bulge down the window
-        x = h[lo, lo] - shift
-        y = h[lo + 1, lo]
-        for k in range(lo, hi):
-            c, s = _givens(x, y)
-            lft = max(lo, k - 1)
-            row_a = h[k, lft:].copy()
-            row_b = h[k + 1, lft:].copy()
-            h[k, lft:] = c * row_a + s * row_b
-            h[k + 1, lft:] = -np.conj(s) * row_a + c * row_b
-            top = min(k + 2, hi)
-            col_a = h[: top + 1, k].copy()
-            col_b = h[: top + 1, k + 1].copy()
-            h[: top + 1, k] = c * col_a + np.conj(s) * col_b
-            h[: top + 1, k + 1] = -s * col_a + c * col_b
-            zca = z[:, k].copy()
-            zcb = z[:, k + 1].copy()
-            z[:, k] = c * zca + np.conj(s) * zcb
-            z[:, k + 1] = -s * zca + c * zcb
-            if k > lo:
-                h[k + 1, k - 1] = 0.0
-            if k < hi - 1:
-                x = h[k + 1, k]
-                y = h[k + 2, k]
-    return h, z, sweeps
-
-
-def _sort_order(values: np.ndarray) -> np.ndarray:
-    return np.lexsort((values.real, values.imag))
-
-
-def _tri_eigvec(t: np.ndarray, k: int) -> tuple[np.ndarray, bool]:
-    """Unit eigenvector of the triangular factor for eigenvalue t[k, k]."""
-    n = t.shape[0]
-    lam = t[k, k]
-    y = np.zeros(n, dtype=complex)
-    y[k] = 1.0
-    tiny = _EPS * max(np.abs(np.diag(t)).max(), 1.0)
-    floored = False
-    for i in range(k - 1, -1, -1):
-        rhs = -np.dot(t[i, i + 1:k + 1], y[i + 1:k + 1])
-        denom = t[i, i] - lam
-        if abs(denom) < tiny:
-            denom = tiny
-            floored = True
-        y[i] = rhs / denom
-    y /= np.linalg.norm(y)
-    return y, floored
-
-
-def _native_eig(a: np.ndarray, want_vectors: bool, max_sweep_factor: int = 30):
-    balanced, dscale = _balance(a)
-    t, z, sweeps = _schur(balanced, max_sweep_factor=max_sweep_factor)
-    values = np.diag(t).copy()
-    order = _sort_order(values)
-    values = values[order]
-    vectors = None
-    flags = []
-    if want_vectors:
-        n = a.shape[0]
-        vectors = np.empty((n, n), dtype=complex)
-        for out_idx, schur_idx in enumerate(order):
-            y, floored = _tri_eigvec(t, schur_idx)
-            v = dscale * (z @ y)
-            vectors[:, out_idx] = v / np.linalg.norm(v)
-            if floored:
-                flags.append(
-                    f"clustered eigenvalue near {values[out_idx]:.6g}: "
-                    "back-substitution pivot floored"
-                )
-    return values, vectors, sweeps, flags
-
-
-def _lapack_eig(a: np.ndarray, want_vectors: bool):
-    if want_vectors:
-        values, vectors = np.linalg.eig(a)
-    else:
-        values = np.linalg.eigvals(a)
-        vectors = None
-    order = _sort_order(values)
-    values = values[order]
-    if vectors is not None:
-        vectors = vectors[:, order]
-    return values, vectors
-
-
 def _residuals(a: np.ndarray, values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     scale = np.linalg.norm(a)
     if scale == 0.0:
@@ -277,46 +55,41 @@ def _residuals(a: np.ndarray, values: np.ndarray, vectors: np.ndarray) -> np.nda
     return res / scale
 
 
-def _pick_backend(n: int, backend: str) -> str:
-    if backend == "auto":
-        return "native" if n <= _AUTO_NATIVE_LIMIT else "lapack"
-    if backend not in ("native", "lapack"):
-        raise ValueError(f"unknown backend {backend!r}")
-    return backend
-
-
-def eigvals(matrix, backend: str = "auto", want_vectors: bool = False,
-            max_sweep_factor: int = 30) -> EigenSet:
+def eigvals(matrix, want_vectors: bool = False) -> EigenSet:
     """All eigenvalues of a dense complex matrix, deterministically sorted.
 
-    Raises ConvergenceError (with a partial Schur diagnostic) if the native
-    QR iteration exceeds max_sweep_factor * dimension sweeps.
+    Raises ConvergenceError if LAPACK fails to converge.
     """
     a = _as_square_complex(matrix)
-    chosen = _pick_backend(a.shape[0], backend)
-    if chosen == "native":
-        values, vectors, sweeps, flags = _native_eig(
-            a, want_vectors, max_sweep_factor=max_sweep_factor)
-    else:
-        values, vectors = _lapack_eig(a, want_vectors)
-        sweeps, flags = 0, []
-    residuals = _residuals(a, values, vectors) if vectors is not None else None
-    return EigenSet(values=values, vectors=vectors, residuals=residuals,
-                    iterations=sweeps, backend=chosen, flags=flags)
+    try:
+        if want_vectors:
+            values, vectors = np.linalg.eig(a)
+        else:
+            values, vectors = np.linalg.eigvals(a), None
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(
+            f"eigensolve of a {a.shape[0]}x{a.shape[0]} matrix did not "
+            f"converge: {exc}") from exc
+    order = np.lexsort((values.real, values.imag))
+    values = values[order]
+    residuals = None
+    if vectors is not None:
+        vectors = vectors[:, order]
+        residuals = _residuals(a, values, vectors)
+    return EigenSet(values=values, vectors=vectors, residuals=residuals)
 
 
-def eigvecs_for(matrix, selected_values, backend: str = "auto") -> EigenSet:
+def eigvecs_for(matrix, selected_values) -> EigenSet:
     """Unit eigenvectors for selected eigenvalues (within 1e-6 of the spectrum).
 
-    Native path: back-substitution on the Schur factor, refined by inverse
-    iteration when the first pass leaves residual above 1e-8; a warning flag
-    records any pair that still misses that target (defective clusters).
+    Vectors come from the full solve and are refined by inverse iteration
+    when their residual is above 1e-8; a warning flag records any pair that
+    still misses that target (defective clusters).
     """
     a = _as_square_complex(matrix)
     requested = np.atleast_1d(np.asarray(selected_values, dtype=complex))
-    chosen = _pick_backend(a.shape[0], backend)
 
-    full = eigvals(a, backend=chosen, want_vectors=True)
+    full = eigvals(a, want_vectors=True)
     used: set[int] = set()
     picked_idx = []
     for lam in requested:
@@ -334,7 +107,7 @@ def eigvecs_for(matrix, selected_values, backend: str = "auto") -> EigenSet:
     values = full.values[picked_idx]
     vectors = full.vectors[:, picked_idx].copy()
     residuals = _residuals(a, values, vectors)
-    flags = list(full.flags)
+    flags = []
     anorm = np.linalg.norm(a)
     for col, (lam, res) in enumerate(zip(values, residuals)):
         tries = 0
@@ -356,4 +129,4 @@ def eigvecs_for(matrix, selected_values, backend: str = "auto") -> EigenSet:
             flags.append(msg)
             warnings.warn(msg, RuntimeWarning, stacklevel=2)
     return EigenSet(values=values, vectors=vectors, residuals=residuals,
-                    iterations=full.iterations, backend=chosen, flags=flags)
+                    flags=flags)

@@ -108,17 +108,12 @@ def isolated_eigs(eigs, bands: SpectralBands, margin: float | None = None):
     return values[keep]
 
 
-def _solve_values(model, omega, p, grid, backend, want_vectors=False):
+def _solve_values(model, omega, p, grid, want_vectors=False):
     op = assemble(model, omega, p, grid, form=OperatorForm.BLOCK_DIAGONALIZED)
-    if want_vectors:
-        es = eigvals(op.matrix_a, backend=backend, want_vectors=True)
-        return es.values, es.vectors, op.matrix_a
-    es = eigvals(op.matrix_a, backend=backend)
-    return es.values, None, op.matrix_a
+    return eigvals(op.matrix_a, want_vectors=want_vectors)
 
 
-def slope_fit(model, omega: float, p_samples, grid: ChebGrid,
-              backend: str = "auto") -> dict:
+def slope_fit(model, omega: float, p_samples, grid: ChebGrid) -> dict:
     """Estimate the small-p eigenvalue slopes from a sequence of solves.
 
     For each p the dominant real-axis and imaginary-axis isolated
@@ -135,7 +130,7 @@ def slope_fit(model, omega: float, p_samples, grid: ChebGrid,
     pred = asymptotic_prediction(model, omega, with_corrections=False)
     ratios_r, ratios_i = [], []
     for p in ps:
-        values, _, _ = _solve_values(model, omega, p, grid, backend)
+        values = _solve_values(model, omega, p, grid).values
         seed_r = p * pred.lambda_r
         seed_i = 1j * p * pred.lambda_i
         picks = []
@@ -165,18 +160,14 @@ def _classify(lam: complex) -> str:
     return CLASS_QUARTET
 
 
-def _solve_isolated(model, omega, p, grid, backend, im_window):
+def _solve_isolated(model, omega, p, grid, im_window):
     """One sweep point: isolated eigenvalues, their residuals, the bands."""
-    values, vectors, a = _solve_values(model, omega, p, grid, backend,
-                                       want_vectors=True)
+    es = _solve_values(model, omega, p, grid, want_vectors=True)
     bands = continuous_bands(model, omega, p)
     margin = default_margin(bands)
-    keep = (bands.distance(values) > margin) & (np.abs(values.imag) <= im_window)
-    iso = values[keep]
-    anorm = np.linalg.norm(a)
-    res = np.linalg.norm(a @ vectors[:, keep] - vectors[:, keep] * iso[None, :],
-                         axis=0) / anorm
-    return iso, res, bands, margin
+    keep = ((bands.distance(es.values) > margin)
+            & (np.abs(es.values.imag) <= im_window))
+    return es.values[keep], es.residuals[keep], bands, margin
 
 
 def _match_radius(branch: TrackedBranch, step: float) -> float:
@@ -199,8 +190,7 @@ def _velocity(branch: TrackedBranch) -> complex:
 
 
 def track_branches(model, omega: float, p_grid, grid: ChebGrid,
-                   jobs: int = 1, backend: str = "auto",
-                   im_window: float | None = None) -> list:
+                   jobs: int = 1, im_window: float | None = None) -> list:
     """Continue isolated eigenvalue branches across an ascending p-grid.
 
     Eigensolves for the grid points may run concurrently (jobs > 1); the
@@ -229,10 +219,10 @@ def track_branches(model, omega: float, p_grid, grid: ChebGrid,
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             solved = list(pool.map(
-                lambda p: _solve_isolated(model, omega, p, grid, backend,
-                                          im_window), ps))
+                lambda p: _solve_isolated(model, omega, p, grid, im_window),
+                ps))
     else:
-        solved = [_solve_isolated(model, omega, p, grid, backend, im_window)
+        solved = [_solve_isolated(model, omega, p, grid, im_window)
                   for p in ps]
 
     pred = asymptotic_prediction(model, omega, with_corrections=False)

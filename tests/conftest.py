@@ -34,7 +34,7 @@ class SpectrumCache:
         key = (model, round(float(omega), 9), int(n))
         if key not in self._store:
             op = assemble(model, omega, 0.0, self._grids(n))
-            self._store[key] = eigvals(op.matrix_a, backend="auto")
+            self._store[key] = eigvals(op.matrix_a)
         return self._store[key]
 
 

@@ -115,7 +115,7 @@ def test_criterion_03_mtm_slopes_within_one_percent(grid_cache):
     budget_ok = True
     for omega in (-0.5, 0.0, 0.5):
         t0 = time.perf_counter()
-        fit = slope_fit("mtm", omega, ps, grid, backend="lapack")
+        fit = slope_fit("mtm", omega, ps, grid)
         pred = asymptotic_prediction(MTM, omega)
         worst = max(worst,
                     abs(fit["lambda_r_hat"] - pred.lambda_r) / pred.lambda_r,
@@ -134,7 +134,7 @@ def test_criterion_04_gn_slopes_within_1p5_percent(grid_cache):
     budget_ok = True
     for omega in (1.0 / 3.0, 2.0 / 3.0):
         t0 = time.perf_counter()
-        fit = slope_fit("gn", omega, ps, grid, backend="lapack")
+        fit = slope_fit("gn", omega, ps, grid)
         pred = asymptotic_prediction(GN, omega, with_corrections=False)
         worst = max(worst,
                     abs(fit["lambda_r_hat"] - pred.lambda_r) / pred.lambda_r,
@@ -213,7 +213,7 @@ def test_criterion_08_symmetry_residuals(p0_spectra, grid_cache):
         grid = grid_cache(n, 10.0)
         for omega, p in combos:
             op = assemble(model_value, omega, p, grid)
-            es = eigvals(op.matrix_a, backend="lapack")
+            es = eigvals(op.matrix_a)
             worst = max(worst, symmetry_residual(es, model_value))
     ok = worst <= 1e-8
     report(8, ok, f"worst reflection residual {worst:.2e} (tol 1e-8) "
@@ -229,7 +229,7 @@ def test_criterion_09_zero_potential_bands(grid_cache):
                                    ("gn", 2.0 / 3.0, (0.0, 0.4))):
         for p in ps:
             op = assemble(model_value, omega, p, grid, zero_potential=True)
-            es = eigvals(op.matrix_a, backend="lapack")
+            es = eigvals(op.matrix_a)
             bands = continuous_bands(model_value, omega, p)
             worst_dist = max(worst_dist, float(np.max(bands.distance(es.values))))
             for edge, _ in bands.band_edges:
@@ -246,7 +246,7 @@ def test_criterion_10_sweep_narratives(grid_cache):
     ps_mtm = np.union1d(np.arange(0.05, 1.0001, 0.05),
                         np.arange(0.31, 0.3901, 0.01))
     branches = track_branches("mtm", 0.0, ps_mtm, grid_cache(120, 10.0),
-                              jobs=4, backend="lapack")
+                              jobs=4)
     s_mtm = summarize_sweep(branches, "mtm", 0.0, ps_mtm)
     window = s_mtm["quartet_window"]
     mtm_ok = (window is not None and window[0] <= 0.36 <= window[1]
@@ -255,7 +255,7 @@ def test_criterion_10_sweep_narratives(grid_cache):
 
     ps_gn = np.arange(0.05, 1.0001, 0.05)
     branches = track_branches("gn", 2.0 / 3.0, ps_gn, grid_cache(160, 10.0),
-                              jobs=4, backend="lapack")
+                              jobs=4)
     s_gn = summarize_sweep(branches, "gn", 2.0 / 3.0, ps_gn)
     gn_ok = (s_gn["instability_threshold"] is not None
              and not s_gn["real_pair_present_at_final_p"])
@@ -274,7 +274,7 @@ def test_criterion_11_eigensolver_property_suite():
     worst_res = worst_trace = worst_det = worst_sim = worst_scale = 0.0
     for dim in (8, 24, 48, 64):
         a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        es = eigvals(a, backend="native", want_vectors=True)
+        es = eigvals(a, want_vectors=True)
         worst_res = max(worst_res, float(np.max(es.residuals)))
         worst_trace = max(worst_trace,
                           abs(np.sum(es.values) - np.trace(a)) / abs(np.trace(a)))
@@ -283,17 +283,17 @@ def test_criterion_11_eigensolver_property_suite():
         worst_det = max(worst_det, abs(np.prod(es.values) - det) / abs(det))
         q, _ = np.linalg.qr(rng.standard_normal((dim, dim))
                             + 1j * rng.standard_normal((dim, dim)))
-        sim = eigvals(q @ a @ q.conj().T, backend="native").values
+        sim = eigvals(q @ a @ q.conj().T).values
         d = np.abs(es.values.reshape(-1, 1) - sim.reshape(1, -1))
         worst_sim = max(worst_sim, float(max(d.min(axis=0).max(),
                                              d.min(axis=1).max())))
-        scaled = eigvals(2.5 * a, backend="native").values
+        scaled = eigvals(2.5 * a).values
         worst_scale = max(worst_scale,
                           float(np.max(np.abs(scaled - 2.5 * es.values))))
     elapsed = time.perf_counter() - t0
     ok = (worst_res <= 1e-10 and worst_trace <= 1e-10 and worst_det <= 1e-9
           and worst_sim <= 1e-8 and worst_scale <= 1e-9 and elapsed < 10.0)
-    report(11, ok, f"native QR at dims {{8,24,48,64}}: residual "
+    report(11, ok, f"LAPACK at dims {{8,24,48,64}}: residual "
                    f"{worst_res:.1e}, trace {worst_trace:.1e}, det "
                    f"{worst_det:.1e}, similarity {worst_sim:.1e}, scaling "
                    f"{worst_scale:.1e} in {elapsed:.1f}s (budget 10s)")

@@ -189,6 +189,23 @@ class TestValidate:
         assert "FAIL" in capsys.readouterr().out
 
 
+class TestNumericalFailure:
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--model", "mtm", "--omega", "0", "--n", "20"],
+        ["sweep", "--model", "mtm", "--omega", "0", "--n", "20",
+         "--p-range", "0.1:0.2:0.1"],
+        ["validate", "--model", "mtm", "--n-values", "100"],
+    ], ids=["spectrum", "sweep", "validate"])
+    def test_lapack_failure_exits_3(self, argv, capsys, monkeypatch):
+        def fail(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvals", fail)
+        monkeypatch.setattr(np.linalg, "eig", fail)
+        assert cli.main(argv) == 3
+        assert "numerical failure:" in capsys.readouterr().err
+
+
 class TestConfigFile:
     def test_flag_overrides_config(self, outdir, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -208,6 +225,47 @@ class TestConfigFile:
                        "--config", str(cfg)])
         assert rc == 2
         assert "bogus" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,value", [
+        (["spectrum", "--model", "mtm", "--n", "20"], {"omega": [0.5]}),
+        (["sweep", "--model", "mtm", "--omega", "0", "--n", "20",
+          "--p-range", "0.1:0.2:0.1"], {"jobs": 2.7}),
+        (["soliton", "--model", "mtm", "--omega", "0.5"],
+         {"allow_limit": "yes"}),
+        (["soliton", "--model", "mtm", "--omega", "0.5"], {"points": True}),
+        (["soliton", "--model", "mtm", "--omega", "0.5"], {"format": "xml"}),
+    ], ids=["list-for-float", "float-for-int", "str-for-flag",
+            "bool-for-int", "outside-choices"])
+    def test_mistyped_value_rejected(self, command, value, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(value))
+        assert cli.main(command + ["--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert repr(next(iter(value))) in err
+
+    def test_int_accepted_for_float(self, outdir, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"omega": 0, "x_max": 5, "points": 11}))
+        assert cli.main(["soliton", "--model", "mtm", "--config",
+                         str(cfg)]) == 0
+        _, _, rows = read_csv(produced_file(capsys, outdir))
+        assert len(rows) == 11
+
+    def test_backend_key_is_unknown(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"backend": "lapack"}))
+        rc = cli.main(["spectrum", "--model", "mtm", "--omega", "0",
+                       "--n", "20", "--config", str(cfg)])
+        assert rc == 2
+        assert "unknown config keys" in capsys.readouterr().err
+
+    def test_backend_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["sweep", "--model", "mtm", "--omega", "0",
+                      "--backend", "lapack"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --backend" in capsys.readouterr().err
 
 
 def test_version_flag(capsys):

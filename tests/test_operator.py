@@ -55,8 +55,8 @@ class TestFormEquivalence:
         grid = grid_cache(16, 10.0)
         full = assemble(model, omega, p, grid, form="full")
         block = assemble(model, omega, p, grid, form="block")
-        ev_full = eigvals(full.matrix_a, backend="lapack").values
-        ev_block = eigvals(block.matrix_a, backend="lapack").values
+        ev_full = eigvals(full.matrix_a).values
+        ev_block = eigvals(block.matrix_a).values
         assert matching_distance(ev_full, ev_block) <= 1e-8
 
     @pytest.mark.parametrize("model,omega,p", [
@@ -169,7 +169,7 @@ class TestContinuousBands:
             op = assemble(model, omega, p, grid_cache(80, 10.0),
                           zero_potential=True)
             assert op.potential_zeroed
-            es = eigvals(op.matrix_a, backend="lapack")
+            es = eigvals(op.matrix_a)
             bands = continuous_bands(model, omega, p)
             assert np.max(bands.distance(es.values)) <= 1e-8
 
@@ -189,7 +189,7 @@ class TestSymmetryResidual:
         assert symmetry_residual(np.array([0.3 + 0j]), "mtm") == pytest.approx(0.6)
 
     def test_accepts_eigenset(self):
-        es = eigvals(np.diag([1j, -1j]), backend="native")
+        es = eigvals(np.diag([1j, -1j]))
         assert symmetry_residual(es, "mtm") == pytest.approx(0.0, abs=1e-14)
 
     def test_empty_input(self):
@@ -202,5 +202,5 @@ class TestSymmetryResidual:
     def test_assembled_operator_spectrum_is_symmetric(
             self, grid_cache, model, omega, p):
         op = assemble(model, omega, p, grid_cache(60, 10.0))
-        es = eigvals(op.matrix_a, backend="lapack")
+        es = eigvals(op.matrix_a)
         assert symmetry_residual(es, model) <= 1e-10

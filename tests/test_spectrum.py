@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import diracstab.spectrum as spectrum
-from diracstab.eigen import eigvals
+from diracstab.eigen import EigenSet, eigvals
 from diracstab.operator import assemble, continuous_bands
 from diracstab.spectrum import (
     CLASS_QUARTET,
@@ -43,21 +43,21 @@ class TestIsolation:
     def test_free_operator_has_no_isolated_eigenvalues(self, grid_cache):
         op = assemble("mtm", 0.5, 0.3, grid_cache(80, 10.0),
                       zero_potential=True)
-        es = eigvals(op.matrix_a, backend="lapack")
+        es = eigvals(op.matrix_a)
         iso = isolated_eigs(es, continuous_bands("mtm", 0.5, 0.3))
         assert iso.size == 0
 
     def test_mtm_isolated_pairs_at_small_p(self, grid_cache):
         # frozen from a converged run: one real pair, one imaginary pair
         op = assemble("mtm", 0.0, 0.2, grid_cache(200, 10.0))
-        es = eigvals(op.matrix_a, backend="lapack")
+        es = eigvals(op.matrix_a)
         iso = isolated_eigs(es, continuous_bands("mtm", 0.0, 0.2))
         for target in (0.34615373, -0.34615373, 0.36582879j, -0.36582879j):
             assert np.min(np.abs(iso - target)) <= 1e-6
 
     def test_gn_isolated_pairs_at_small_p(self, grid_cache):
         op = assemble("gn", 2.0 / 3.0, 0.1, grid_cache(300, 10.0))
-        es = eigvals(op.matrix_a, backend="lapack")
+        es = eigvals(op.matrix_a)
         iso = isolated_eigs(es, continuous_bands("gn", 2.0 / 3.0, 0.1))
         for target in (0.07350171, -0.07350171, 0.04768846j, -0.04768846j):
             assert np.min(np.abs(iso - target)) <= 1e-6
@@ -97,8 +97,8 @@ class TestSlopeFit:
             slope_fit("mtm", 0.0, [0.0, 0.05, 0.1], grid)
 
     def test_branch_not_found_names_wavenumber(self, grid_cache, monkeypatch):
-        def bogus(model, omega, p, grid, backend, want_vectors=False):
-            return np.array([10.0 + 10.0j]), None, np.eye(1, dtype=complex)
+        def bogus(model, omega, p, grid, want_vectors=False):
+            return EigenSet(values=np.array([10.0 + 10.0j]))
 
         monkeypatch.setattr(spectrum, "_solve_values", bogus)
         with pytest.raises(BranchNotFound, match="p=0.02"):
@@ -170,7 +170,7 @@ class TestTracking:
         rates = {}
         for omega in (-0.5, 0.5):
             op = assemble("mtm", omega, 0.2, grid)
-            es = eigvals(op.matrix_a, backend="lapack")
+            es = eigvals(op.matrix_a)
             iso = isolated_eigs(es, continuous_bands("mtm", omega, 0.2))
             rates[omega] = float(iso.real.max())
         assert rates[-0.5] > 2.0 * rates[0.5]
