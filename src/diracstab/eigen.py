@@ -4,16 +4,38 @@ Every solve goes to LAPACK (zgeev) through numpy.linalg.  Output order is
 deterministic: sorted by (imaginary part, real part).  A LAPACK failure to
 converge is re-raised as ConvergenceError, which the command line maps to
 exit code 3.
+
+Eigenvectors for a few selected eigenvalues come from inverse iteration
+(one LU per value), not from a full solve with vectors.  When several
+threads solve at once, capped_blas_threads keeps their BLAS threads
+within the available cores.
 """
 
 from __future__ import annotations
 
+import ctypes
+import logging
+import os
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import lu_factor, lu_solve
+
+logger = logging.getLogger(__name__)
 
 _EPS = np.finfo(float).eps
+_RESIDUAL_TARGET = 1e-8
+_INVERSE_STEPS = 2
+
+# (set, get) thread-count entry points of the OpenBLAS builds numpy and
+# scipy ship, then of a plain OpenBLAS
+_OPENBLAS_SYMBOLS = (
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("scipy_openblas_set_num_threads", "scipy_openblas_get_num_threads"),
+    ("openblas_set_num_threads", "openblas_get_num_threads"),
+)
 
 
 class ConvergenceError(RuntimeError):
@@ -24,10 +46,11 @@ class ConvergenceError(RuntimeError):
 class EigenSet:
     """Eigenvalues, optional eigenvectors, and solve diagnostics.
 
-    values are sorted by (imag, real); vectors, when present, are unit
-    columns aligned with values; residuals are ||A v - lambda v|| / ||A||_F
-    per pair.  backend names the solver and iterations is always 0: LAPACK
-    does not report its QR sweep count.
+    values from eigvals are sorted by (imag, real), and selected values keep
+    the order they were asked for; vectors, when present, are unit columns
+    aligned with values; residuals are ||A v - lambda v|| / ||A||_F per pair.
+    backend names the solver and iterations is always 0: LAPACK does not
+    report its QR sweep count.
     """
 
     values: np.ndarray
@@ -79,21 +102,50 @@ def eigvals(matrix, want_vectors: bool = False) -> EigenSet:
     return EigenSet(values=values, vectors=vectors, residuals=residuals)
 
 
+def inverse_iteration(matrix, values) -> EigenSet:
+    """Unit eigenvectors and residuals for eigenvalues of matrix.
+
+    Each value gets one LU of the matrix shifted slightly off it and two
+    inverse-iteration steps from a fixed start vector.
+    """
+    a = _as_square_complex(matrix)
+    values = np.atleast_1d(np.asarray(values, dtype=complex))
+    n = a.shape[0]
+    anorm = np.linalg.norm(a)
+    # no symmetry: soliton eigenvectors are even or odd in x, so a
+    # symmetric start vector can be orthogonal to them
+    rng = np.random.default_rng(0)
+    start = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    start /= np.linalg.norm(start)
+    vectors = np.empty((n, values.size), dtype=complex)
+    for col, lam in enumerate(values):
+        shifted = np.array(a, order="F")
+        shifted[np.diag_indices(n)] -= lam + 10.0 * _EPS * max(anorm, 1.0)
+        lu = lu_factor(shifted, overwrite_a=True, check_finite=False)
+        v = start
+        for _ in range(_INVERSE_STEPS):
+            v = lu_solve(lu, v, check_finite=False)
+            v /= np.linalg.norm(v)
+        vectors[:, col] = v
+    return EigenSet(values=values, vectors=vectors,
+                    residuals=_residuals(a, values, vectors))
+
+
 def eigvecs_for(matrix, selected_values) -> EigenSet:
     """Unit eigenvectors for selected eigenvalues (within 1e-6 of the spectrum).
 
-    Vectors come from the full solve and are refined by inverse iteration
-    when their residual is above 1e-8; a warning flag records any pair that
-    still misses that target (defective clusters).
+    Each requested value claims the nearest unclaimed eigenvalue of a
+    values-only solve; vectors come from inverse_iteration.  A warning flag
+    records any pair whose residual stays above 1e-8 (defective clusters).
     """
     a = _as_square_complex(matrix)
     requested = np.atleast_1d(np.asarray(selected_values, dtype=complex))
 
-    full = eigvals(a, want_vectors=True)
+    spectrum = eigvals(a).values
     used: set[int] = set()
     picked_idx = []
     for lam in requested:
-        dist = np.abs(full.values - lam)
+        dist = np.abs(spectrum - lam)
         dist[list(used)] = np.inf
         j = int(np.argmin(dist))
         if dist[j] > 1e-6:
@@ -104,29 +156,72 @@ def eigvecs_for(matrix, selected_values) -> EigenSet:
         used.add(j)
         picked_idx.append(j)
 
-    values = full.values[picked_idx]
-    vectors = full.vectors[:, picked_idx].copy()
-    residuals = _residuals(a, values, vectors)
-    flags = []
-    anorm = np.linalg.norm(a)
-    for col, (lam, res) in enumerate(zip(values, residuals)):
-        tries = 0
-        while res > 1e-8 and tries < 2:
-            # one inverse-iteration step against a slightly shifted matrix
-            shift = lam + 10.0 * _EPS * max(anorm, 1.0)
-            try:
-                v = np.linalg.solve(a - shift * np.eye(a.shape[0]), vectors[:, col])
-            except np.linalg.LinAlgError:
-                break
-            v /= np.linalg.norm(v)
-            vectors[:, col] = v
-            res = _residuals(a, values[col:col + 1], v[:, None])[0]
-            tries += 1
-        residuals[col] = res
-        if res > 1e-8:
+    es = inverse_iteration(a, spectrum[picked_idx])
+    for lam, res in zip(es.values, es.residuals):
+        if not res <= _RESIDUAL_TARGET:
             msg = (f"eigenvector for {lam:.6g} converged only to residual "
                    f"{res:.3e} (defective cluster?)")
-            flags.append(msg)
+            es.flags.append(msg)
             warnings.warn(msg, RuntimeWarning, stacklevel=2)
-    return EigenSet(values=values, vectors=vectors, residuals=residuals,
-                    flags=flags)
+    return es
+
+
+def _openblas_controls() -> list:
+    """(set, get) thread-count functions of every OpenBLAS loaded here.
+
+    Libraries are found in the process memory map, so the list is empty
+    off Linux.
+    """
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            # the last field of a line is the mapped file, if any
+            paths = {line.split(maxsplit=5)[-1].strip() for line in fh}
+    except OSError:
+        paths = set()
+    controls = []
+    for path in sorted(paths):
+        if "openblas" not in os.path.basename(path):
+            continue
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for set_name, get_name in _OPENBLAS_SYMBOLS:
+            if hasattr(lib, set_name) and hasattr(lib, get_name):
+                setter, getter = getattr(lib, set_name), getattr(lib, get_name)
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                controls.append((setter, getter))
+                break
+    if not controls:
+        logger.debug("no OpenBLAS found; BLAS thread counts left unchanged")
+    return controls
+
+
+def blas_threads() -> int | None:
+    """Largest thread count of the loaded OpenBLAS libraries, None if none."""
+    counts = [getter() for _, getter in _openblas_controls()]
+    return max(counts) if counts else None
+
+
+@contextmanager
+def capped_blas_threads(jobs: int):
+    """Cap every loaded OpenBLAS at max(1, cores // jobs) threads in the block.
+
+    Meant for a block in which jobs threads run LAPACK at once.  The counts
+    are process-wide; the previous ones are restored on exit.  Does nothing
+    when no OpenBLAS is found.
+    """
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cores = os.cpu_count() or 1
+    cap = max(1, cores // jobs)
+    saved = [(setter, getter()) for setter, getter in _openblas_controls()]
+    for setter, old in saved:
+        setter(min(old, cap))
+    try:
+        yield
+    finally:
+        for setter, old in saved:
+            setter(old)

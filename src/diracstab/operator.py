@@ -110,6 +110,19 @@ class StabilityOperator:
         return self.matrix_a.shape[0]
 
 
+def _signed_block_rows(front: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """kron(front, I) @ x for a 4x4 signed permutation matrix front.
+
+    Moves and negates whole block rows of x instead of multiplying by the
+    dense Kronecker product; the result has the same values.
+    """
+    m = x.shape[0] // front.shape[0]
+    out = np.empty_like(x)
+    for row, col in enumerate(np.abs(front).argmax(axis=1)):
+        out[row * m:(row + 1) * m] = front[row, col] * x[col * m:(col + 1) * m]
+    return out
+
+
 def _potential_diagonals(model: ModelKind, omega: float, grid: ChebGrid,
                          zero_potential: bool):
     if zero_potential:
@@ -152,8 +165,7 @@ def _assemble_block(model: ModelKind, omega: float, p: float, grid: ChebGrid,
             [zero, -eye, zero, zero],
             [-eye, zero, zero, zero],
         ])
-    front = np.kron(REDUCTION_BLOCK, np.eye(m))
-    return -1j * front.astype(complex) @ (h + e_term)
+    return -1j * _signed_block_rows(REDUCTION_BLOCK, h + e_term)
 
 
 def _assemble_full(model: ModelKind, omega: float, p: float, grid: ChebGrid,
@@ -191,8 +203,7 @@ def _assemble_full(model: ModelKind, omega: float, p: float, grid: ChebGrid,
             [2.0 * d_sq + d_csq, d_abs2, d_abs2, d_sq],
             [d_abs2, d_sq + 2.0 * d_csq, d_csq, d_abs2],
         ])
-    front = np.kron(SIGMA_DIAG, np.eye(m))
-    return -1j * front.astype(complex) @ (d_part + e_term + w_part)
+    return -1j * _signed_block_rows(SIGMA_DIAG, d_part + e_term + w_part)
 
 
 def assemble(model, omega: float, p: float, grid: ChebGrid,
@@ -280,7 +291,7 @@ def hermiticity_defect(op: StabilityOperator) -> float:
     else:
         front = SIGMA_DIAG
         factors = (-1j, 1j, 1j, -1j)
-    h_total = 1j * np.kron(front, np.eye(m)).astype(complex) @ op.matrix_a
+    h_total = 1j * _signed_block_rows(front, op.matrix_a)
     delta = h_total - h_total.conj().T
     dt = op.grid.d_scaled
     sym = dt + dt.T

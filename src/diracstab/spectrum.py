@@ -16,7 +16,7 @@ import numpy as np
 
 from .analytics import asymptotic_prediction
 from .cheb import ChebGrid
-from .eigen import eigvals
+from .eigen import capped_blas_threads, eigvals, inverse_iteration
 from .operator import OperatorForm, SpectralBands, assemble, continuous_bands
 from .soliton import ModelKind
 
@@ -108,9 +108,9 @@ def isolated_eigs(eigs, bands: SpectralBands, margin: float | None = None):
     return values[keep]
 
 
-def _solve_values(model, omega, p, grid, want_vectors=False):
+def _solve_values(model, omega, p, grid):
     op = assemble(model, omega, p, grid, form=OperatorForm.BLOCK_DIAGONALIZED)
-    return eigvals(op.matrix_a, want_vectors=want_vectors)
+    return eigvals(op.matrix_a)
 
 
 def slope_fit(model, omega: float, p_samples, grid: ChebGrid) -> dict:
@@ -161,13 +161,19 @@ def _classify(lam: complex) -> str:
 
 
 def _solve_isolated(model, omega, p, grid, im_window):
-    """One sweep point: isolated eigenvalues, their residuals, the bands."""
-    es = _solve_values(model, omega, p, grid, want_vectors=True)
+    """One sweep point: isolated eigenvalues, their residuals, the bands.
+
+    The solve is values-only; residuals come from inverse iteration on the
+    few kept values.
+    """
+    op = assemble(model, omega, p, grid, form=OperatorForm.BLOCK_DIAGONALIZED)
+    es = eigvals(op.matrix_a)
     bands = continuous_bands(model, omega, p)
     margin = default_margin(bands)
     keep = ((bands.distance(es.values) > margin)
             & (np.abs(es.values.imag) <= im_window))
-    return es.values[keep], es.residuals[keep], bands, margin
+    iso = es.values[keep]
+    return iso, inverse_iteration(op.matrix_a, iso).residuals, bands, margin
 
 
 def _match_radius(branch: TrackedBranch, step: float) -> float:
@@ -217,7 +223,9 @@ def track_branches(model, omega: float, p_grid, grid: ChebGrid,
         im_window = 1.0 + abs(omega)
 
     if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
+        # jobs solves at once must not each start a full set of BLAS threads
+        with capped_blas_threads(jobs), \
+                ThreadPoolExecutor(max_workers=jobs) as pool:
             solved = list(pool.map(
                 lambda p: _solve_isolated(model, omega, p, grid, im_window),
                 ps))

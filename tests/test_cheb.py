@@ -102,3 +102,16 @@ class TestSampling:
         vals = sample_on_grid(g, math.tanh)  # rejects arrays, accepts inf
         assert vals[0] == 1.0 and vals[-1] == -1.0
         assert vals[5] == math.tanh(g.nodes_x[5])
+
+    def test_genuine_error_from_vectorized_call_propagates(self):
+        # only a rejected array argument falls back to scalar calls; any
+        # other failure of the vectorized call is the caller's to see
+        g = build_grid(6, 1.0)
+
+        def fails_on_arrays(x):
+            if np.ndim(x):
+                raise RuntimeError("broken vectorized path")
+            return 0.0
+
+        with pytest.raises(RuntimeError, match="broken vectorized path"):
+            sample_on_grid(g, fails_on_arrays)

@@ -11,7 +11,8 @@ import pytest
 
 from diracstab.analytics import asymptotic_prediction, kernel_vectors
 from diracstab.cheb import build_grid, sample_on_grid
-from diracstab.eigen import ConvergenceError, EigenSet, eigvals, eigvecs_for
+from diracstab.eigen import (ConvergenceError, EigenSet, eigvals, eigvecs_for,
+                             inverse_iteration)
 from diracstab.operator import assemble
 
 
@@ -112,11 +113,22 @@ class TestSelectedVectors:
         with pytest.raises(ValueError, match="away from the nearest"):
             eigvecs_for(np.eye(3), [1.5])
 
-    def test_defective_matrix_floors_pivot(self):
+    def test_defective_matrix_does_not_raise(self):
         # Jordan block: both requested copies of 0 resolve to the same
         # eigenvector, without raising
         es = eigvecs_for(np.array([[0.0, 1.0], [0.0, 0.0]]), [0.0, 0.0])
         assert np.max(es.residuals) <= 1e-8
+
+    def test_inverse_iteration_matches_full_solve(self):
+        a = random_complex(40, seed=17)
+        full = eigvals(a, want_vectors=True)
+        picked = [0, 7, 39]
+        es = inverse_iteration(a, full.values[picked])
+        assert np.array_equal(es.values, full.values[picked])
+        assert np.max(es.residuals) <= 1e-12
+        for col, j in enumerate(picked):
+            assert cosine_alignment(es.vectors[:, col],
+                                    full.vectors[:, j]) >= 1.0 - 1e-10
 
 
 def cosine_alignment(v, w):

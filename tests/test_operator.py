@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import diracstab.operator as operator_module
 from diracstab.cheb import build_grid
 from diracstab.eigen import eigvals
 from diracstab.operator import (
@@ -131,6 +132,37 @@ class TestAssembly:
             i, j, re, im = line.split(",")
             rebuilt[int(i), int(j)] = float(re) + 1j * float(im)
         assert np.array_equal(rebuilt, op.matrix_a)
+
+
+def dense_front_product(front, x):
+    """The reference for the permutation assembly: the dense Kronecker
+    product kron(front, I) @ x."""
+    m = x.shape[0] // front.shape[0]
+    return np.kron(front, np.eye(m)).astype(complex) @ x
+
+
+class TestPermutationAssembly:
+    @pytest.mark.parametrize("model", ["mtm", "gn"])
+    @pytest.mark.parametrize("form", ["full", "block"])
+    @pytest.mark.parametrize("p", [0.0, 0.3])
+    def test_matches_dense_product(self, grid_cache, monkeypatch, model,
+                                   form, p):
+        omega = 0.5 if model == "mtm" else 2.0 / 3.0
+        grid = grid_cache(20, 10.0)
+        fast = assemble(model, omega, p, grid, form=form).matrix_a
+        monkeypatch.setattr(operator_module, "_signed_block_rows",
+                            dense_front_product)
+        dense = assemble(model, omega, p, grid, form=form).matrix_a
+        # signed zeros may differ; every value and eigenvalue is equal
+        assert np.array_equal(fast, dense)
+        assert np.array_equal(eigvals(fast).values, eigvals(dense).values)
+
+    @pytest.mark.parametrize("front", [REDUCTION_BLOCK, SIGMA_DIAG])
+    def test_random_matrix(self, front):
+        rng = np.random.default_rng(1)
+        x = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
+        assert np.array_equal(operator_module._signed_block_rows(front, x),
+                              dense_front_product(front, x))
 
 
 class TestContinuousBands:

@@ -2,11 +2,13 @@
 
 from types import SimpleNamespace
 
+import os
+
 import numpy as np
 import pytest
 
 import diracstab.spectrum as spectrum
-from diracstab.eigen import EigenSet, eigvals
+from diracstab.eigen import EigenSet, blas_threads, eigvals
 from diracstab.operator import assemble, continuous_bands
 from diracstab.spectrum import (
     CLASS_QUARTET,
@@ -97,7 +99,7 @@ class TestSlopeFit:
             slope_fit("mtm", 0.0, [0.0, 0.05, 0.1], grid)
 
     def test_branch_not_found_names_wavenumber(self, grid_cache, monkeypatch):
-        def bogus(model, omega, p, grid, want_vectors=False):
+        def bogus(model, omega, p, grid):
             return EigenSet(values=np.array([10.0 + 10.0j]))
 
         monkeypatch.setattr(spectrum, "_solve_values", bogus)
@@ -122,6 +124,42 @@ class TestTracking:
             track_branches("mtm", 0.0, [0.2, 0.1], grid)
         with pytest.raises(ValueError):
             track_branches("mtm", 0.0, [0.0, 0.1], grid)
+
+    def test_sweep_solves_values_only(self, grid_cache, monkeypatch):
+        asked = []
+        solve = spectrum.eigvals
+
+        def recording(matrix, want_vectors=False):
+            asked.append(want_vectors)
+            return solve(matrix, want_vectors=want_vectors)
+
+        monkeypatch.setattr(spectrum, "eigvals", recording)
+        branches = track_branches("mtm", 0.0, [0.2, 0.25, 0.3],
+                                  grid_cache(60, 10.0), jobs=2)
+        assert asked == [False, False, False]
+        worst = max(pt.residual for br in branches for pt in br.points)
+        assert worst <= 1e-8
+
+    def test_pool_caps_blas_threads(self, grid_cache, monkeypatch):
+        before = blas_threads()
+        if before is None:
+            pytest.skip("no OpenBLAS library is loaded")
+        try:
+            cores = len(os.sched_getaffinity(0))
+        except AttributeError:
+            cores = os.cpu_count()
+        seen = []
+        solve = spectrum.eigvals
+
+        def recording(matrix, want_vectors=False):
+            seen.append(blas_threads())
+            return solve(matrix, want_vectors=want_vectors)
+
+        monkeypatch.setattr(spectrum, "eigvals", recording)
+        track_branches("mtm", 0.0, [0.2, 0.25], grid_cache(30, 10.0), jobs=2)
+        assert len(seen) == 2
+        assert max(seen) <= max(1, cores // 2)
+        assert blas_threads() == before
 
     def test_quartet_transition_recorded(self, mtm_sweep):
         _, branches = mtm_sweep
