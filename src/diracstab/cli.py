@@ -24,8 +24,8 @@ import numpy as np
 from . import __version__
 from .analytics import NumericsError, asymptotic_prediction
 from .cheb import build_grid
-from .eigen import ConvergenceError, eigvals
-from .operator import OperatorForm, assemble, continuous_bands
+from .eigen import ConvergenceError, eigvals, root_pairs
+from .operator import OperatorForm, assemble, continuous_bands, parity_blocks
 from .soliton import (DomainError, ModelKind, SolitonProfile,
                       algebraic_profile_mtm, eval_profile)
 from .spectrum import (BranchNotFound, default_margin, isolated_eigs,
@@ -215,7 +215,8 @@ def cmd_spectrum(args) -> int:
     grid = build_grid(int(cfg["n"]), float(cfg["scale"]))
     op = assemble(model, omega, float(cfg["p"]), grid,
                   form=OperatorForm.BLOCK_DIAGONALIZED)
-    es = eigvals(op.matrix_a)
+    b, c = parity_blocks(op)
+    es = root_pairs(eigvals(b @ c))
     bands = continuous_bands(model, omega, float(cfg["p"]))
     margin = (float(cfg["margin"]) if cfg["margin"] is not None
               else default_margin(bands))
@@ -282,6 +283,15 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+def _p0_metric(model: ModelKind, omega: float, grid) -> float:
+    # a function of its own, so that the matrix and its blocks are freed
+    # before the next cell's assembly
+    op = assemble(model, omega, 0.0, grid,
+                  form=OperatorForm.BLOCK_DIAGONALIZED)
+    b, c = parity_blocks(op)
+    return spurious_metric(root_pairs(eigvals(b @ c)), im_cutoff=10.0)
+
+
 def cmd_validate(args) -> int:
     defaults = {"model": None, "n_values": "100,300", "scale": None,
                 "out": None}
@@ -299,10 +309,7 @@ def cmd_validate(args) -> int:
                 key = (model.value, om, n)
                 if key not in _REFERENCE_METRICS:
                     continue
-                op = assemble(model, om, 0.0, grid,
-                              form=OperatorForm.BLOCK_DIAGONALIZED)
-                es = eigvals(op.matrix_a)
-                metric = spurious_metric(es, im_cutoff=10.0)
+                metric = _p0_metric(model, om, grid)
                 reference = _REFERENCE_METRICS[key]
                 ceiling = _STATED_CEILINGS.get(key, 10.0 * reference)
                 ok = metric <= ceiling

@@ -5,6 +5,9 @@ deterministic: sorted by (imaginary part, real part).  A LAPACK failure to
 converge is re-raised as ConvergenceError, which the command line maps to
 exit code 3.
 
+A matrix of the form [[0, B], [C, 0]] is solved at half its dimension:
+eigvals of B C, then root_pairs.
+
 Eigenvectors for a few selected eigenvalues come from inverse iteration
 (one LU per value), not from a full solve with vectors.  When several
 threads solve at once, capped_blas_threads keeps their BLAS threads
@@ -46,10 +49,13 @@ class ConvergenceError(RuntimeError):
 class EigenSet:
     """Eigenvalues, optional eigenvectors, and solve diagnostics.
 
-    values from eigvals are sorted by (imag, real), and selected values keep
-    the order they were asked for; vectors, when present, are unit columns
-    aligned with values; residuals are ||A v - lambda v|| / ||A||_F per pair.
-    backend names the solver and iterations is always 0: LAPACK does not
+    values from eigvals and root_pairs are sorted by (imag, real), and
+    selected values keep the order they were asked for; vectors, when
+    present, are unit columns aligned with values; residuals are
+    ||A v - lambda v|| / ||A||_F per pair.  backend names the solver path:
+    "lapack" for a direct solve of the matrix, "lapack-parity" for the
+    +-sqrt pairs root_pairs takes from a solve of the parity-block product
+    B C at half the dimension.  iterations is always 0: LAPACK does not
     report its QR sweep count.
     """
 
@@ -100,6 +106,20 @@ def eigvals(matrix, want_vectors: bool = False) -> EigenSet:
         vectors = vectors[:, order]
         residuals = _residuals(a, values, vectors)
     return EigenSet(values=values, vectors=vectors, residuals=residuals)
+
+
+def root_pairs(squares: EigenSet) -> EigenSet:
+    """The values +-sqrt(mu) for every mu in squares, sorted like eigvals.
+
+    squares holds the eigenvalues of B C for a matrix [[0, B], [C, 0]],
+    whose eigenvalues are exactly these pairs.  Near zero the pairs carry
+    the square root of the error in mu: sqrt(eps ||B|| ||C||) in place of
+    a direct solve's eps ||A||.
+    """
+    roots = np.sqrt(np.asarray(squares.values, dtype=complex))
+    values = np.concatenate([roots, -roots])
+    values = values[np.lexsort((values.real, values.imag))]
+    return EigenSet(values=values, backend="lapack-parity")
 
 
 def inverse_iteration(matrix, values) -> EigenSet:

@@ -8,6 +8,11 @@ problem for lambda by left-multiplying with the constant involution that
 carries the symplectic structure (its square is the identity), so the
 stored matrix has the stability eigenvalues as ordinary eigenvalues.
 
+Both forms anticommute, at every p, with the parity involution
+S = kron(P, J): P swaps components 0 <-> 1 and 2 <-> 3, and J reverses
+the grid (x -> -x).  In the eigenbasis of S the matrix is [[0, B], [C, 0]],
+so its eigenvalues are +-sqrt(eig(B C)); parity_blocks returns B and C.
+
 Component layout: all grid samples of component 0 first, then component 1,
 etc., so each differentiation block is contiguous.
 """
@@ -231,6 +236,27 @@ def assemble(model, omega: float, p: float, grid: ChebGrid,
     return StabilityOperator(model=model, omega=float(omega), p=p, grid=grid,
                              matrix_a=a, form=form,
                              potential_zeroed=bool(zero_potential))
+
+
+def parity_blocks(op: StabilityOperator) -> tuple:
+    """Off-diagonal blocks (B, C) of op.matrix_a in the eigenbasis of S.
+
+    The basis vectors are (e_k +- e_sk) / sqrt(2), with k running over the
+    rows of components 0 and 2 and sk over their mirrors (components 1
+    and 3 at grid index n - j); B maps the -1 eigenspace of S into the +1
+    eigenspace and C the +1 into the -1.  The diagonal blocks, which
+    vanish up to the roundoff of the derivative's centro-antisymmetry,
+    are not formed.  Both blocks are 2(N+1) x 2(N+1), and the eigenvalues
+    of op.matrix_a are +-sqrt(eig(B @ C)).
+    """
+    m = op.grid.n + 1
+    a = op.matrix_a.reshape(4, m, 4, m)
+    # rows of components (0, 2) and the mirrored rows of components (1, 3)
+    rows, mirrored = a[0::2], a[1::2, ::-1]
+    plus, minus = rows + mirrored, rows - mirrored
+    b = 0.5 * (plus[:, :, 0::2] - plus[:, :, 1::2, ::-1])
+    c = 0.5 * (minus[:, :, 0::2] + minus[:, :, 1::2, ::-1])
+    return b.reshape(2 * m, 2 * m), c.reshape(2 * m, 2 * m)
 
 
 def continuous_bands(model, omega: float, p: float) -> SpectralBands:

@@ -16,14 +16,16 @@ import numpy as np
 
 from .analytics import asymptotic_prediction
 from .cheb import ChebGrid
-from .eigen import capped_blas_threads, eigvals, inverse_iteration
-from .operator import OperatorForm, SpectralBands, assemble, continuous_bands
+from .eigen import (EigenSet, capped_blas_threads, eigvals, inverse_iteration,
+                    root_pairs)
+from .operator import (OperatorForm, SpectralBands, assemble,
+                       continuous_bands, parity_blocks)
 from .soliton import ModelKind
 
 __all__ = [
     "SpectralBands", "TrackedBranch", "BranchPoint", "BranchNotFound",
-    "spurious_metric", "isolated_eigs", "default_margin", "slope_fit",
-    "track_branches", "summarize_sweep",
+    "spurious_metric", "isolated_eigs", "default_margin", "parity_eigvals",
+    "slope_fit", "track_branches", "summarize_sweep",
 ]
 
 logger = logging.getLogger(__name__)
@@ -108,9 +110,19 @@ def isolated_eigs(eigs, bands: SpectralBands, margin: float | None = None):
     return values[keep]
 
 
+def parity_eigvals(op) -> EigenSet:
+    """All eigenvalues of a stability operator, from its parity blocks.
+
+    One values-only solve of B C at dimension 2(N+1), in place of a solve
+    of op.matrix_a at 4(N+1); the values come in exact +-pairs.
+    """
+    b, c = parity_blocks(op)
+    return root_pairs(eigvals(b @ c))
+
+
 def _solve_values(model, omega, p, grid):
-    op = assemble(model, omega, p, grid, form=OperatorForm.BLOCK_DIAGONALIZED)
-    return eigvals(op.matrix_a)
+    return parity_eigvals(
+        assemble(model, omega, p, grid, form=OperatorForm.BLOCK_DIAGONALIZED))
 
 
 def slope_fit(model, omega: float, p_samples, grid: ChebGrid) -> dict:
@@ -163,11 +175,11 @@ def _classify(lam: complex) -> str:
 def _solve_isolated(model, omega, p, grid, im_window):
     """One sweep point: isolated eigenvalues, their residuals, the bands.
 
-    The solve is values-only; residuals come from inverse iteration on the
-    few kept values.
+    The solve is values-only, from the parity blocks; residuals come from
+    inverse iteration of the full matrix on the few kept values.
     """
     op = assemble(model, omega, p, grid, form=OperatorForm.BLOCK_DIAGONALIZED)
-    es = eigvals(op.matrix_a)
+    es = parity_eigvals(op)
     bands = continuous_bands(model, omega, p)
     margin = default_margin(bands)
     keep = ((bands.distance(es.values) > margin)

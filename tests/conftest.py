@@ -8,8 +8,8 @@ computed once per session and reused.
 import pytest
 
 from diracstab.cheb import build_grid
-from diracstab.eigen import eigvals
 from diracstab.operator import assemble
+from diracstab.spectrum import parity_eigvals
 
 
 class GridCache:
@@ -24,7 +24,8 @@ class GridCache:
 
 
 class SpectrumCache:
-    """Memoized p = 0 eigensolves keyed by (model, omega, n)."""
+    """Memoized p = 0 eigensolves keyed by (model, omega, n), through the
+    production parity-block solve."""
 
     def __init__(self, grids):
         self._grids = grids
@@ -34,7 +35,7 @@ class SpectrumCache:
         key = (model, round(float(omega), 9), int(n))
         if key not in self._store:
             op = assemble(model, omega, 0.0, self._grids(n))
-            self._store[key] = eigvals(op.matrix_a)
+            self._store[key] = parity_eigvals(op)
         return self._store[key]
 
 

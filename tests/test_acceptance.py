@@ -24,6 +24,7 @@ from diracstab.soliton import (
 )
 from diracstab.spectrum import (
     isolated_eigs,
+    parity_eigvals,
     slope_fit,
     spurious_metric,
     summarize_sweep,
@@ -213,7 +214,7 @@ def test_criterion_08_symmetry_residuals(p0_spectra, grid_cache):
         grid = grid_cache(n, 10.0)
         for omega, p in combos:
             op = assemble(model_value, omega, p, grid)
-            es = eigvals(op.matrix_a)
+            es = parity_eigvals(op)
             worst = max(worst, symmetry_residual(es, model_value))
     ok = worst <= 1e-8
     report(8, ok, f"worst reflection residual {worst:.2e} (tol 1e-8) "
@@ -229,7 +230,7 @@ def test_criterion_09_zero_potential_bands(grid_cache):
                                    ("gn", 2.0 / 3.0, (0.0, 0.4))):
         for p in ps:
             op = assemble(model_value, omega, p, grid, zero_potential=True)
-            es = eigvals(op.matrix_a)
+            es = parity_eigvals(op)
             bands = continuous_bands(model_value, omega, p)
             worst_dist = max(worst_dist, float(np.max(bands.distance(es.values))))
             for edge, _ in bands.band_edges:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import diracstab.cli as cli
+import diracstab.spectrum as spectrum
 from diracstab import __version__
 
 
@@ -180,6 +181,15 @@ class TestValidate:
         assert report.startswith(f"# diracstab {__version__}")
         assert "PASS" in report
 
+    def test_published_n500_column(self, capsys):
+        # the parity solve's error near lambda = 0 grows like the square
+        # root of the error of eig(B C); the N = 500 ceilings bound it
+        rc = cli.main(["validate", "--n-values", "500"])
+        lines = [l for l in capsys.readouterr().out.splitlines() if l]
+        assert rc == 0
+        assert len(lines) == 5
+        assert all(line.endswith("PASS") for line in lines)
+
     def test_failure_exit_code(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "_STATED_CEILINGS",
                             {("mtm", 0.0, 100): 1e-12})
@@ -204,6 +214,28 @@ class TestNumericalFailure:
         monkeypatch.setattr(np.linalg, "eig", fail)
         assert cli.main(argv) == 3
         assert "numerical failure:" in capsys.readouterr().err
+
+
+class TestSolveDimension:
+    @pytest.mark.parametrize("argv,n", [
+        (["spectrum", "--model", "gn", "--omega", "0.5", "--n", "20"], 20),
+        (["sweep", "--model", "mtm", "--omega", "0", "--n", "20",
+          "--p-range", "0.1:0.2:0.1"], 20),
+        (["validate", "--model", "gn", "--n-values", "100"], 100),
+    ], ids=["spectrum", "sweep", "validate"])
+    def test_solves_at_half_dimension(self, argv, n, capsys, monkeypatch):
+        dims = []
+
+        def recording(solve):
+            def wrapped(matrix, want_vectors=False):
+                dims.append(np.shape(matrix))
+                return solve(matrix, want_vectors=want_vectors)
+            return wrapped
+
+        monkeypatch.setattr(cli, "eigvals", recording(cli.eigvals))
+        monkeypatch.setattr(spectrum, "eigvals", recording(spectrum.eigvals))
+        assert cli.main(argv) == 0
+        assert dims and set(dims) == {(2 * (n + 1), 2 * (n + 1))}
 
 
 class TestConfigFile:

@@ -12,7 +12,7 @@ import pytest
 from diracstab.analytics import asymptotic_prediction, kernel_vectors
 from diracstab.cheb import build_grid, sample_on_grid
 from diracstab.eigen import (ConvergenceError, EigenSet, eigvals, eigvecs_for,
-                             inverse_iteration)
+                             inverse_iteration, root_pairs)
 from diracstab.operator import assemble
 
 
@@ -28,9 +28,8 @@ def random_complex(n, seed):
     return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
 
 
-class TestNativeBackend:
-    """Properties of the LAPACK eigensolver at the bounds they were first
-    stated for (the class name predates the single solver path)."""
+class TestSolverProperties:
+    """Properties of the LAPACK eigensolver."""
 
     def test_rotation_matrix(self):
         es = eigvals([[0.0, 1.0], [-1.0, 0.0]])
@@ -89,6 +88,28 @@ class TestNativeBackend:
         with pytest.raises(ConvergenceError, match="did not converge") as exc:
             eigvals(random_complex(6, seed=2))
         assert exc.value.__cause__ is failure
+
+
+class TestRootPairs:
+    """+-sqrt(eig(B C)) against a direct solve of [[0, B], [C, 0]]."""
+
+    @pytest.mark.parametrize("dim,seed", [(6, 21), (24, 22)])
+    def test_matches_block_matrix(self, dim, seed):
+        b = random_complex(dim, seed)
+        c = random_complex(dim, seed + 100)
+        es = root_pairs(eigvals(b @ c))
+        assert es.backend == "lapack-parity"
+        assert es.values.size == 2 * dim
+        direct = eigvals(np.block([[np.zeros_like(b), b],
+                                   [c, np.zeros_like(c)]])).values
+        assert matching_distance(es.values, direct) <= 1e-10
+
+    def test_exact_pairs_sorted(self):
+        squares = EigenSet(values=random_complex(4, seed=23).ravel())
+        vals = root_pairs(squares).values
+        assert np.array_equal(np.sort_complex(vals), np.sort_complex(-vals))
+        order = np.lexsort((vals.real, vals.imag))
+        assert np.array_equal(order, np.arange(vals.size))
 
 
 class TestValidation:

@@ -18,6 +18,7 @@ from diracstab.operator import (
     continuous_bands,
     dump_matrix,
     hermiticity_defect,
+    parity_blocks,
     symmetry_residual,
 )
 from diracstab.soliton import DomainError
@@ -163,6 +164,53 @@ class TestPermutationAssembly:
         x = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
         assert np.array_equal(operator_module._signed_block_rows(front, x),
                               dense_front_product(front, x))
+
+
+def parity_involution(n):
+    """The reference S = kron(P, J) as a dense matrix: P swaps components
+    0 <-> 1 and 2 <-> 3, J reverses the n + 1 grid points."""
+    swap = np.kron(np.eye(2), PAULI_SIGMA1)
+    return np.kron(swap, np.eye(n + 1)[::-1])
+
+
+class TestParity:
+    @pytest.mark.parametrize("model", ["mtm", "gn"])
+    @pytest.mark.parametrize("form", ["full", "block"])
+    @pytest.mark.parametrize("p", [0.0, 0.3, 0.9])
+    def test_involution_anticommutes(self, grid_cache, model, form, p):
+        omega = 0.5 if model == "mtm" else 2.0 / 3.0
+        grid = grid_cache(20, 10.0)
+        a = assemble(model, omega, p, grid, form=form).matrix_a
+        s = parity_involution(grid.n)
+        assert np.array_equal(s @ s, np.eye(s.shape[0]))
+        assert np.max(np.abs(s @ a @ s + a)) <= 1e-14 * np.max(np.abs(a))
+
+    @pytest.mark.parametrize("model", ["mtm", "gn"])
+    @pytest.mark.parametrize("form", ["full", "block"])
+    def test_blocks_of_the_eigenbasis(self, grid_cache, model, form):
+        omega = 0.5 if model == "mtm" else 2.0 / 3.0
+        grid = grid_cache(20, 10.0)
+        op = assemble(model, omega, 0.3, grid, form=form)
+        m = grid.n + 1
+        # columns (e_k + e_sk) / sqrt(2), then (e_k - e_sk) / sqrt(2): k runs
+        # over components 0 and 2, sk over components 1 and 3 mirrored
+        k = np.concatenate([np.arange(m), 2 * m + np.arange(m)])
+        sk = np.concatenate([2 * m - 1 - np.arange(m), 4 * m - 1 - np.arange(m)])
+        e = np.eye(4 * m)
+        q = np.hstack([e[:, k] + e[:, sk], e[:, k] - e[:, sk]]) / np.sqrt(2.0)
+        signs = np.repeat([1.0, -1.0], 2 * m)
+        np.testing.assert_allclose(parity_involution(grid.n) @ q, q * signs,
+                                   atol=1e-15)
+        rotated = q.T @ op.matrix_a @ q
+        b, c = parity_blocks(op)
+        h = 2 * m
+        scale = np.max(np.abs(op.matrix_a))
+        assert np.max(np.abs(rotated[:h, :h])) <= 1e-14 * scale
+        assert np.max(np.abs(rotated[h:, h:])) <= 1e-14 * scale
+        np.testing.assert_allclose(b, rotated[:h, h:], rtol=0,
+                                   atol=1e-14 * scale)
+        np.testing.assert_allclose(c, rotated[h:, :h], rtol=0,
+                                   atol=1e-14 * scale)
 
 
 class TestContinuousBands:

@@ -15,6 +15,7 @@ from diracstab.spectrum import (
     BranchNotFound,
     default_margin,
     isolated_eigs,
+    parity_eigvals,
     slope_fit,
     spurious_metric,
     summarize_sweep,
@@ -86,6 +87,22 @@ class TestIsolation:
         iso = isolated_eigs(es, bands, margin=0.02)
         window = (np.abs(iso.imag) > 0.05) & (np.abs(iso.imag) < 0.33)
         assert np.count_nonzero(window) == 0
+
+
+class TestParitySolve:
+    def test_isolated_values_match_full_solve(self, grid_cache):
+        # an independent check of the reduced solve: the direct solve of
+        # the whole 4(N+1) matrix finds the same isolated eigenvalues
+        op = assemble("gn", 2.0 / 3.0, 0.3, grid_cache(160, 10.0))
+        bands = continuous_bands("gn", 2.0 / 3.0, 0.3)
+        reduced = parity_eigvals(op)
+        assert reduced.backend == "lapack-parity"
+        assert reduced.values.size == op.dim
+        iso = isolated_eigs(reduced, bands)
+        full = isolated_eigs(eigvals(op.matrix_a), bands)
+        assert iso.size == full.size == 4
+        assert np.max(np.abs(np.sort_complex(iso) - np.sort_complex(full))) \
+            <= 1e-10
 
 
 class TestSlopeFit:
