@@ -25,7 +25,7 @@ from . import __version__
 from .analytics import NumericsError, asymptotic_prediction
 from .cheb import build_grid
 from .eigen import ConvergenceError, eigvals, root_pairs
-from .operator import OperatorForm, assemble, continuous_bands, parity_blocks
+from .operator import assemble, continuous_bands, parity_blocks
 from .soliton import (DomainError, ModelKind, SolitonProfile,
                       algebraic_profile_mtm, eval_profile)
 from .spectrum import (BranchNotFound, default_margin, isolated_eigs,
@@ -213,8 +213,7 @@ def cmd_spectrum(args) -> int:
     omega = float(_require(cfg, "omega"))
     _fill_grid_defaults(cfg, model)
     grid = build_grid(int(cfg["n"]), float(cfg["scale"]))
-    op = assemble(model, omega, float(cfg["p"]), grid,
-                  form=OperatorForm.BLOCK_DIAGONALIZED)
+    op = assemble(model, omega, float(cfg["p"]), grid)
     b, c = parity_blocks(op)
     es = root_pairs(eigvals(b @ c))
     bands = continuous_bands(model, omega, float(cfg["p"]))
@@ -286,8 +285,7 @@ def cmd_sweep(args) -> int:
 def _p0_metric(model: ModelKind, omega: float, grid) -> float:
     # a function of its own, so that the matrix and its blocks are freed
     # before the next cell's assembly
-    op = assemble(model, omega, 0.0, grid,
-                  form=OperatorForm.BLOCK_DIAGONALIZED)
+    op = assemble(model, omega, 0.0, grid)
     b, c = parity_blocks(op)
     return spurious_metric(root_pairs(eigvals(b @ c)), im_cutoff=10.0)
 

@@ -4,9 +4,11 @@ Two equivalent forms of the linearized problem are built on the mapped
 Chebyshev grid: the original four-component first-order system, and the
 block form that decouples into two 2x2 Dirac-type operators coupled only
 through the transverse term.  Both are reduced to a standard eigenvalue
-problem for lambda by left-multiplying with the constant involution that
-carries the symplectic structure (its square is the identity), so the
-stored matrix has the stability eigenvalues as ordinary eigenvalues.
+problem for lambda by left-multiplying with -i times the constant
+involution that carries the symplectic structure (a signed permutation
+whose square is the identity).  The reduction is applied as each block is
+written, so the stored matrix, whose eigenvalues are the stability
+eigenvalues, is the only full-size array assembly makes.
 
 Both forms anticommute, at every p, with the parity involution
 S = kron(P, J): P swaps components 0 <-> 1 and 2 <-> 3, and J reverses
@@ -98,8 +100,9 @@ class SpectralBands:
 class StabilityOperator:
     """Assembled dense stability matrix and the parameters that built it.
 
-    matrix_a is 4(N+1) x 4(N+1) and already includes the reduction factor,
-    so its eigenvalues are the stability eigenvalues directly.
+    matrix_a is 4(N+1) x 4(N+1).  Each block of the operator was written
+    into it already multiplied by -i and moved and signed by the reduction
+    involution, so its eigenvalues are the stability eigenvalues directly.
     """
 
     model: ModelKind
@@ -115,19 +118,6 @@ class StabilityOperator:
         return self.matrix_a.shape[0]
 
 
-def _signed_block_rows(front: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """kron(front, I) @ x for a 4x4 signed permutation matrix front.
-
-    Moves and negates whole block rows of x instead of multiplying by the
-    dense Kronecker product; the result has the same values.
-    """
-    m = x.shape[0] // front.shape[0]
-    out = np.empty_like(x)
-    for row, col in enumerate(np.abs(front).argmax(axis=1)):
-        out[row * m:(row + 1) * m] = front[row, col] * x[col * m:(col + 1) * m]
-    return out
-
-
 def _potential_diagonals(model: ModelKind, omega: float, grid: ChebGrid,
                          zero_potential: bool):
     if zero_potential:
@@ -141,74 +131,99 @@ def _potential_diagonals(model: ModelKind, omega: float, grid: ChebGrid,
     return d_abs2, d_sq, d_csq
 
 
+def _reduced(front: np.ndarray, m: int, *parts) -> np.ndarray:
+    """-1j * kron(front, I) @ (sum of parts), written one block at a time.
+
+    front is a 4x4 signed permutation matrix and each part a 4x4 nested
+    list of m x m blocks, None for a zero block.  The parts of a block are
+    summed in the order given, and the sum is written, signed and scaled,
+    straight into the block row that front moves it to; the output is
+    the only 4m x 4m array made.
+    """
+    out = np.zeros((4 * m, 4 * m), dtype=complex)
+    for row, col in enumerate(np.abs(front).argmax(axis=1)):
+        factor = -1j * front[row, col]
+        for j in range(4):
+            blocks = [part[col][j] for part in parts
+                      if part[col][j] is not None]
+            if blocks:
+                out[row * m:(row + 1) * m, j * m:(j + 1) * m] = \
+                    factor * sum(blocks[1:], blocks[0])
+    return out
+
+
+def _on_diagonal(block) -> list:
+    return [[block if i == j else None for j in range(4)] for i in range(4)]
+
+
 def _assemble_block(model: ModelKind, omega: float, p: float, grid: ChebGrid,
                     zero_potential: bool) -> np.ndarray:
     m = grid.n + 1
     eye = np.eye(m, dtype=complex)
-    zero = np.zeros((m, m), dtype=complex)
     deriv = -1j * grid.d_scaled.astype(complex)
     d_abs2, d_sq, d_csq = _potential_diagonals(model, omega, grid, zero_potential)
     diag_omega = omega * eye
     if model is ModelKind.MASSIVE_THIRRING:
-        h = np.block([
-            [diag_omega + deriv + 2.0 * d_abs2, -eye + d_sq, zero, zero],
-            [-eye + d_csq, diag_omega - deriv + 2.0 * d_abs2, zero, zero],
-            [zero, zero, diag_omega + deriv, eye - d_sq],
-            [zero, zero, eye - d_csq, diag_omega - deriv],
-        ])
-        e_term = (p ** 2) * np.eye(4 * m, dtype=complex)
+        h = [
+            [diag_omega + deriv + 2.0 * d_abs2, -eye + d_sq, None, None],
+            [-eye + d_csq, diag_omega - deriv + 2.0 * d_abs2, None, None],
+            [None, None, diag_omega + deriv, eye - d_sq],
+            [None, None, eye - d_csq, diag_omega - deriv],
+        ]
+        e_term = _on_diagonal((p ** 2) * eye)
     else:
-        h = np.block([
-            [diag_omega + deriv + 2.0 * d_abs2, -eye + d_sq + 3.0 * d_csq, zero, zero],
-            [-eye + d_csq + 3.0 * d_sq, diag_omega - deriv + 2.0 * d_abs2, zero, zero],
-            [zero, zero, diag_omega + deriv, eye - d_sq - d_csq],
-            [zero, zero, eye - d_sq - d_csq, diag_omega - deriv],
-        ])
-        e_term = 1j * p * np.block([
-            [zero, zero, zero, eye],
-            [zero, zero, eye, zero],
-            [zero, -eye, zero, zero],
-            [-eye, zero, zero, zero],
-        ])
-    return -1j * _signed_block_rows(REDUCTION_BLOCK, h + e_term)
+        h = [
+            [diag_omega + deriv + 2.0 * d_abs2, -eye + d_sq + 3.0 * d_csq, None, None],
+            [-eye + d_csq + 3.0 * d_sq, diag_omega - deriv + 2.0 * d_abs2, None, None],
+            [None, None, diag_omega + deriv, eye - d_sq - d_csq],
+            [None, None, eye - d_sq - d_csq, diag_omega - deriv],
+        ]
+        t = 1j * p * eye
+        e_term = [
+            [None, None, None, t],
+            [None, None, t, None],
+            [None, -t, None, None],
+            [-t, None, None, None],
+        ]
+    return _reduced(REDUCTION_BLOCK, m, h, e_term)
 
 
 def _assemble_full(model: ModelKind, omega: float, p: float, grid: ChebGrid,
                    zero_potential: bool) -> np.ndarray:
     m = grid.n + 1
     eye = np.eye(m, dtype=complex)
-    zero = np.zeros((m, m), dtype=complex)
     deriv = -1j * grid.d_scaled.astype(complex)
     d_abs2, d_sq, d_csq = _potential_diagonals(model, omega, grid, zero_potential)
     diag_omega = omega * eye
-    d_part = np.block([
-        [deriv + diag_omega, zero, -eye, zero],
-        [zero, -deriv + diag_omega, zero, -eye],
-        [-eye, zero, -deriv + diag_omega, zero],
-        [zero, -eye, zero, deriv + diag_omega],
-    ])
+    d_part = [
+        [deriv + diag_omega, None, -eye, None],
+        [None, -deriv + diag_omega, None, -eye],
+        [-eye, None, -deriv + diag_omega, None],
+        [None, -eye, None, deriv + diag_omega],
+    ]
     if model is ModelKind.MASSIVE_THIRRING:
-        e_term = (p ** 2) * np.eye(4 * m, dtype=complex)
-        w_part = np.block([
-            [d_abs2, zero, d_sq, d_abs2],
-            [zero, d_abs2, d_abs2, d_csq],
-            [d_csq, d_abs2, d_abs2, zero],
-            [d_abs2, d_sq, zero, d_abs2],
-        ])
+        e_term = _on_diagonal((p ** 2) * eye)
+        w_part = [
+            [d_abs2, None, d_sq, d_abs2],
+            [None, d_abs2, d_abs2, d_csq],
+            [d_csq, d_abs2, d_abs2, None],
+            [d_abs2, d_sq, None, d_abs2],
+        ]
     else:
-        e_term = -1j * p * np.block([
-            [zero, zero, eye, zero],
-            [zero, zero, zero, eye],
-            [-eye, zero, zero, zero],
-            [zero, -eye, zero, zero],
-        ])
-        w_part = np.block([
+        t = -1j * p * eye
+        e_term = [
+            [None, None, t, None],
+            [None, None, None, t],
+            [-t, None, None, None],
+            [None, -t, None, None],
+        ]
+        w_part = [
             [d_abs2, d_csq, d_sq + 2.0 * d_csq, d_abs2],
             [d_sq, d_abs2, d_abs2, 2.0 * d_sq + d_csq],
             [2.0 * d_sq + d_csq, d_abs2, d_abs2, d_sq],
             [d_abs2, d_sq + 2.0 * d_csq, d_csq, d_abs2],
-        ])
-    return -1j * _signed_block_rows(SIGMA_DIAG, d_part + e_term + w_part)
+        ]
+    return _reduced(SIGMA_DIAG, m, d_part, e_term, w_part)
 
 
 def assemble(model, omega: float, p: float, grid: ChebGrid,
@@ -317,7 +332,8 @@ def hermiticity_defect(op: StabilityOperator) -> float:
     else:
         front = SIGMA_DIAG
         factors = (-1j, 1j, 1j, -1j)
-    h_total = 1j * _signed_block_rows(front, op.matrix_a)
+    h_total = 1j * np.tensordot(
+        front, op.matrix_a.reshape(4, m, 4 * m), axes=1).reshape(4 * m, 4 * m)
     delta = h_total - h_total.conj().T
     dt = op.grid.d_scaled
     sym = dt + dt.T
@@ -329,16 +345,3 @@ def hermiticity_defect(op: StabilityOperator) -> float:
     resid[boundary, :] = 0.0
     resid[:, boundary] = 0.0
     return float(resid.max())
-
-
-def dump_matrix(op: StabilityOperator, path) -> None:
-    """Write the nonzero entries as CSV rows `row, col, re, im`."""
-    a = op.matrix_a
-    rows, cols = np.nonzero(a)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# model={op.model.value} omega={op.omega!r} p={op.p!r} "
-                 f"n={op.grid.n} scale={op.grid.scale!r} form={op.form.value}\n")
-        fh.write("row,col,re,im\n")
-        for r, c in zip(rows, cols):
-            v = a[r, c]
-            fh.write(f"{r},{c},{float(v.real)!r},{float(v.imag)!r}\n")

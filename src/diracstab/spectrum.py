@@ -9,6 +9,7 @@ transverse wavenumber.
 from __future__ import annotations
 
 import logging
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -18,8 +19,8 @@ from .analytics import asymptotic_prediction
 from .cheb import ChebGrid
 from .eigen import (EigenSet, capped_blas_threads, eigvals, inverse_iteration,
                     root_pairs)
-from .operator import (OperatorForm, SpectralBands, assemble,
-                       continuous_bands, parity_blocks)
+from .operator import (SpectralBands, assemble, continuous_bands,
+                       parity_blocks)
 from .soliton import ModelKind
 
 __all__ = [
@@ -121,8 +122,7 @@ def parity_eigvals(op) -> EigenSet:
 
 
 def _solve_values(model, omega, p, grid):
-    return parity_eigvals(
-        assemble(model, omega, p, grid, form=OperatorForm.BLOCK_DIAGONALIZED))
+    return parity_eigvals(assemble(model, omega, p, grid))
 
 
 def slope_fit(model, omega: float, p_samples, grid: ChebGrid) -> dict:
@@ -178,13 +178,11 @@ def _solve_isolated(model, omega, p, grid, im_window):
     The solve is values-only, from the parity blocks; residuals come from
     inverse iteration of the full matrix on the few kept values.
     """
-    op = assemble(model, omega, p, grid, form=OperatorForm.BLOCK_DIAGONALIZED)
-    es = parity_eigvals(op)
+    op = assemble(model, omega, p, grid)
     bands = continuous_bands(model, omega, p)
     margin = default_margin(bands)
-    keep = ((bands.distance(es.values) > margin)
-            & (np.abs(es.values.imag) <= im_window))
-    iso = es.values[keep]
+    iso = isolated_eigs(parity_eigvals(op), bands, margin)
+    iso = iso[np.abs(iso.imag) <= im_window]
     return iso, inverse_iteration(op.matrix_a, iso).residuals, bands, margin
 
 
@@ -211,7 +209,7 @@ def track_branches(model, omega: float, p_grid, grid: ChebGrid,
                    jobs: int = 1, im_window: float | None = None) -> list:
     """Continue isolated eigenvalue branches across an ascending p-grid.
 
-    Eigensolves for the grid points may run concurrently (jobs > 1); the
+    Eigensolves for the grid points run in a pool of jobs >= 1 threads; the
     matching pass itself is sequential and deterministic.  Branches are
     seeded at the first grid point from the asymptotic predictions plus
     any remaining isolated eigenvalues, and terminated with an 'absorbed'
@@ -231,19 +229,16 @@ def track_branches(model, omega: float, p_grid, grid: ChebGrid,
         raise ValueError("p-grid must be strictly ascending")
     if ps[0] <= 0.0:
         raise ValueError("p-grid values must be positive")
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     if im_window is None:
         im_window = 1.0 + abs(omega)
 
-    if jobs > 1:
-        # jobs solves at once must not each start a full set of BLAS threads
-        with capped_blas_threads(jobs), \
-                ThreadPoolExecutor(max_workers=jobs) as pool:
-            solved = list(pool.map(
-                lambda p: _solve_isolated(model, omega, p, grid, im_window),
-                ps))
-    else:
-        solved = [_solve_isolated(model, omega, p, grid, im_window)
-                  for p in ps]
+    # jobs solves at once must not each start a full set of BLAS threads
+    with capped_blas_threads(jobs), \
+            ThreadPoolExecutor(max_workers=jobs) as pool:
+        solved = list(pool.map(
+            lambda p: _solve_isolated(model, omega, p, grid, im_window), ps))
 
     pred = asymptotic_prediction(model, omega, with_corrections=False)
     first_step = ps[1] - ps[0]
@@ -354,7 +349,7 @@ def summarize_sweep(branches, model, omega: float, p_grid) -> dict:
                 max_growth_p = pt.p
             if pt.classification == CLASS_REAL:
                 real_ps.append(pt.p)
-                if pt.p == p_final:
+                if math.isclose(pt.p, p_final, rel_tol=1e-9):
                     real_at_final = True
             elif pt.classification == CLASS_QUARTET:
                 quartet_ps.append(pt.p)

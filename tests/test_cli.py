@@ -149,6 +149,14 @@ class TestSweep:
         assert doc["summary"]["p_final"] == pytest.approx(0.3)
         assert doc["summary"]["gap_closes_at"] == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_rejects_fewer_than_one_job(self, capsys, jobs):
+        rc = cli.main(["sweep", "--model", "mtm", "--omega", "0",
+                       "--p-range", "0.1:0.2:0.1", "--n", "20",
+                       f"--jobs={jobs}"])
+        assert rc == 2
+        assert "jobs must be at least 1" in capsys.readouterr().err
+
     def test_byte_reproducible(self, outdir, capsys, monkeypatch):
         args = ["sweep", "--model", "mtm", "--omega", "0.5",
                 "--p-range", "0.1:0.2:0.1", "--n", "60"]

@@ -1,5 +1,7 @@
 """Operator assembly: algebraic constants, form equivalence, bands, symmetry."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,6 @@ from diracstab.operator import (
     StabilityOperator,
     assemble,
     continuous_bands,
-    dump_matrix,
     hermiticity_defect,
     parity_blocks,
     symmetry_residual,
@@ -121,25 +122,15 @@ class TestAssembly:
         op = assemble(model, omega, 0.3, grid_cache(20, 10.0), form=form)
         assert hermiticity_defect(op) <= 1e-12
 
-    def test_dump_roundtrip(self, grid_cache, tmp_path):
-        op = assemble("gn", 0.5, 0.2, grid_cache(6, 10.0))
-        path = tmp_path / "matrix.csv"
-        dump_matrix(op, path)
-        lines = path.read_text().splitlines()
-        assert lines[0].startswith("# model=")
-        assert lines[1] == "row,col,re,im"
-        rebuilt = np.zeros_like(op.matrix_a)
-        for line in lines[2:]:
-            i, j, re, im = line.split(",")
-            rebuilt[int(i), int(j)] = float(re) + 1j * float(im)
-        assert np.array_equal(rebuilt, op.matrix_a)
 
-
-def dense_front_product(front, x):
-    """The reference for the permutation assembly: the dense Kronecker
-    product kron(front, I) @ x."""
-    m = x.shape[0] // front.shape[0]
-    return np.kron(front, np.eye(m)).astype(complex) @ x
+def dense_reduced(front, m, *parts):
+    """The reference for the block writer: -1j * kron(front, I) @ (sum of
+    the parts), each part laid out whole by np.block."""
+    zero = np.zeros((m, m), dtype=complex)
+    dense = [np.block([[zero if b is None else b for b in row] for row in part])
+             for part in parts]
+    total = sum(dense[1:], dense[0])
+    return -1j * (np.kron(front, np.eye(m)).astype(complex) @ total)
 
 
 class TestPermutationAssembly:
@@ -151,8 +142,7 @@ class TestPermutationAssembly:
         omega = 0.5 if model == "mtm" else 2.0 / 3.0
         grid = grid_cache(20, 10.0)
         fast = assemble(model, omega, p, grid, form=form).matrix_a
-        monkeypatch.setattr(operator_module, "_signed_block_rows",
-                            dense_front_product)
+        monkeypatch.setattr(operator_module, "_reduced", dense_reduced)
         dense = assemble(model, omega, p, grid, form=form).matrix_a
         # signed zeros may differ; every value and eigenvalue is equal
         assert np.array_equal(fast, dense)
@@ -161,9 +151,34 @@ class TestPermutationAssembly:
     @pytest.mark.parametrize("front", [REDUCTION_BLOCK, SIGMA_DIAG])
     def test_random_matrix(self, front):
         rng = np.random.default_rng(1)
-        x = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
-        assert np.array_equal(operator_module._signed_block_rows(front, x),
-                              dense_front_product(front, x))
+        m = 3
+
+        def block():
+            return (rng.standard_normal((m, m))
+                    + 1j * rng.standard_normal((m, m)))
+
+        parts = [[[block() for _ in range(4)] for _ in range(4)]
+                 for _ in range(3)]
+        # a block missing from one part, and one missing from every part
+        parts[1][0][2] = None
+        for part in parts:
+            part[3][1] = None
+        assert np.array_equal(operator_module._reduced(front, m, *parts),
+                              dense_reduced(front, m, *parts))
+
+    @pytest.mark.parametrize("model", ["mtm", "gn"])
+    @pytest.mark.parametrize("form", ["full", "block"])
+    def test_no_full_size_temporaries(self, grid_cache, model, form):
+        # the m x m blocks add about one output's worth; a single extra
+        # 4(N+1)-square array would push the peak past three outputs
+        grid = grid_cache(100, 10.0)
+        tracemalloc.start()
+        try:
+            op = assemble(model, 0.5, 0.3, grid, form=form)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * op.matrix_a.nbytes
 
 
 def parity_involution(n):

@@ -12,7 +12,10 @@ from diracstab.eigen import EigenSet, blas_threads, eigvals
 from diracstab.operator import assemble, continuous_bands
 from diracstab.spectrum import (
     CLASS_QUARTET,
+    CLASS_REAL,
     BranchNotFound,
+    BranchPoint,
+    TrackedBranch,
     default_margin,
     isolated_eigs,
     parity_eigvals,
@@ -142,6 +145,12 @@ class TestTracking:
         with pytest.raises(ValueError):
             track_branches("mtm", 0.0, [0.0, 0.1], grid)
 
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_rejects_fewer_than_one_job(self, grid_cache, jobs):
+        with pytest.raises(ValueError, match="jobs"):
+            track_branches("mtm", 0.0, [0.1, 0.2], grid_cache(30, 10.0),
+                           jobs=jobs)
+
     def test_sweep_solves_values_only(self, grid_cache, monkeypatch):
         asked = []
         solve = spectrum.eigvals
@@ -217,6 +226,19 @@ class TestTracking:
         assert summary["gap_closed_in_range"] is False
         for ev in summary["events"]:
             assert set(ev) == {"branch_id", "p", "label"}
+
+    def test_final_p_matched_within_roundoff(self):
+        # tracked on np.arange, whose last point is 0.35000000000000003,
+        # and summarized on the parsed range, whose last point is 0.35
+        tracked = np.arange(0.05, 0.3501, 0.05)
+        assert tracked[-1] != 0.35
+        branch = TrackedBranch(branch_id=0, points=[
+            BranchPoint(float(p), complex(0.1 * p), 0.0, CLASS_REAL)
+            for p in tracked])
+        summary = summarize_sweep([branch], "gn", 2.0 / 3.0,
+                                  [0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35])
+        assert summary["real_pair_present_at_final_p"] is True
+        assert summary["instability_threshold"] is None
 
     def test_growth_rate_decreases_with_frequency(self, grid_cache):
         # at fixed small p the unstable growth rate is larger for the
