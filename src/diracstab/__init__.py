@@ -10,8 +10,8 @@ __version__ = "0.1.0"
 
 from .soliton import ModelKind, SolitonProfile, DomainError
 from .cheb import ChebGrid, build_grid, sample_on_grid
-from .operator import OperatorForm, StabilityOperator, SpectralBands, assemble, continuous_bands
-from .eigen import EigenSet, eigvals, eigvecs_for
+from .operator import StabilityOperator, SpectralBands, assemble, continuous_bands
+from .eigen import EigenSet, eigvals
 from .analytics import AsymptoticPrediction, asymptotic_prediction
 
 __all__ = [
@@ -22,14 +22,12 @@ __all__ = [
     "ChebGrid",
     "build_grid",
     "sample_on_grid",
-    "OperatorForm",
     "StabilityOperator",
     "SpectralBands",
     "assemble",
     "continuous_bands",
     "EigenSet",
     "eigvals",
-    "eigvecs_for",
     "AsymptoticPrediction",
     "asymptotic_prediction",
 ]

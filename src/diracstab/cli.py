@@ -297,6 +297,16 @@ def cmd_validate(args) -> int:
     models = ([ModelKind(cfg["model"])] if cfg["model"]
               else [ModelKind.MASSIVE_THIRRING, ModelKind.GROSS_NEVEU])
     n_list = [int(t) for t in str(cfg["n_values"]).split(",") if t]
+    if not n_list:
+        raise ValueError("--n-values names no N")
+    for model in models:
+        published = sorted({n for mod, _, n in _REFERENCE_METRICS
+                            if mod == model.value})
+        for n in n_list:
+            if any((model.value, om, n) not in _REFERENCE_METRICS
+                   for om in _VALIDATE_OMEGAS[model.value]):
+                raise ValueError(f"no published {model.value} metric for "
+                                 f"N={n}; published N values: {published}")
     scale = float(cfg["scale"]) if cfg["scale"] is not None else 10.0
     lines = []
     all_ok = True
@@ -305,8 +315,6 @@ def cmd_validate(args) -> int:
             grid = build_grid(n, scale)
             for om in _VALIDATE_OMEGAS[model.value]:
                 key = (model.value, om, n)
-                if key not in _REFERENCE_METRICS:
-                    continue
                 metric = _p0_metric(model, om, grid)
                 reference = _REFERENCE_METRICS[key]
                 ceiling = _STATED_CEILINGS.get(key, 10.0 * reference)

@@ -8,10 +8,10 @@ exit code 3.
 A matrix of the form [[0, B], [C, 0]] is solved at half its dimension:
 eigvals of B C, then root_pairs.
 
-Eigenvectors for a few selected eigenvalues come from inverse iteration
-(one LU per value), not from a full solve with vectors.  When several
-threads solve at once, capped_blas_threads keeps their BLAS threads
-within the available cores.
+Eigenvectors and residuals for a few selected eigenvalues come from
+inverse_iteration (one LU per value), not from a full solve with vectors.
+When several threads solve at once, capped_blas_threads keeps their BLAS
+threads within the available cores.
 """
 
 from __future__ import annotations
@@ -19,9 +19,8 @@ from __future__ import annotations
 import ctypes
 import logging
 import os
-import warnings
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
@@ -29,7 +28,6 @@ from scipy.linalg import lu_factor, lu_solve
 logger = logging.getLogger(__name__)
 
 _EPS = np.finfo(float).eps
-_RESIDUAL_TARGET = 1e-8
 _INVERSE_STEPS = 2
 
 # (set, get) thread-count entry points of the OpenBLAS builds numpy and
@@ -64,7 +62,6 @@ class EigenSet:
     residuals: np.ndarray | None = None
     iterations: int = 0
     backend: str = "lapack"
-    flags: list = field(default_factory=list)
 
 
 def _as_square_complex(matrix) -> np.ndarray:
@@ -149,41 +146,6 @@ def inverse_iteration(matrix, values) -> EigenSet:
         vectors[:, col] = v
     return EigenSet(values=values, vectors=vectors,
                     residuals=_residuals(a, values, vectors))
-
-
-def eigvecs_for(matrix, selected_values) -> EigenSet:
-    """Unit eigenvectors for selected eigenvalues (within 1e-6 of the spectrum).
-
-    Each requested value claims the nearest unclaimed eigenvalue of a
-    values-only solve; vectors come from inverse_iteration.  A warning flag
-    records any pair whose residual stays above 1e-8 (defective clusters).
-    """
-    a = _as_square_complex(matrix)
-    requested = np.atleast_1d(np.asarray(selected_values, dtype=complex))
-
-    spectrum = eigvals(a).values
-    used: set[int] = set()
-    picked_idx = []
-    for lam in requested:
-        dist = np.abs(spectrum - lam)
-        dist[list(used)] = np.inf
-        j = int(np.argmin(dist))
-        if dist[j] > 1e-6:
-            raise ValueError(
-                f"requested value {lam} is {dist[j]:.3e} away from the "
-                "nearest unclaimed eigenvalue (limit 1e-6)"
-            )
-        used.add(j)
-        picked_idx.append(j)
-
-    es = inverse_iteration(a, spectrum[picked_idx])
-    for lam, res in zip(es.values, es.residuals):
-        if not res <= _RESIDUAL_TARGET:
-            msg = (f"eigenvector for {lam:.6g} converged only to residual "
-                   f"{res:.3e} (defective cluster?)")
-            es.flags.append(msg)
-            warnings.warn(msg, RuntimeWarning, stacklevel=2)
-    return es
 
 
 def _openblas_controls() -> list:

@@ -1,16 +1,17 @@
 """Assembly of the dense transverse-stability matrices.
 
-Two equivalent forms of the linearized problem are built on the mapped
-Chebyshev grid: the original four-component first-order system, and the
-block form that decouples into two 2x2 Dirac-type operators coupled only
-through the transverse term.  Both are reduced to a standard eigenvalue
-problem for lambda by left-multiplying with -i times the constant
-involution that carries the symplectic structure (a signed permutation
-whose square is the identity).  The reduction is applied as each block is
-written, so the stored matrix, whose eigenvalues are the stability
-eigenvalues, is the only full-size array assembly makes.
+The linearized problem is a four-component first-order system.  For both
+models an orthogonal change of variables turns it into a block form: two
+2x2 Dirac-type operators coupled only through the transverse term.  The
+block form, which has the same spectrum, is the one assembled on the
+mapped Chebyshev grid.  It is reduced to a standard eigenvalue problem
+for lambda by left-multiplying with -i times the constant involution
+that carries the symplectic structure (a signed permutation whose square
+is the identity).  The reduction is applied as each block is written, so
+the stored matrix, whose eigenvalues are the stability eigenvalues, is
+the only full-size array assembly makes.
 
-Both forms anticommute, at every p, with the parity involution
+The matrix anticommutes, at every p, with the parity involution
 S = kron(P, J): P swaps components 0 <-> 1 and 2 <-> 3, and J reverses
 the grid (x -> -x).  In the eigenbasis of S the matrix is [[0, B], [C, 0]],
 so its eigenvalues are +-sqrt(eig(B C)); parity_blocks returns B and C.
@@ -21,17 +22,12 @@ etc., so each differentiation block is contiguous.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
 
 from .cheb import ChebGrid
 from .soliton import ModelKind, SolitonProfile, eval_profile
-
-# Pauli matrices entering the algebraic symmetry identities.
-PAULI_SIGMA1 = np.array([[0.0, 1.0], [1.0, 0.0]])
-PAULI_SIGMA3 = np.array([[1.0, 0.0], [0.0, -1.0]])
 
 # Involution used to reduce i*lambda*(structure)*V = H V to a standard
 # eigenproblem; squares to the identity exactly.
@@ -41,27 +37,6 @@ REDUCTION_BLOCK = np.array([
     [1.0, 0.0, 0.0, 0.0],
     [0.0, -1.0, 0.0, 0.0],
 ])
-
-# Structure matrix of the four-component form (diagonal signature).
-SIGMA_DIAG = np.diag([1.0, -1.0, 1.0, -1.0])
-
-# Orthogonal change of variables relating the two forms, stored
-# unnormalized with integer entries: S = BLOCK_MIXING / sqrt(2) satisfies
-# S S^t = I, and S (full form) S^t = (block form).  Keeping the integer
-# matrix lets tests verify M M^t = 2 I exactly.
-BLOCK_MIXING = np.array([
-    [1.0, 0.0, 0.0, 1.0],
-    [0.0, 1.0, 1.0, 0.0],
-    [1.0, 0.0, 0.0, -1.0],
-    [0.0, 1.0, -1.0, 0.0],
-])
-
-
-class OperatorForm(enum.Enum):
-    """Which algebraic form of the linearization is assembled."""
-
-    FULL_SYSTEM = "full"
-    BLOCK_DIAGONALIZED = "block"
 
 
 @dataclass(frozen=True)
@@ -110,7 +85,6 @@ class StabilityOperator:
     p: float
     grid: ChebGrid
     matrix_a: np.ndarray
-    form: OperatorForm
     potential_zeroed: bool = False
 
     @property
@@ -118,17 +92,15 @@ class StabilityOperator:
         return self.matrix_a.shape[0]
 
 
-def _potential_diagonals(model: ModelKind, omega: float, grid: ChebGrid,
-                         zero_potential: bool):
+def _potential_terms(model: ModelKind, omega: float, grid: ChebGrid,
+                     zero_potential: bool):
+    """|u|^2, u^2 and conj(u)^2 at the grid nodes, as vectors."""
     if zero_potential:
         u = np.zeros(grid.n + 1, dtype=complex)
     else:
         profile = SolitonProfile.create(model, omega)
         u = eval_profile(profile, grid.nodes_x)
-    d_abs2 = np.diag(np.abs(u) ** 2).astype(complex)
-    d_sq = np.diag(u ** 2)
-    d_csq = np.diag(np.conj(u) ** 2)
-    return d_abs2, d_sq, d_csq
+    return np.abs(u) ** 2, u ** 2, np.conj(u) ** 2
 
 
 def _reduced(front: np.ndarray, m: int, *parts) -> np.ndarray:
@@ -156,27 +128,38 @@ def _on_diagonal(block) -> list:
     return [[block if i == j else None for j in range(4)] for i in range(4)]
 
 
+def _plus_diagonal(block: np.ndarray, diagonal) -> np.ndarray:
+    """block with diagonal added onto its main diagonal, in place."""
+    block[np.diag_indices_from(block)] += diagonal
+    return block
+
+
 def _assemble_block(model: ModelKind, omega: float, p: float, grid: ChebGrid,
                     zero_potential: bool) -> np.ndarray:
     m = grid.n + 1
     eye = np.eye(m, dtype=complex)
     deriv = -1j * grid.d_scaled.astype(complex)
-    d_abs2, d_sq, d_csq = _potential_diagonals(model, omega, grid, zero_potential)
-    diag_omega = omega * eye
+    abs2, sq, csq = _potential_terms(model, omega, grid, zero_potential)
+    # omega on the diagonal of +-deriv, then the potential on top of that
+    minus = _plus_diagonal(-deriv, omega)
+    plus = _plus_diagonal(deriv, omega)
+    h00 = _plus_diagonal(plus.copy(), 2.0 * abs2)
+    h11 = _plus_diagonal(minus.copy(), 2.0 * abs2)
     if model is ModelKind.MASSIVE_THIRRING:
         h = [
-            [diag_omega + deriv + 2.0 * d_abs2, -eye + d_sq, None, None],
-            [-eye + d_csq, diag_omega - deriv + 2.0 * d_abs2, None, None],
-            [None, None, diag_omega + deriv, eye - d_sq],
-            [None, None, eye - d_csq, diag_omega - deriv],
+            [h00, np.diag(-1.0 + sq), None, None],
+            [np.diag(-1.0 + csq), h11, None, None],
+            [None, None, plus, np.diag(1.0 - sq)],
+            [None, None, np.diag(1.0 - csq), minus],
         ]
         e_term = _on_diagonal((p ** 2) * eye)
     else:
+        cross = np.diag(1.0 - sq - csq)
         h = [
-            [diag_omega + deriv + 2.0 * d_abs2, -eye + d_sq + 3.0 * d_csq, None, None],
-            [-eye + d_csq + 3.0 * d_sq, diag_omega - deriv + 2.0 * d_abs2, None, None],
-            [None, None, diag_omega + deriv, eye - d_sq - d_csq],
-            [None, None, eye - d_sq - d_csq, diag_omega - deriv],
+            [h00, np.diag(-1.0 + sq + 3.0 * csq), None, None],
+            [np.diag(-1.0 + csq + 3.0 * sq), h11, None, None],
+            [None, None, plus, cross],
+            [None, None, cross, minus],
         ]
         t = 1j * p * eye
         e_term = [
@@ -188,46 +171,7 @@ def _assemble_block(model: ModelKind, omega: float, p: float, grid: ChebGrid,
     return _reduced(REDUCTION_BLOCK, m, h, e_term)
 
 
-def _assemble_full(model: ModelKind, omega: float, p: float, grid: ChebGrid,
-                   zero_potential: bool) -> np.ndarray:
-    m = grid.n + 1
-    eye = np.eye(m, dtype=complex)
-    deriv = -1j * grid.d_scaled.astype(complex)
-    d_abs2, d_sq, d_csq = _potential_diagonals(model, omega, grid, zero_potential)
-    diag_omega = omega * eye
-    d_part = [
-        [deriv + diag_omega, None, -eye, None],
-        [None, -deriv + diag_omega, None, -eye],
-        [-eye, None, -deriv + diag_omega, None],
-        [None, -eye, None, deriv + diag_omega],
-    ]
-    if model is ModelKind.MASSIVE_THIRRING:
-        e_term = _on_diagonal((p ** 2) * eye)
-        w_part = [
-            [d_abs2, None, d_sq, d_abs2],
-            [None, d_abs2, d_abs2, d_csq],
-            [d_csq, d_abs2, d_abs2, None],
-            [d_abs2, d_sq, None, d_abs2],
-        ]
-    else:
-        t = -1j * p * eye
-        e_term = [
-            [None, None, t, None],
-            [None, None, None, t],
-            [-t, None, None, None],
-            [None, -t, None, None],
-        ]
-        w_part = [
-            [d_abs2, d_csq, d_sq + 2.0 * d_csq, d_abs2],
-            [d_sq, d_abs2, d_abs2, 2.0 * d_sq + d_csq],
-            [2.0 * d_sq + d_csq, d_abs2, d_abs2, d_sq],
-            [d_abs2, d_sq + 2.0 * d_csq, d_csq, d_abs2],
-        ]
-    return _reduced(SIGMA_DIAG, m, d_part, e_term, w_part)
-
-
 def assemble(model, omega: float, p: float, grid: ChebGrid,
-             form: OperatorForm = OperatorForm.BLOCK_DIAGONALIZED,
              zero_potential: bool = False) -> StabilityOperator:
     """Build the dense stability matrix at transverse wavenumber p.
 
@@ -238,19 +182,14 @@ def assemble(model, omega: float, p: float, grid: ChebGrid,
     model = ModelKind(model)
     if not isinstance(grid, ChebGrid):
         raise ValueError("grid must be a ChebGrid instance")
-    form = OperatorForm(form)
     # omega admissibility is enforced by profile construction; the zero
     # potential hook still validates it for consistent error behavior
     SolitonProfile.create(model, omega)
     p = float(p)
-    if form is OperatorForm.BLOCK_DIAGONALIZED:
-        a = _assemble_block(model, omega, p, grid, zero_potential)
-    else:
-        a = _assemble_full(model, omega, p, grid, zero_potential)
+    a = _assemble_block(model, omega, p, grid, zero_potential)
     a.setflags(write=False)
     return StabilityOperator(model=model, omega=float(omega), p=p, grid=grid,
-                             matrix_a=a, form=form,
-                             potential_zeroed=bool(zero_potential))
+                             matrix_a=a, potential_zeroed=bool(zero_potential))
 
 
 def parity_blocks(op: StabilityOperator) -> tuple:
@@ -326,19 +265,13 @@ def hermiticity_defect(op: StabilityOperator) -> float:
     and columns are excluded per the assembly convention.
     """
     m = op.grid.n + 1
-    if op.form is OperatorForm.BLOCK_DIAGONALIZED:
-        front = REDUCTION_BLOCK
-        factors = (-1j, 1j, -1j, 1j)
-    else:
-        front = SIGMA_DIAG
-        factors = (-1j, 1j, 1j, -1j)
     h_total = 1j * np.tensordot(
-        front, op.matrix_a.reshape(4, m, 4 * m), axes=1).reshape(4 * m, 4 * m)
+        REDUCTION_BLOCK, op.matrix_a.reshape(4, m, 4 * m), axes=1).reshape(4 * m, 4 * m)
     delta = h_total - h_total.conj().T
     dt = op.grid.d_scaled
     sym = dt + dt.T
     predicted = np.zeros_like(delta)
-    for c, f in enumerate(factors):
+    for c, f in enumerate((-1j, 1j, -1j, 1j)):
         predicted[c * m:(c + 1) * m, c * m:(c + 1) * m] = f * sym
     resid = np.abs(delta - predicted)
     boundary = [c * m for c in range(4)] + [c * m + op.grid.n for c in range(4)]

@@ -72,9 +72,6 @@ class TrackedBranch:
     def last(self) -> BranchPoint:
         return self.points[-1]
 
-    def classifications(self) -> list:
-        return [pt.classification for pt in self.points]
-
 
 def spurious_metric(eigs, im_cutoff: float = 10.0) -> float:
     """Largest |Re| among eigenvalues with |Im| below the cutoff.

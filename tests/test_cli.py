@@ -206,6 +206,28 @@ class TestValidate:
         assert rc == 4
         assert "FAIL" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("argv,n", [
+        (["--model", "mtm", "--n-values", "200"], 200),
+        (["--model", "gn", "--n-values", "100,250"], 250),
+        (["--n-values", "300,500,700"], 700),
+    ], ids=["mtm-200", "gn-100-250", "all-700"])
+    def test_unpublished_n_exits_2_before_solving(self, argv, n, capsys,
+                                                  monkeypatch):
+        solved = []
+        monkeypatch.setattr(cli, "_p0_metric",
+                            lambda *args: solved.append(args) or 0.0)
+        assert cli.main(["validate"] + argv) == 2
+        captured = capsys.readouterr()
+        assert f"N={n}" in captured.err
+        assert "[100, 300, 500]" in captured.err
+        assert captured.out == ""
+        assert solved == []
+
+    @pytest.mark.parametrize("n_values", ["", ","])
+    def test_empty_n_values_exits_2(self, n_values, capsys):
+        assert cli.main(["validate", f"--n-values={n_values}"]) == 2
+        assert "error:" in capsys.readouterr().err
+
 
 class TestNumericalFailure:
     @pytest.mark.parametrize("argv", [

@@ -11,9 +11,10 @@ import pytest
 
 from diracstab.analytics import asymptotic_prediction, kernel_vectors
 from diracstab.cheb import build_grid, sample_on_grid
-from diracstab.eigen import (ConvergenceError, EigenSet, eigvals, eigvecs_for,
+from diracstab.eigen import (ConvergenceError, EigenSet, eigvals,
                              inverse_iteration, root_pairs)
 from diracstab.operator import assemble
+from diracstab.spectrum import parity_eigvals
 
 
 def matching_distance(a, b):
@@ -126,18 +127,14 @@ class TestValidation:
 
 class TestSelectedVectors:
     def test_identity(self):
-        es = eigvecs_for(np.eye(3), [1.0])
+        es = inverse_iteration(np.eye(3), [1.0])
         assert es.vectors.shape == (3, 1)
         assert es.residuals[0] <= 1e-14
-
-    def test_rejects_value_far_from_spectrum(self):
-        with pytest.raises(ValueError, match="away from the nearest"):
-            eigvecs_for(np.eye(3), [1.5])
 
     def test_defective_matrix_does_not_raise(self):
         # Jordan block: both requested copies of 0 resolve to the same
         # eigenvector, without raising
-        es = eigvecs_for(np.array([[0.0, 1.0], [0.0, 0.0]]), [0.0, 0.0])
+        es = inverse_iteration(np.array([[0.0, 1.0], [0.0, 0.0]]), [0.0, 0.0])
         assert np.max(es.residuals) <= 1e-8
 
     def test_inverse_iteration_matches_full_solve(self):
@@ -169,7 +166,7 @@ class TestEigenvectorPhysics:
         p = 0.05
         grid = grid_cache(200, 10.0)
         op = assemble(model, omega, p, grid)
-        es = eigvals(op.matrix_a)
+        es = parity_eigvals(op)
         target = p * asymptotic_prediction(
             model, omega, with_corrections=False).lambda_r
         real_pos = es.values[(es.values.real > 0)
@@ -177,7 +174,7 @@ class TestEigenvectorPhysics:
         lam = real_pos[np.argmin(np.abs(real_pos - target))]
         assert lam.real == pytest.approx(target, rel=0.15)
 
-        vecs = eigvecs_for(op.matrix_a, [lam])
+        vecs = inverse_iteration(op.matrix_a, [lam])
         kv = kernel_vectors(model, omega)
         samples = getattr(kv, vec_name)(grid.nodes_x).reshape(-1)
         assert cosine_alignment(vecs.vectors[:, 0], samples) >= 0.95

@@ -1,4 +1,10 @@
-"""Operator assembly: algebraic constants, form equivalence, bands, symmetry."""
+"""Operator assembly: algebraic constants, form equivalence, bands, symmetry.
+
+The library assembles only the block form.  The four-component system it
+comes from is built here, by full_system, as the oracle the block form is
+checked against: both must have the same spectrum, and an explicit
+orthogonal change of variables must carry one into the other.
+"""
 
 import tracemalloc
 
@@ -9,12 +15,7 @@ import diracstab.operator as operator_module
 from diracstab.cheb import build_grid
 from diracstab.eigen import eigvals
 from diracstab.operator import (
-    BLOCK_MIXING,
-    OperatorForm,
-    PAULI_SIGMA1,
-    PAULI_SIGMA3,
     REDUCTION_BLOCK,
-    SIGMA_DIAG,
     StabilityOperator,
     assemble,
     continuous_bands,
@@ -22,7 +23,24 @@ from diracstab.operator import (
     parity_blocks,
     symmetry_residual,
 )
-from diracstab.soliton import DomainError
+from diracstab.soliton import DomainError, ModelKind
+
+PAULI_SIGMA1 = np.array([[0.0, 1.0], [1.0, 0.0]])
+PAULI_SIGMA3 = np.array([[1.0, 0.0], [0.0, -1.0]])
+
+# Structure matrix of the four-component form (diagonal signature).
+SIGMA_DIAG = np.diag([1.0, -1.0, 1.0, -1.0])
+
+# Orthogonal change of variables relating the two forms, stored
+# unnormalized with integer entries: S = BLOCK_MIXING / sqrt(2) satisfies
+# S S^t = I, and S (full form) S^t = (block form).  Keeping the integer
+# matrix lets the tests verify M M^t = 2 I exactly.
+BLOCK_MIXING = np.array([
+    [1.0, 0.0, 0.0, 1.0],
+    [0.0, 1.0, 1.0, 0.0],
+    [1.0, 0.0, 0.0, -1.0],
+    [0.0, 1.0, -1.0, 0.0],
+])
 
 
 def matching_distance(a, b):
@@ -30,6 +48,68 @@ def matching_distance(a, b):
     b = np.asarray(b).reshape(1, -1)
     d = np.abs(a - b)
     return max(d.min(axis=1).max(), d.min(axis=0).max())
+
+
+def dense_reduced(front, m, *parts):
+    """The reference for the block writer: -1j * kron(front, I) @ (sum of
+    the parts), each part laid out whole by np.block."""
+    zero = np.zeros((m, m), dtype=complex)
+    dense = [np.block([[zero if b is None else b for b in row] for row in part])
+             for part in parts]
+    total = sum(dense[1:], dense[0])
+    return -1j * (np.kron(front, np.eye(m)).astype(complex) @ total)
+
+
+def full_system(model, omega, p, grid, zero_potential=False,
+                reduce=dense_reduced):
+    """The reduced matrix of the four-component system: derivative and
+    frequency part d, transverse term e and soliton potential w, reduced
+    by SIGMA_DIAG."""
+    model = ModelKind(model)
+    m = grid.n + 1
+    eye = np.eye(m, dtype=complex)
+    deriv = -1j * grid.d_scaled.astype(complex)
+    abs2, sq, csq = operator_module._potential_terms(model, omega, grid,
+                                                     zero_potential)
+    d_abs2, d_sq, d_csq = np.diag(abs2).astype(complex), np.diag(sq), np.diag(csq)
+    diag_omega = omega * eye
+    d_part = [
+        [deriv + diag_omega, None, -eye, None],
+        [None, -deriv + diag_omega, None, -eye],
+        [-eye, None, -deriv + diag_omega, None],
+        [None, -eye, None, deriv + diag_omega],
+    ]
+    if model is ModelKind.MASSIVE_THIRRING:
+        e2 = (p ** 2) * eye
+        e_term = [[e2 if i == j else None for j in range(4)] for i in range(4)]
+        w_part = [
+            [d_abs2, None, d_sq, d_abs2],
+            [None, d_abs2, d_abs2, d_csq],
+            [d_csq, d_abs2, d_abs2, None],
+            [d_abs2, d_sq, None, d_abs2],
+        ]
+    else:
+        t = -1j * p * eye
+        e_term = [
+            [None, None, t, None],
+            [None, None, None, t],
+            [-t, None, None, None],
+            [None, -t, None, None],
+        ]
+        w_part = [
+            [d_abs2, d_csq, d_sq + 2.0 * d_csq, d_abs2],
+            [d_sq, d_abs2, d_abs2, 2.0 * d_sq + d_csq],
+            [2.0 * d_sq + d_csq, d_abs2, d_abs2, d_sq],
+            [d_abs2, d_sq + 2.0 * d_csq, d_csq, d_abs2],
+        ]
+    return reduce(SIGMA_DIAG, m, d_part, e_term, w_part)
+
+
+def form_matrix(form, model, omega, p, grid):
+    """The block form from the library, or the full-system oracle."""
+    if form == "full":
+        return full_system(model, omega, p, grid)
+    return assemble(model, omega, p, grid).matrix_a
 
 
 class TestAlgebraicConstants:
@@ -56,10 +136,8 @@ class TestFormEquivalence:
     ])
     def test_same_spectrum(self, grid_cache, model, omega, p):
         grid = grid_cache(16, 10.0)
-        full = assemble(model, omega, p, grid, form="full")
-        block = assemble(model, omega, p, grid, form="block")
-        ev_full = eigvals(full.matrix_a).values
-        ev_block = eigvals(block.matrix_a).values
+        ev_full = eigvals(full_system(model, omega, p, grid)).values
+        ev_block = eigvals(assemble(model, omega, p, grid).matrix_a).values
         assert matching_distance(ev_full, ev_block) <= 1e-8
 
     @pytest.mark.parametrize("model,omega,p", [
@@ -68,8 +146,8 @@ class TestFormEquivalence:
     ])
     def test_explicit_change_of_variables(self, grid_cache, model, omega, p):
         grid = grid_cache(12, 10.0)
-        full = assemble(model, omega, p, grid, form="full").matrix_a
-        block = assemble(model, omega, p, grid, form="block").matrix_a
+        full = full_system(model, omega, p, grid)
+        block = assemble(model, omega, p, grid).matrix_a
         s_big = np.kron(BLOCK_MIXING / np.sqrt(2.0), np.eye(grid.n + 1))
         np.testing.assert_allclose(s_big @ full @ s_big.T, block, atol=1e-12)
 
@@ -101,7 +179,6 @@ class TestAssembly:
         op = assemble("mtm", 0.5, 0.3, grid)
         assert isinstance(op, StabilityOperator)
         assert op.dim == 4 * (grid.n + 1)
-        assert op.form is OperatorForm.BLOCK_DIAGONALIZED
         assert not op.potential_zeroed
         with pytest.raises(ValueError):
             op.matrix_a[0, 0] = 1.0
@@ -111,26 +188,16 @@ class TestAssembly:
         with pytest.raises(DomainError):
             assemble("gn", -0.5, 0.1, grid)
         with pytest.raises(ValueError):
-            assemble("mtm", 0.5, 0.1, grid, form="bogus")
-        with pytest.raises(ValueError):
             assemble("mtm", 0.5, 0.1, np.eye(4))
 
+    # form is "block" alone: hermiticity_defect and the library's memory
+    # use concern the assembled form; the ids name it as TestParity's do
     @pytest.mark.parametrize("model", ["mtm", "gn"])
-    @pytest.mark.parametrize("form", ["full", "block"])
+    @pytest.mark.parametrize("form", ["block"])
     def test_hermiticity_defect_vanishes(self, grid_cache, model, form):
         omega = 0.5 if model == "mtm" else 2.0 / 3.0
-        op = assemble(model, omega, 0.3, grid_cache(20, 10.0), form=form)
+        op = assemble(model, omega, 0.3, grid_cache(20, 10.0))
         assert hermiticity_defect(op) <= 1e-12
-
-
-def dense_reduced(front, m, *parts):
-    """The reference for the block writer: -1j * kron(front, I) @ (sum of
-    the parts), each part laid out whole by np.block."""
-    zero = np.zeros((m, m), dtype=complex)
-    dense = [np.block([[zero if b is None else b for b in row] for row in part])
-             for part in parts]
-    total = sum(dense[1:], dense[0])
-    return -1j * (np.kron(front, np.eye(m)).astype(complex) @ total)
 
 
 class TestPermutationAssembly:
@@ -141,9 +208,15 @@ class TestPermutationAssembly:
                                    form, p):
         omega = 0.5 if model == "mtm" else 2.0 / 3.0
         grid = grid_cache(20, 10.0)
-        fast = assemble(model, omega, p, grid, form=form).matrix_a
-        monkeypatch.setattr(operator_module, "_reduced", dense_reduced)
-        dense = assemble(model, omega, p, grid, form=form).matrix_a
+        if form == "full":
+            # the block writer on the three parts of the oracle
+            fast = full_system(model, omega, p, grid,
+                               reduce=operator_module._reduced)
+            dense = full_system(model, omega, p, grid)
+        else:
+            fast = assemble(model, omega, p, grid).matrix_a
+            monkeypatch.setattr(operator_module, "_reduced", dense_reduced)
+            dense = assemble(model, omega, p, grid).matrix_a
         # signed zeros may differ; every value and eigenvalue is equal
         assert np.array_equal(fast, dense)
         assert np.array_equal(eigvals(fast).values, eigvals(dense).values)
@@ -167,14 +240,14 @@ class TestPermutationAssembly:
                               dense_reduced(front, m, *parts))
 
     @pytest.mark.parametrize("model", ["mtm", "gn"])
-    @pytest.mark.parametrize("form", ["full", "block"])
+    @pytest.mark.parametrize("form", ["block"])  # see the hermiticity test
     def test_no_full_size_temporaries(self, grid_cache, model, form):
-        # the m x m blocks add about one output's worth; a single extra
-        # 4(N+1)-square array would push the peak past three outputs
+        # the m x m blocks add well under one output's worth; a single
+        # extra 4(N+1)-square array would push the peak past three outputs
         grid = grid_cache(100, 10.0)
         tracemalloc.start()
         try:
-            op = assemble(model, 0.5, 0.3, grid, form=form)
+            op = assemble(model, 0.5, 0.3, grid)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -195,7 +268,7 @@ class TestParity:
     def test_involution_anticommutes(self, grid_cache, model, form, p):
         omega = 0.5 if model == "mtm" else 2.0 / 3.0
         grid = grid_cache(20, 10.0)
-        a = assemble(model, omega, p, grid, form=form).matrix_a
+        a = form_matrix(form, model, omega, p, grid)
         s = parity_involution(grid.n)
         assert np.array_equal(s @ s, np.eye(s.shape[0]))
         assert np.max(np.abs(s @ a @ s + a)) <= 1e-14 * np.max(np.abs(a))
@@ -205,7 +278,9 @@ class TestParity:
     def test_blocks_of_the_eigenbasis(self, grid_cache, model, form):
         omega = 0.5 if model == "mtm" else 2.0 / 3.0
         grid = grid_cache(20, 10.0)
-        op = assemble(model, omega, 0.3, grid, form=form)
+        op = StabilityOperator(
+            model=ModelKind(model), omega=omega, p=0.3, grid=grid,
+            matrix_a=form_matrix(form, model, omega, 0.3, grid))
         m = grid.n + 1
         # columns (e_k + e_sk) / sqrt(2), then (e_k - e_sk) / sqrt(2): k runs
         # over components 0 and 2, sk over components 1 and 3 mirrored
