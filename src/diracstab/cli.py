@@ -24,12 +24,14 @@ import numpy as np
 from . import __version__
 from .analytics import NumericsError, asymptotic_prediction
 from .cheb import build_grid
-from .eigen import ConvergenceError, eigvals, root_pairs
-from .operator import assemble, continuous_bands, parity_blocks
+# eigvals is unused here; benchmarks/tracing.py still wraps cli.eigvals
+from .eigen import ConvergenceError, eigvals  # noqa: F401
+from .operator import assemble, continuous_bands
 from .soliton import (DomainError, ModelKind, SolitonProfile,
                       algebraic_profile_mtm, eval_profile)
 from .spectrum import (BranchNotFound, default_margin, isolated_eigs,
-                       spurious_metric, summarize_sweep, track_branches)
+                       parity_eigvals, spurious_metric, summarize_sweep,
+                       track_branches)
 
 OUTDIR_ENV = "DIRACSTAB_OUTDIR"
 
@@ -214,8 +216,7 @@ def cmd_spectrum(args) -> int:
     _fill_grid_defaults(cfg, model)
     grid = build_grid(int(cfg["n"]), float(cfg["scale"]))
     op = assemble(model, omega, float(cfg["p"]), grid)
-    b, c = parity_blocks(op)
-    es = root_pairs(eigvals(b @ c))
+    es = parity_eigvals(op)
     bands = continuous_bands(model, omega, float(cfg["p"]))
     margin = (float(cfg["margin"]) if cfg["margin"] is not None
               else default_margin(bands))
@@ -286,8 +287,7 @@ def _p0_metric(model: ModelKind, omega: float, grid) -> float:
     # a function of its own, so that the matrix and its blocks are freed
     # before the next cell's assembly
     op = assemble(model, omega, 0.0, grid)
-    b, c = parity_blocks(op)
-    return spurious_metric(root_pairs(eigvals(b @ c)), im_cutoff=10.0)
+    return spurious_metric(parity_eigvals(op), im_cutoff=10.0)
 
 
 def cmd_validate(args) -> int:

@@ -1,17 +1,19 @@
-"""Dense complex nonsymmetric eigensolver.
+"""Dense nonsymmetric eigensolver, real or complex.
 
-Every solve goes to LAPACK (zgeev) through numpy.linalg.  Output order is
-deterministic: sorted by (imaginary part, real part).  A LAPACK failure to
-converge is re-raised as ConvergenceError, which the command line maps to
-exit code 3.
+Every solve goes to LAPACK through numpy.linalg: dgeev for a real matrix,
+zgeev for a complex one.  Values are complex either way, and a real
+matrix gives real eigenvalues with imaginary part exactly 0.0.  Output
+order is deterministic: sorted by (imaginary part, real part).  A LAPACK
+failure to converge is re-raised as ConvergenceError, which the command
+line maps to exit code 3.
 
 A matrix of the form [[0, B], [C, 0]] is solved at half its dimension:
 eigvals of B C, then root_pairs.
 
 Eigenvectors and residuals for a few selected eigenvalues come from
-inverse_iteration (one LU per value), not from a full solve with vectors.
-When several threads solve at once, capped_blas_threads keeps their BLAS
-threads within the available cores.
+inverse_iteration (one LU per value, real for a real value of a real
+matrix), not from a full solve with vectors.  single_blas_thread runs a
+block of solves on one BLAS thread each.
 """
 
 from __future__ import annotations
@@ -52,9 +54,10 @@ class EigenSet:
     present, are unit columns aligned with values; residuals are
     ||A v - lambda v|| / ||A||_F per pair.  backend names the solver path:
     "lapack" for a direct solve of the matrix, "lapack-parity" for the
-    +-sqrt pairs root_pairs takes from a solve of the parity-block product
-    B C at half the dimension.  iterations is always 0: LAPACK does not
-    report its QR sweep count.
+    +-sqrt pairs root_pairs takes from real solves of the parity-block
+    products B C, at half the dimension or, where the blocks split by
+    component, a quarter.  iterations is always 0: LAPACK does not report
+    its QR sweep count.
     """
 
     values: np.ndarray
@@ -64,8 +67,9 @@ class EigenSet:
     backend: str = "lapack"
 
 
-def _as_square_complex(matrix) -> np.ndarray:
-    a = np.array(matrix, dtype=complex)
+def _as_square(matrix) -> np.ndarray:
+    # real stays real, so that LAPACK runs its real routines
+    a = np.asarray(matrix, dtype=complex if np.iscomplexobj(matrix) else float)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
@@ -73,7 +77,8 @@ def _as_square_complex(matrix) -> np.ndarray:
     return a
 
 
-def _residuals(a: np.ndarray, values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+def relative_residuals(a: np.ndarray, values, vectors) -> np.ndarray:
+    """||a v - lambda v|| / ||a||_F for each value and unit column v."""
     scale = np.linalg.norm(a)
     if scale == 0.0:
         scale = 1.0
@@ -82,11 +87,14 @@ def _residuals(a: np.ndarray, values: np.ndarray, vectors: np.ndarray) -> np.nda
 
 
 def eigvals(matrix, want_vectors: bool = False) -> EigenSet:
-    """All eigenvalues of a dense complex matrix, deterministically sorted.
+    """All eigenvalues of a dense matrix, deterministically sorted.
 
+    A real matrix is solved in real arithmetic (dgeev), so its real
+    eigenvalues come back with imaginary part exactly 0.0 and the others
+    in exact conjugate pairs.  Values and vectors are complex either way.
     Raises ConvergenceError if LAPACK fails to converge.
     """
-    a = _as_square_complex(matrix)
+    a = _as_square(matrix)
     try:
         if want_vectors:
             values, vectors = np.linalg.eig(a)
@@ -97,23 +105,26 @@ def eigvals(matrix, want_vectors: bool = False) -> EigenSet:
             f"eigensolve of a {a.shape[0]}x{a.shape[0]} matrix did not "
             f"converge: {exc}") from exc
     order = np.lexsort((values.real, values.imag))
-    values = values[order]
+    values = values[order].astype(complex, copy=False)
     residuals = None
     if vectors is not None:
-        vectors = vectors[:, order]
-        residuals = _residuals(a, values, vectors)
+        vectors = vectors[:, order].astype(complex, copy=False)
+        residuals = relative_residuals(a, values, vectors)
     return EigenSet(values=values, vectors=vectors, residuals=residuals)
 
 
 def root_pairs(squares: EigenSet) -> EigenSet:
     """The values +-sqrt(mu) for every mu in squares, sorted like eigvals.
 
-    squares holds the eigenvalues of B C for a matrix [[0, B], [C, 0]],
-    whose eigenvalues are exactly these pairs.  Near zero the pairs carry
-    the square root of the error in mu: sqrt(eps ||B|| ||C||) in place of
-    a direct solve's eps ||A||.
+    squares, an EigenSet or an array, holds the eigenvalues of B C for a
+    matrix [[0, B], [C, 0]], whose eigenvalues are exactly these pairs.
+    A real mu gives a pair that is exactly real (mu > 0) or exactly
+    imaginary (mu < 0).  Near zero the pairs carry the square root of the
+    error in mu: sqrt(eps ||B|| ||C||) in place of a direct solve's
+    eps ||A||.
     """
-    roots = np.sqrt(np.asarray(squares.values, dtype=complex))
+    roots = np.sqrt(np.asarray(getattr(squares, "values", squares),
+                               dtype=complex))
     values = np.concatenate([roots, -roots])
     values = values[np.lexsort((values.real, values.imag))]
     return EigenSet(values=values, backend="lapack-parity")
@@ -123,9 +134,10 @@ def inverse_iteration(matrix, values) -> EigenSet:
     """Unit eigenvectors and residuals for eigenvalues of matrix.
 
     Each value gets one LU of the matrix shifted slightly off it and two
-    inverse-iteration steps from a fixed start vector.
+    inverse-iteration steps from a fixed start vector.  A real value of a
+    real matrix is done in real arithmetic.
     """
-    a = _as_square_complex(matrix)
+    a = _as_square(matrix)
     values = np.atleast_1d(np.asarray(values, dtype=complex))
     n = a.shape[0]
     anorm = np.linalg.norm(a)
@@ -136,16 +148,19 @@ def inverse_iteration(matrix, values) -> EigenSet:
     start /= np.linalg.norm(start)
     vectors = np.empty((n, values.size), dtype=complex)
     for col, lam in enumerate(values):
-        shifted = np.array(a, order="F")
-        shifted[np.diag_indices(n)] -= lam + 10.0 * _EPS * max(anorm, 1.0)
-        lu = lu_factor(shifted, overwrite_a=True, check_finite=False)
+        shift = lam + 10.0 * _EPS * max(anorm, 1.0)
         v = start
+        if np.isrealobj(a) and lam.imag == 0.0:
+            shift, v = shift.real, start.real
+        shifted = np.array(a, dtype=np.result_type(a, shift), order="F")
+        shifted[np.diag_indices(n)] -= shift
+        lu = lu_factor(shifted, overwrite_a=True, check_finite=False)
         for _ in range(_INVERSE_STEPS):
             v = lu_solve(lu, v, check_finite=False)
             v /= np.linalg.norm(v)
         vectors[:, col] = v
     return EigenSet(values=values, vectors=vectors,
-                    residuals=_residuals(a, values, vectors))
+                    residuals=relative_residuals(a, values, vectors))
 
 
 def _openblas_controls() -> list:
@@ -187,21 +202,15 @@ def blas_threads() -> int | None:
 
 
 @contextmanager
-def capped_blas_threads(jobs: int):
-    """Cap every loaded OpenBLAS at max(1, cores // jobs) threads in the block.
+def single_blas_thread():
+    """Run every loaded OpenBLAS on one thread in the block.
 
-    Meant for a block in which jobs threads run LAPACK at once.  The counts
-    are process-wide; the previous ones are restored on exit.  Does nothing
-    when no OpenBLAS is found.
+    The counts are process-wide; the previous ones are restored on exit.
+    Does nothing when no OpenBLAS is found.
     """
-    try:
-        cores = len(os.sched_getaffinity(0))
-    except AttributeError:
-        cores = os.cpu_count() or 1
-    cap = max(1, cores // jobs)
     saved = [(setter, getter()) for setter, getter in _openblas_controls()]
-    for setter, old in saved:
-        setter(min(old, cap))
+    for setter, _ in saved:
+        setter(1)
     try:
         yield
     finally:

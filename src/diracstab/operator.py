@@ -14,7 +14,12 @@ the only full-size array assembly makes.
 The matrix anticommutes, at every p, with the parity involution
 S = kron(P, J): P swaps components 0 <-> 1 and 2 <-> 3, and J reverses
 the grid (x -> -x).  In the eigenbasis of S the matrix is [[0, B], [C, 0]],
-so its eigenvalues are +-sqrt(eig(B C)); parity_blocks returns B and C.
+so its eigenvalues are +-sqrt(eig(B C)).  B and C have a second, exact
+antiunitary symmetry, T conj(B) T = B with T = kron(diag(1, -1), J), so
+a unitary change of basis built from mirror pairs of grid nodes makes
+them real; parity_blocks returns them so, split by component where B C
+is block diagonal, and parity_vector carries a vector in those bases back
+to the matrix's own.  All of it is index arithmetic on the stored matrix.
 
 Component layout: all grid samples of component 0 first, then component 1,
 etc., so each differentiation block is contiguous.
@@ -37,6 +42,11 @@ REDUCTION_BLOCK = np.array([
     [1.0, 0.0, 0.0, 0.0],
     [0.0, -1.0, 0.0, 0.0],
 ])
+
+_SQRT_HALF = np.sqrt(0.5)
+
+# the factors w of the two parity components in W = blockdiag(W_J, 1j W_J)
+_COMPONENT_PHASES = np.array([1.0, 1j])
 
 
 @dataclass(frozen=True)
@@ -192,7 +202,17 @@ def assemble(model, omega: float, p: float, grid: ChebGrid,
                              matrix_a=a, potential_zeroed=bool(zero_potential))
 
 
-def parity_blocks(op: StabilityOperator) -> tuple:
+def _splits(op: StabilityOperator) -> bool:
+    """True when B C is block diagonal in the two parity components.
+
+    Without the transverse term, and for mtm with it (its p**2 sits on the
+    diagonal), the reduction pairs components {0, 1} only with {2, 3}, so
+    B and C have zero diagonal component blocks.
+    """
+    return op.model is ModelKind.MASSIVE_THIRRING or op.p == 0.0
+
+
+def _mirror_blocks(op: StabilityOperator) -> tuple:
     """Off-diagonal blocks (B, C) of op.matrix_a in the eigenbasis of S.
 
     The basis vectors are (e_k +- e_sk) / sqrt(2), with k running over the
@@ -200,17 +220,116 @@ def parity_blocks(op: StabilityOperator) -> tuple:
     and 3 at grid index n - j); B maps the -1 eigenspace of S into the +1
     eigenspace and C the +1 into the -1.  The diagonal blocks, which
     vanish up to the roundoff of the derivative's centro-antisymmetry,
-    are not formed.  Both blocks are 2(N+1) x 2(N+1), and the eigenvalues
-    of op.matrix_a are +-sqrt(eig(B @ C)).
+    are not formed.  Both blocks are complex and 2(N+1) x 2(N+1).  Their
+    first N+1 rows and columns, parity component 0, hold k in component
+    0; the rest, parity component 1, hold k in component 2.
     """
     m = op.grid.n + 1
     a = op.matrix_a.reshape(4, m, 4, m)
     # rows of components (0, 2) and the mirrored rows of components (1, 3)
     rows, mirrored = a[0::2], a[1::2, ::-1]
-    plus, minus = rows + mirrored, rows - mirrored
-    b = 0.5 * (plus[:, :, 0::2] - plus[:, :, 1::2, ::-1])
-    c = 0.5 * (minus[:, :, 0::2] + minus[:, :, 1::2, ::-1])
+    # B = (e_k + e_sk)^T A (e_k - e_sk) / 2,
+    # C = (e_k - e_sk)^T A (e_k + e_sk) / 2
+    same = rows[:, :, 0::2] - mirrored[:, :, 1::2, ::-1]
+    cross = mirrored[:, :, 0::2] - rows[:, :, 1::2, ::-1]
+    b = 0.5 * (same + cross)
+    c = 0.5 * (same - cross)
     return b.reshape(2 * m, 2 * m), c.reshape(2 * m, 2 * m)
+
+
+def _times_mirror_basis(x: np.ndarray, odd: complex) -> np.ndarray:
+    """x times W_J along its last axis, odd the factor of the odd columns.
+
+    The columns of W_J are the even combinations (e_k + e_(n-k)) / sqrt(2)
+    for k < n / 2, then e_(n/2) when the grid has a middle node, then the
+    odd combinations odd * (e_k - e_(n-k)) / sqrt(2).
+    """
+    m = x.shape[-1]
+    h = m // 2
+    mirrored = x[..., ::-1]
+    # the middle node pairs with itself: (x + x) / 2 = x
+    scale = np.full(m - h, _SQRT_HALF)
+    scale[h:] = 0.5
+    even = (x[..., :m - h] + mirrored[..., :m - h]) * scale
+    return np.concatenate(
+        [even, (odd * _SQRT_HALF) * (x[..., :h] - mirrored[..., :h])], axis=-1)
+
+
+def _from_mirror_basis(u: np.ndarray) -> np.ndarray:
+    """W_J u for coordinates u on the last axis, W_J with odd factor 1j:
+    from the mirror basis back to the grid nodes."""
+    m = u.shape[-1]
+    h = m // 2
+    even = u[..., :m - h] * _SQRT_HALF
+    odd = (1j * _SQRT_HALF) * u[..., m - h:]
+    out = np.empty(u.shape, dtype=complex)
+    out[..., :h] = even[..., :h] + odd
+    out[..., ::-1][..., :h] = even[..., :h] - odd
+    out[..., h:m - h] = u[..., h:m - h]
+    return out
+
+
+def _real_form(blocks: np.ndarray, phase) -> np.ndarray:
+    """phase * W_J^H X W_J for each m x m block X on the last two axes.
+
+    W_J has odd factor 1j.  With W = blockdiag(W_J, 1j W_J), the blocks of
+    W^-1 B W are these with phase conj(w_row) * w_col, which is 1, 1j or
+    -1j.  T conj(B) T = B, T = kron(diag(1, -1), J), pairs every entry
+    with the conjugate of its mirror, so the imaginary parts cancel
+    exactly and the real part is the whole block.
+    """
+    cols = _times_mirror_basis(blocks, 1j)
+    both = _times_mirror_basis(np.swapaxes(cols, -1, -2), -1j)
+    return (phase * np.swapaxes(both, -1, -2)).real
+
+
+def parity_blocks(op: StabilityOperator) -> list:
+    """Real parity blocks of op.matrix_a: a list of (B, C) pairs.
+
+    B and C are W^-1 B W and W^-1 C W for the complex blocks of the
+    parity eigenbasis (see _mirror_blocks), W = blockdiag(W_J, 1j W_J)
+    with W_J the mirror basis of one component (see _times_mirror_basis).
+    W is unitary and carries B and C to real matrices, so the eigenvalues
+    of op.matrix_a are +-sqrt(mu) for the eigenvalues mu of the real
+    products B @ C, over all pairs.
+
+    Where B C is block diagonal in the two parity components (mtm at
+    every p, gn at p = 0), there is one (N+1)-square pair per component:
+    pair k has the B that maps parity component 1 - k of the -1
+    eigenspace into component k of the +1 eigenspace, and the C that maps
+    it back.  Otherwise there is one 2(N+1)-square pair.
+    """
+    m = op.grid.n + 1
+    b, c = (x.reshape(2, m, 2, m).swapaxes(1, 2) for x in _mirror_blocks(op))
+    if _splits(op):
+        return [(_real_form(b[0, 1], 1j), _real_form(c[1, 0], -1j)),
+                (_real_form(b[1, 0], -1j), _real_form(c[0, 1], 1j))]
+    w = _COMPONENT_PHASES
+    phases = (np.conj(w)[:, None] * w)[:, :, None, None]
+    return [tuple(_real_form(x, phases).swapaxes(1, 2).reshape(2 * m, 2 * m)
+                  for x in (b, c))]
+
+
+def parity_vector(op: StabilityOperator, pair: int, y, z) -> np.ndarray:
+    """The vector of op.matrix_a's space with parity-basis parts y and z.
+
+    y and z are coordinates in the real bases of parity_blocks(op)[pair]:
+    y on the rows of its B, z on the rows of its C.  An eigenvector x of
+    B @ C for mu = lam**2 gives the eigenvector of op.matrix_a for lam as
+    y = x, z = C @ x / lam.  The result has the norm of [y; z].
+    """
+    m = op.grid.n + 1
+    # (+1 eigenspace, -1 eigenspace) x parity component x node
+    halves = np.zeros((2, 2, m), dtype=complex)
+    if _splits(op):
+        halves[0, pair], halves[1, 1 - pair] = y, z
+    else:
+        halves[0], halves[1] = np.reshape(y, (2, m)), np.reshape(z, (2, m))
+    plus, minus = _COMPONENT_PHASES[:, None] * _from_mirror_basis(halves)
+    v = np.empty((4, m), dtype=complex)
+    v[0::2] = _SQRT_HALF * (plus + minus)
+    v[1::2, ::-1] = _SQRT_HALF * (plus - minus)
+    return v.ravel()
 
 
 def continuous_bands(model, omega: float, p: float) -> SpectralBands:

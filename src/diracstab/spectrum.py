@@ -1,9 +1,11 @@
-"""Post-processing of raw stability spectra.
+"""Stability spectra from the real parity blocks, and their post-processing.
 
-Filters continuous-band and boundary artifacts, computes the max-real-part
-discretization metric, extracts isolated eigenvalues, fits the small-p
-eigenvalue slopes, and continues isolated branches across a sweep in the
-transverse wavenumber.
+Solves a stability operator through the real products B C of its parity
+blocks, filters continuous-band and boundary artifacts, computes the
+max-real-part discretization metric, extracts isolated eigenvalues, fits
+the small-p eigenvalue slopes, and continues isolated branches across a
+sweep in the transverse wavenumber.  A sweep point's residuals come from
+eigenvectors of the block products, checked on the full matrix.
 """
 
 from __future__ import annotations
@@ -17,10 +19,10 @@ import numpy as np
 
 from .analytics import asymptotic_prediction
 from .cheb import ChebGrid
-from .eigen import (EigenSet, capped_blas_threads, eigvals, inverse_iteration,
-                    root_pairs)
+from .eigen import (EigenSet, eigvals, inverse_iteration, relative_residuals,
+                    root_pairs, single_blas_thread)
 from .operator import (SpectralBands, assemble, continuous_bands,
-                       parity_blocks)
+                       parity_blocks, parity_vector)
 from .soliton import ModelKind
 
 __all__ = [
@@ -108,14 +110,60 @@ def isolated_eigs(eigs, bands: SpectralBands, margin: float | None = None):
     return values[keep]
 
 
-def parity_eigvals(op) -> EigenSet:
-    """All eigenvalues of a stability operator, from its parity blocks.
+def _parity_solve(op):
+    """All eigenvalues of op, and per real block pair (C, B C, eig(B C)).
 
-    One values-only solve of B C at dimension 2(N+1), in place of a solve
-    of op.matrix_a at 4(N+1); the values come in exact +-pairs.
+    One values-only real solve (dgeev) of each block product, at
+    dimension N+1 where the blocks split and 2(N+1) elsewhere, in place
+    of a complex solve of op.matrix_a at 4(N+1).
     """
-    b, c = parity_blocks(op)
-    return root_pairs(eigvals(b @ c))
+    solves = []
+    for b, c in parity_blocks(op):
+        bc = b @ c
+        solves.append((c, bc, eigvals(bc).values))
+    return root_pairs(np.concatenate([mu for _, _, mu in solves])), solves
+
+
+def parity_eigvals(op) -> EigenSet:
+    """All eigenvalues of a stability operator, from its real parity blocks.
+
+    The values come in exact +-pairs, and every real mu = lambda**2 gives
+    a pair that is exactly real or exactly imaginary.
+    """
+    return _parity_solve(op)[0]
+
+
+def _isolated_vectors(op, solves, values) -> EigenSet:
+    """Unit eigenvectors of op.matrix_a and their residuals, for values
+    taken from _parity_solve(op).
+
+    Away from the origin, a value lam is +-sqrt(mu) for an eigenvalue mu
+    of one block product B C; one inverse iteration on B C - mu, real
+    when mu is, gives x for both signs, lifted to [x; C x / lam] in the
+    parity basis.  Near the origin C x / lam is ill-conditioned, so those
+    values keep inverse iteration on the full matrix.  The residuals
+    ||A v - lam v|| / ||A||_F are taken with the full matrix either way.
+    """
+    a = op.matrix_a
+    vectors = np.empty((op.dim, values.size), dtype=complex)
+    near = np.abs(values) <= _NEAR_ORIGIN_RADIUS
+    if near.any():
+        vectors[:, near] = inverse_iteration(a, values[near]).vectors
+    for pair, (c, bc, mu) in enumerate(solves):
+        roots = np.sqrt(mu)
+        # root_pairs made the values from these very roots, bit for bit
+        hit = (values[:, None] == roots) | (values[:, None] == -roots)
+        rows, cols = np.nonzero(hit & ~near[:, None])
+        if rows.size == 0:
+            continue
+        wanted, column = np.unique(cols, return_inverse=True)
+        xs = inverse_iteration(bc, mu[wanted]).vectors
+        cxs = c @ xs
+        for i, k in zip(rows, column):
+            v = parity_vector(op, pair, xs[:, k], cxs[:, k] / values[i])
+            vectors[:, i] = v / np.linalg.norm(v)
+    return EigenSet(values=values, vectors=vectors,
+                    residuals=relative_residuals(a, values, vectors))
 
 
 def _solve_values(model, omega, p, grid):
@@ -172,15 +220,17 @@ def _classify(lam: complex) -> str:
 def _solve_isolated(model, omega, p, grid, im_window):
     """One sweep point: isolated eigenvalues, their residuals, the bands.
 
-    The solve is values-only, from the parity blocks; residuals come from
-    inverse iteration of the full matrix on the few kept values.
+    The solve is values-only, from the real parity blocks; residuals come
+    from eigenvectors of the block products for the few kept values.
     """
     op = assemble(model, omega, p, grid)
     bands = continuous_bands(model, omega, p)
     margin = default_margin(bands)
-    iso = isolated_eigs(parity_eigvals(op), bands, margin)
+    values, solves = _parity_solve(op)
+    iso = isolated_eigs(values, bands, margin)
     iso = iso[np.abs(iso.imag) <= im_window]
-    return iso, inverse_iteration(op.matrix_a, iso).residuals, bands, margin
+    return (iso, _isolated_vectors(op, solves, iso).residuals, bands,
+            margin)
 
 
 def _match_radius(branch: TrackedBranch, step: float) -> float:
@@ -206,8 +256,9 @@ def track_branches(model, omega: float, p_grid, grid: ChebGrid,
                    jobs: int = 1, im_window: float | None = None) -> list:
     """Continue isolated eigenvalue branches across an ascending p-grid.
 
-    Eigensolves for the grid points run in a pool of jobs >= 1 threads; the
-    matching pass itself is sequential and deterministic.  Branches are
+    Eigensolves for the grid points run in a pool of jobs >= 1 threads, on
+    one BLAS thread each; the matching pass itself is sequential and
+    deterministic.  Branches are
     seeded at the first grid point from the asymptotic predictions plus
     any remaining isolated eigenvalues, and terminated with an 'absorbed'
     or 'lost' event when no candidate falls inside the match radius.
@@ -231,8 +282,9 @@ def track_branches(model, omega: float, p_grid, grid: ChebGrid,
     if im_window is None:
         im_window = 1.0 + abs(omega)
 
-    # jobs solves at once must not each start a full set of BLAS threads
-    with capped_blas_threads(jobs), \
+    # a second BLAS thread slows these solves down even at --jobs 1, so
+    # the pool's jobs are the only parallelism
+    with single_blas_thread(), \
             ThreadPoolExecutor(max_workers=jobs) as pool:
         solved = list(pool.map(
             lambda p: _solve_isolated(model, omega, p, grid, im_window), ps))

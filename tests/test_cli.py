@@ -169,6 +169,19 @@ class TestSweep:
             assert (outdir / "one" / name).read_bytes() == \
                    (outdir / "two" / name).read_bytes()
 
+    def test_rows_do_not_depend_on_jobs(self, outdir, capsys, monkeypatch):
+        # every solve runs on one BLAS thread, whatever --jobs is
+        rows = []
+        for jobs in ("1", "2"):
+            (outdir / jobs).mkdir()
+            monkeypatch.setenv(cli.OUTDIR_ENV, str(outdir / jobs))
+            assert cli.main(["sweep", "--model", "gn", "--omega", "0.6667",
+                             "--p-range", "0.1:0.5:0.1", "--n", "100",
+                             "--jobs", jobs]) == 0
+            csv_path = produced_file(capsys, outdir / jobs, index=0)
+            rows.append(csv_path.read_text().splitlines()[1:])
+        assert rows[0] == rows[1]
+
     def test_invalid_ranges(self, capsys):
         base = ["sweep", "--model", "mtm", "--omega", "0", "--n", "60"]
         assert cli.main(base + ["--p-range", "0.5:0.1:0.1"]) == 2
@@ -247,13 +260,18 @@ class TestNumericalFailure:
 
 
 class TestSolveDimension:
-    @pytest.mark.parametrize("argv,n", [
-        (["spectrum", "--model", "gn", "--omega", "0.5", "--n", "20"], 20),
+    # the blocks split by component for mtm and at p = 0
+    @pytest.mark.parametrize("argv,dim", [
+        (["spectrum", "--model", "gn", "--omega", "0.5", "--n", "20"], 21),
         (["sweep", "--model", "mtm", "--omega", "0", "--n", "20",
-          "--p-range", "0.1:0.2:0.1"], 20),
-        (["validate", "--model", "gn", "--n-values", "100"], 100),
-    ], ids=["spectrum", "sweep", "validate"])
-    def test_solves_at_half_dimension(self, argv, n, capsys, monkeypatch):
+          "--p-range", "0.1:0.2:0.1"], 21),
+        (["validate", "--model", "gn", "--n-values", "100"], 101),
+        (["spectrum", "--model", "gn", "--omega", "0.5", "--n", "20",
+          "--p", "0.3"], 42),
+        (["sweep", "--model", "gn", "--omega", "0.6667", "--n", "20",
+          "--p-range", "0.1:0.2:0.1"], 42),
+    ], ids=["spectrum", "sweep", "validate", "spectrum-gn-p", "sweep-gn"])
+    def test_solves_at_half_dimension(self, argv, dim, capsys, monkeypatch):
         dims = []
 
         def recording(solve):
@@ -265,7 +283,7 @@ class TestSolveDimension:
         monkeypatch.setattr(cli, "eigvals", recording(cli.eigvals))
         monkeypatch.setattr(spectrum, "eigvals", recording(spectrum.eigvals))
         assert cli.main(argv) == 0
-        assert dims and set(dims) == {(2 * (n + 1), 2 * (n + 1))}
+        assert dims and set(dims) == {(dim, dim)}
 
 
 class TestConfigFile:

@@ -9,6 +9,7 @@ even when the multisets are identical.
 import numpy as np
 import pytest
 
+import diracstab.eigen as eigen_module
 from diracstab.analytics import asymptotic_prediction, kernel_vectors
 from diracstab.cheb import build_grid, sample_on_grid
 from diracstab.eigen import (ConvergenceError, EigenSet, eigvals,
@@ -79,6 +80,32 @@ class TestSolverProperties:
         order = np.lexsort((vals.real, vals.imag))
         assert np.array_equal(order, np.arange(16))
 
+    def test_real_matrix_stays_real(self, monkeypatch):
+        a = np.random.default_rng(5).standard_normal((40, 40))
+        solved = []
+        solve = np.linalg.eigvals
+
+        def recording(matrix):
+            solved.append(matrix.dtype)
+            return solve(matrix)
+
+        monkeypatch.setattr(np.linalg, "eigvals", recording)
+        real = eigvals(a).values
+        assert solved == [np.float64]
+        assert real.dtype == complex
+        assert matching_distance(real, eigvals(a.astype(complex)).values) \
+            <= 1e-12
+        on_axis = np.abs(real.imag) < 1e-8
+        assert on_axis.any() and np.all(real.imag[on_axis] == 0.0)
+
+    def test_real_lapack_failure_raises_convergence_error(self, monkeypatch):
+        def fail(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvals", fail)
+        with pytest.raises(ConvergenceError, match="did not converge"):
+            eigvals(np.eye(3))
+
     def test_lapack_failure_raises_convergence_error(self, monkeypatch):
         failure = np.linalg.LinAlgError("Eigenvalues did not converge")
 
@@ -136,6 +163,27 @@ class TestSelectedVectors:
         # eigenvector, without raising
         es = inverse_iteration(np.array([[0.0, 1.0], [0.0, 0.0]]), [0.0, 0.0])
         assert np.max(es.residuals) <= 1e-8
+
+    def test_real_value_of_real_matrix_in_real_arithmetic(self, monkeypatch):
+        a = np.random.default_rng(11).standard_normal((30, 30))
+        full = eigvals(a, want_vectors=True)
+        picked = [int(np.argmax(full.values.imag == 0.0)),
+                  int(np.argmax(full.values.imag > 0.0))]
+        factored = []
+        factor = eigen_module.lu_factor
+
+        def recording(matrix, **kwargs):
+            factored.append(matrix.dtype)
+            return factor(matrix, **kwargs)
+
+        monkeypatch.setattr(eigen_module, "lu_factor", recording)
+        es = inverse_iteration(a, full.values[picked])
+        assert factored == [np.float64, np.complex128]
+        assert np.all(es.vectors[:, 0].imag == 0.0)
+        assert np.max(es.residuals) <= 1e-12
+        for col, j in enumerate(picked):
+            assert cosine_alignment(es.vectors[:, col],
+                                    full.vectors[:, j]) >= 1.0 - 1e-10
 
     def test_inverse_iteration_matches_full_solve(self):
         a = random_complex(40, seed=17)

@@ -21,6 +21,7 @@ from diracstab.operator import (
     continuous_bands,
     hermiticity_defect,
     parity_blocks,
+    parity_vector,
     symmetry_residual,
 )
 from diracstab.soliton import DomainError, ModelKind
@@ -261,6 +262,35 @@ def parity_involution(n):
     return np.kron(swap, np.eye(n + 1)[::-1])
 
 
+def parity_basis(m):
+    """The eigenbasis Q of S as dense columns: (e_k + e_sk) / sqrt(2), then
+    (e_k - e_sk) / sqrt(2); k runs over components 0 and 2, sk over
+    components 1 and 3 mirrored."""
+    k = np.concatenate([np.arange(m), 2 * m + np.arange(m)])
+    sk = np.concatenate([2 * m - 1 - np.arange(m), 4 * m - 1 - np.arange(m)])
+    e = np.eye(4 * m)
+    return np.hstack([e[:, k] + e[:, sk], e[:, k] - e[:, sk]]) / np.sqrt(2.0)
+
+
+def real_basis(m):
+    """The dense W = blockdiag(W_J, 1j W_J): the columns of W_J are the even
+    mirror combinations (e_k + e_(n-k)) / sqrt(2), e_(n/2) at a middle
+    node, then 1j (e_k - e_(n-k)) / sqrt(2)."""
+    h = m // 2
+    e = np.eye(m)
+    cols = [(e[:, k] + e[:, m - 1 - k]) / np.sqrt(2.0) for k in range(h)]
+    cols += [e[:, h]] if m % 2 else []
+    cols += [1j * (e[:, k] - e[:, m - 1 - k]) / np.sqrt(2.0) for k in range(h)]
+    w_j = np.array(cols).T
+    zero = np.zeros((m, m))
+    return np.block([[w_j, zero], [zero, 1j * w_j]])
+
+
+def component_blocks(x, m):
+    """x (2m x 2m) as its 2 x 2 component blocks, each m x m."""
+    return x.reshape(2, m, 2, m).swapaxes(1, 2)
+
+
 class TestParity:
     @pytest.mark.parametrize("model", ["mtm", "gn"])
     @pytest.mark.parametrize("form", ["full", "block"])
@@ -282,17 +312,12 @@ class TestParity:
             model=ModelKind(model), omega=omega, p=0.3, grid=grid,
             matrix_a=form_matrix(form, model, omega, 0.3, grid))
         m = grid.n + 1
-        # columns (e_k + e_sk) / sqrt(2), then (e_k - e_sk) / sqrt(2): k runs
-        # over components 0 and 2, sk over components 1 and 3 mirrored
-        k = np.concatenate([np.arange(m), 2 * m + np.arange(m)])
-        sk = np.concatenate([2 * m - 1 - np.arange(m), 4 * m - 1 - np.arange(m)])
-        e = np.eye(4 * m)
-        q = np.hstack([e[:, k] + e[:, sk], e[:, k] - e[:, sk]]) / np.sqrt(2.0)
+        q = parity_basis(m)
         signs = np.repeat([1.0, -1.0], 2 * m)
         np.testing.assert_allclose(parity_involution(grid.n) @ q, q * signs,
                                    atol=1e-15)
         rotated = q.T @ op.matrix_a @ q
-        b, c = parity_blocks(op)
+        b, c = operator_module._mirror_blocks(op)
         h = 2 * m
         scale = np.max(np.abs(op.matrix_a))
         assert np.max(np.abs(rotated[:h, :h])) <= 1e-14 * scale
@@ -301,6 +326,90 @@ class TestParity:
                                    atol=1e-14 * scale)
         np.testing.assert_allclose(c, rotated[h:, :h], rtol=0,
                                    atol=1e-14 * scale)
+
+
+    @pytest.mark.parametrize("model", ["mtm", "gn"])
+    @pytest.mark.parametrize("p", [0.0, 0.3, 1.1])
+    @pytest.mark.parametrize("zero_potential", [False, True])
+    @pytest.mark.parametrize("n", [20, 21])
+    def test_antiunitary_symmetry(self, grid_cache, model, p, zero_potential,
+                                  n):
+        # T conj(X) T = X, T = kron(diag(1, -1), J), holds bit for bit
+        omega = 0.5 if model == "mtm" else 2.0 / 3.0
+        op = assemble(model, omega, p, grid_cache(n, 10.0),
+                      zero_potential=zero_potential)
+        t = np.kron(np.diag([1.0, -1.0]), np.eye(n + 1)[::-1])
+        for x in operator_module._mirror_blocks(op):
+            assert np.array_equal(t @ x.conj() @ t, x)
+
+    @pytest.mark.parametrize("model", ["mtm", "gn"])
+    @pytest.mark.parametrize("p", [0.0, 0.3, 1.1])
+    @pytest.mark.parametrize("n", [20, 21])
+    def test_real_blocks(self, grid_cache, model, p, n):
+        # the oracle: W^-1 X W with a dense W, for the complex blocks X
+        omega = 0.5 if model == "mtm" else 2.0 / 3.0
+        op = assemble(model, omega, p, grid_cache(n, 10.0))
+        m = n + 1
+        w = real_basis(m)
+        np.testing.assert_allclose(w.conj().T @ w, np.eye(2 * m), atol=1e-15)
+        dense = [w.conj().T @ x @ w
+                 for x in operator_module._mirror_blocks(op)]
+        scale = max(np.max(np.abs(x)) for x in dense)
+        assert max(np.max(np.abs(x.imag)) for x in dense) <= 1e-15 * scale
+        pairs = parity_blocks(op)
+        if len(pairs) == 1:
+            expected = [(dense[0].real, dense[1].real)]
+        else:
+            b, c = (component_blocks(x.real, m) for x in dense)
+            expected = [(b[0, 1], c[1, 0]), (b[1, 0], c[0, 1])]
+        for got, want in zip(pairs, expected):
+            for x, y in zip(got, want):
+                assert x.dtype == np.float64
+                np.testing.assert_allclose(x, y, rtol=0, atol=1e-14 * scale)
+
+    @pytest.mark.parametrize("model,p,splits", [
+        ("mtm", 0.0, True), ("mtm", 0.3, True), ("mtm", 1.1, True),
+        ("gn", 0.0, True), ("gn", 0.3, False), ("gn", 1.1, False),
+    ])
+    def test_split_where_block_diagonal(self, grid_cache, model, p, splits):
+        omega = 0.5 if model == "mtm" else 2.0 / 3.0
+        op = assemble(model, omega, p, grid_cache(20, 10.0))
+        m = op.grid.n + 1
+        b, c = operator_module._mirror_blocks(op)
+        product = component_blocks(b @ c, m)
+        off_diagonal = max(np.abs(product[0, 1]).max(),
+                           np.abs(product[1, 0]).max())
+        pairs = parity_blocks(op)
+        if splits:
+            assert off_diagonal == 0.0
+            assert [x.shape for pair in pairs for x in pair] == [(m, m)] * 4
+        else:
+            assert off_diagonal > 1e-3 * np.abs(product).max()
+            assert [x.shape for pair in pairs for x in pair] == \
+                [(2 * m, 2 * m)] * 2
+
+    @pytest.mark.parametrize("model,p", [("mtm", 0.3), ("gn", 0.0),
+                                         ("gn", 0.3)])
+    @pytest.mark.parametrize("n", [20, 21])
+    def test_parity_vector_against_dense_bases(self, grid_cache, model, p, n):
+        omega = 0.5 if model == "mtm" else 2.0 / 3.0
+        op = assemble(model, omega, p, grid_cache(n, 10.0))
+        m = n + 1
+        lift = np.kron(np.eye(2), real_basis(m))
+        rng = np.random.default_rng(3)
+        for pair, (b, c) in enumerate(parity_blocks(op)):
+            y = rng.standard_normal(b.shape[0])
+            z = rng.standard_normal(c.shape[0]) * 1j
+            if b.shape[0] == m:
+                # y on B's component of the +1 eigenspace, z on C's of the -1
+                y2, z2 = np.zeros(2 * m, complex), np.zeros(2 * m, complex)
+                y2[pair * m:(pair + 1) * m] = y
+                z2[(1 - pair) * m:(2 - pair) * m] = z
+            else:
+                y2, z2 = y, z
+            want = parity_basis(m) @ lift @ np.concatenate([y2, z2])
+            np.testing.assert_allclose(parity_vector(op, pair, y, z), want,
+                                       rtol=0, atol=1e-14)
 
 
 class TestContinuousBands:

@@ -7,8 +7,10 @@ import os
 import numpy as np
 import pytest
 
+import diracstab.eigen as eigen_module
 import diracstab.spectrum as spectrum
-from diracstab.eigen import EigenSet, blas_threads, eigvals
+from diracstab.eigen import (EigenSet, blas_threads, eigvals,
+                             inverse_iteration)
 from diracstab.operator import assemble, continuous_bands
 from diracstab.spectrum import (
     CLASS_QUARTET,
@@ -104,8 +106,36 @@ class TestParitySolve:
         iso = isolated_eigs(reduced, bands)
         full = isolated_eigs(eigvals(op.matrix_a), bands)
         assert iso.size == full.size == 4
-        assert np.max(np.abs(np.sort_complex(iso) - np.sort_complex(full))) \
-            <= 1e-10
+        # matched, not sorted: the parity solve gives exact zeros where the
+        # full solve gives +-1e-15, and a lexicographic sort splits on those
+        gaps = np.abs(iso[:, None] - full[None, :])
+        assert max(gaps.min(axis=0).max(), gaps.min(axis=1).max()) <= 1e-10
+
+    def test_half_dimension_vectors_match_full_inverse_iteration(
+            self, grid_cache):
+        op = assemble("gn", 2.0 / 3.0, 0.3, grid_cache(160, 10.0))
+        bands = continuous_bands("gn", 2.0 / 3.0, 0.3)
+        es, solves = spectrum._parity_solve(op)
+        iso = isolated_eigs(es, bands)
+        assert iso.size == 4
+        assert np.all(np.abs(iso) > spectrum._NEAR_ORIGIN_RADIUS)
+        half = spectrum._isolated_vectors(op, solves, iso)
+        full = inverse_iteration(op.matrix_a, iso)
+        assert np.max(half.residuals) <= 1e-12
+        for u, v in zip(half.vectors.T, full.vectors.T):
+            assert np.linalg.norm(u) == pytest.approx(1.0, abs=1e-14)
+            assert abs(np.vdot(u, v)) >= 1.0 - 1e-10
+
+    def test_near_origin_values_use_the_full_matrix(self, grid_cache):
+        # the kernel cluster at p = 0 sits inside the near-origin radius
+        op = assemble("gn", 2.0 / 3.0, 0.0, grid_cache(60, 10.0))
+        es, solves = spectrum._parity_solve(op)
+        near = es.values[np.abs(es.values) <= spectrum._NEAR_ORIGIN_RADIUS]
+        assert near.size > 0
+        half = spectrum._isolated_vectors(op, solves, near)
+        full = inverse_iteration(op.matrix_a, near)
+        assert np.array_equal(half.vectors, full.vectors)
+        assert np.array_equal(half.residuals, full.residuals)
 
 
 class TestSlopeFit:
@@ -162,7 +192,8 @@ class TestTracking:
         monkeypatch.setattr(spectrum, "eigvals", recording)
         branches = track_branches("mtm", 0.0, [0.2, 0.25, 0.3],
                                   grid_cache(60, 10.0), jobs=2)
-        assert asked == [False, False, False]
+        # one solve per component block at each of the three points
+        assert asked == [False] * 6
         worst = max(pt.residual for br in branches for pt in br.points)
         assert worst <= 1e-8
 
@@ -183,9 +214,44 @@ class TestTracking:
 
         monkeypatch.setattr(spectrum, "eigvals", recording)
         track_branches("mtm", 0.0, [0.2, 0.25], grid_cache(30, 10.0), jobs=2)
-        assert len(seen) == 2
+        assert len(seen) == 4
         assert max(seen) <= max(1, cores // 2)
         assert blas_threads() == before
+
+    def test_serial_sweep_runs_one_blas_thread(self, grid_cache, monkeypatch):
+        before = blas_threads()
+        if before is None:
+            pytest.skip("no OpenBLAS library is loaded")
+        seen = []
+        solve = spectrum.eigvals
+
+        def recording(matrix, want_vectors=False):
+            seen.append(blas_threads())
+            return solve(matrix, want_vectors=want_vectors)
+
+        monkeypatch.setattr(spectrum, "eigvals", recording)
+        track_branches("gn", 2.0 / 3.0, [0.2, 0.25], grid_cache(30, 10.0),
+                       jobs=1)
+        assert seen == [1, 1]
+        assert blas_threads() == before
+
+    @pytest.mark.parametrize("model,omega,block", [("mtm", 0.0, 61),
+                                                   ("gn", 2.0 / 3.0, 122)])
+    def test_sweep_factors_no_full_matrix(self, grid_cache, monkeypatch,
+                                          model, omega, block):
+        factored = []
+        factor = eigen_module.lu_factor
+
+        def recording(matrix, **kwargs):
+            factored.append(matrix.shape)
+            return factor(matrix, **kwargs)
+
+        monkeypatch.setattr(eigen_module, "lu_factor", recording)
+        branches = track_branches(model, omega, [0.2, 0.25, 0.3],
+                                  grid_cache(60, 10.0), jobs=2)
+        # a +-pair shares one factorization
+        assert factored and set(factored) == {(block, block)}
+        assert len(factored) < sum(len(br.points) for br in branches)
 
     def test_quartet_transition_recorded(self, mtm_sweep):
         _, branches = mtm_sweep
