@@ -11,6 +11,10 @@ small-wavenumber expansion of the eigenvalues splitting from the origin,
 is produced per model, and for Gross-Neveu the first-order eigenvector
 correction coefficients alpha, beta and the vanishing second-order
 solvability diagonal are evaluated from the projection integrals.
+
+The quadrature side needs scipy, which quad_integral imports on its first
+call; the closed forms and the slopes the command line uses need numpy
+alone.
 """
 
 from __future__ import annotations
@@ -19,7 +23,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
 
 from .soliton import (
     ModelKind,
@@ -96,6 +99,8 @@ def quad_integral(f, mu: float, rtol: float = 1e-12):
     Folds f(x) + f(-x) onto [0, X] so odd parts cancel pointwise before the
     rule sees them; X is chosen so exp(-mu X) < 1e-16.
     """
+    from scipy.integrate import IntegrationWarning, quad
+
     span = 40.0 / mu
 
     def fold(x, part):

@@ -11,9 +11,10 @@ A matrix of the form [[0, B], [C, 0]] is solved at half its dimension:
 eigvals of B C, then root_pairs.
 
 Eigenvectors and residuals for a few selected eigenvalues come from
-inverse_iteration (one LU per value, real for a real value of a real
-matrix), not from a full solve with vectors.  single_blas_thread runs a
-block of solves on one BLAS thread each.
+inverse_iteration (two solves of one shifted matrix per value, real for
+a real value of a real matrix), not from a full solve with vectors.
+single_blas_thread runs a block of solves on one BLAS thread each.  The
+module needs numpy alone.
 """
 
 from __future__ import annotations
@@ -25,12 +26,14 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
 logger = logging.getLogger(__name__)
 
 _EPS = np.finfo(float).eps
 _INVERSE_STEPS = 2
+# fractional parts of the golden and silver ratios: irrational steps for
+# the fixed inverse-iteration start vector
+_START_STEPS = ((5.0 ** 0.5 - 1.0) / 2.0, 2.0 ** 0.5 - 1.0)
 
 # (set, get) thread-count entry points of the OpenBLAS builds numpy and
 # scipy ship, then of a plain OpenBLAS
@@ -133,18 +136,19 @@ def root_pairs(squares: EigenSet) -> EigenSet:
 def inverse_iteration(matrix, values) -> EigenSet:
     """Unit eigenvectors and residuals for eigenvalues of matrix.
 
-    Each value gets one LU of the matrix shifted slightly off it and two
-    inverse-iteration steps from a fixed start vector.  A real value of a
-    real matrix is done in real arithmetic.
+    Each value gets two solves of one copy of the matrix shifted slightly
+    off it: two inverse-iteration steps from a fixed start vector.  A real
+    value of a real matrix is done in real arithmetic.
     """
     a = _as_square(matrix)
     values = np.atleast_1d(np.asarray(values, dtype=complex))
     n = a.shape[0]
     anorm = np.linalg.norm(a)
     # no symmetry: soliton eigenvectors are even or odd in x, so a
-    # symmetric start vector can be orthogonal to them
-    rng = np.random.default_rng(0)
-    start = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    # mirror-symmetric start vector can be orthogonal to them
+    k = np.arange(1, n + 1)
+    start = ((k * _START_STEPS[0]) % 1.0 - 0.5
+             + 1j * ((k * _START_STEPS[1]) % 1.0 - 0.5))
     start /= np.linalg.norm(start)
     vectors = np.empty((n, values.size), dtype=complex)
     for col, lam in enumerate(values):
@@ -152,11 +156,10 @@ def inverse_iteration(matrix, values) -> EigenSet:
         v = start
         if np.isrealobj(a) and lam.imag == 0.0:
             shift, v = shift.real, start.real
-        shifted = np.array(a, dtype=np.result_type(a, shift), order="F")
+        shifted = a.astype(np.result_type(a, shift))
         shifted[np.diag_indices(n)] -= shift
-        lu = lu_factor(shifted, overwrite_a=True, check_finite=False)
         for _ in range(_INVERSE_STEPS):
-            v = lu_solve(lu, v, check_finite=False)
+            v = np.linalg.solve(shifted, v)
             v /= np.linalg.norm(v)
         vectors[:, col] = v
     return EigenSet(values=values, vectors=vectors,

@@ -240,7 +240,8 @@ def _match_radius(branch: TrackedBranch, step: float) -> float:
     rates = [abs(b.lam - a.lam) / (b.p - a.p) for a, b in zip(tail, tail[1:])]
     if not rates:
         return max(3.0 * step, 0.05 * step)
-    return max(3.0 * float(np.median(rates)) * step, 0.05 * step)
+    # the median of one or two rates, without np.median's numpy.ma import
+    return max(3.0 * (sum(rates) / len(rates)) * step, 0.05 * step)
 
 
 def _velocity(branch: TrackedBranch) -> complex:

@@ -5,6 +5,9 @@ The p = 0 eigensolves at N = 300 are the most expensive shared inputs
 computed once per session and reused.
 """
 
+import threading
+
+import numpy as np
 import pytest
 
 from diracstab.cheb import build_grid
@@ -47,3 +50,23 @@ def grid_cache():
 @pytest.fixture(scope="session")
 def p0_spectra(grid_cache):
     return SpectrumCache(grid_cache)
+
+
+@pytest.fixture
+def shifted_matrices(monkeypatch):
+    """Every distinct matrix np.linalg.solve sees while the test runs, in
+    order of first use: the shifted matrices of inverse_iteration, each
+    solved once per inverse-iteration step.  Safe under a sweep's thread
+    pool."""
+    seen = []
+    lock = threading.Lock()
+    solve = np.linalg.solve
+
+    def recording(matrix, rhs):
+        with lock:
+            if not any(m is matrix for m in seen):
+                seen.append(matrix)
+        return solve(matrix, rhs)
+
+    monkeypatch.setattr(np.linalg, "solve", recording)
+    return seen

@@ -1,13 +1,19 @@
 """End-to-end command-line checks, run in process via cli.main()."""
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 
+import diracstab
 import diracstab.cli as cli
 import diracstab.spectrum as spectrum
 from diracstab import __version__
+from diracstab.eigen import blas_threads
 
 
 @pytest.fixture(autouse=True)
@@ -241,6 +247,22 @@ class TestValidate:
         assert cli.main(["validate", f"--n-values={n_values}"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_cells_run_on_one_blas_thread(self, capsys, monkeypatch):
+        before = blas_threads()
+        seen = []
+        metric = cli._p0_metric
+
+        def recording(*args):
+            seen.append(blas_threads())
+            return metric(*args)
+
+        monkeypatch.setattr(cli, "_p0_metric", recording)
+        assert cli.main(["validate", "--model", "gn",
+                         "--n-values", "100"]) == 0
+        # None where no OpenBLAS is loaded
+        assert seen == [None if before is None else 1] * 2
+        assert blas_threads() == before
+
 
 class TestNumericalFailure:
     @pytest.mark.parametrize("argv", [
@@ -346,6 +368,36 @@ class TestConfigFile:
                       "--backend", "lapack"])
         assert exc.value.code == 2
         assert "unrecognized arguments: --backend" in capsys.readouterr().err
+
+
+def test_commands_load_no_scipy(tmp_path):
+    # a fresh interpreter, so that no other test's imports count
+    script = textwrap.dedent("""
+        import contextlib, io, json, sys
+        from diracstab import cli
+        codes = []
+        for argv in (["asymptotics", "--model", "gn"],
+                     ["spectrum", "--model", "gn", "--omega", "0.6667",
+                      "--n", "20"],
+                     ["sweep", "--model", "gn", "--omega", "0.6667",
+                      "--n", "20", "--jobs", "2"],
+                     ["validate", "--model", "gn", "--n-values", "100"]):
+            with contextlib.redirect_stdout(io.StringIO()):
+                codes.append(cli.main(argv))
+        print(json.dumps({"codes": codes, "modules": sorted(sys.modules)}))
+    """)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(diracstab.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    env[cli.OUTDIR_ENV] = str(tmp_path)
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120,
+                          check=True)
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["codes"] == [0, 0, 0, 0]
+    heavy = [m for m in result["modules"]
+             if m.split(".")[0] == "scipy"
+             or m.split(".")[:2] in (["numpy", "random"], ["numpy", "ma"])]
+    assert heavy == []
 
 
 def test_version_flag(capsys):

@@ -9,7 +9,6 @@ even when the multisets are identical.
 import numpy as np
 import pytest
 
-import diracstab.eigen as eigen_module
 from diracstab.analytics import asymptotic_prediction, kernel_vectors
 from diracstab.cheb import build_grid, sample_on_grid
 from diracstab.eigen import (ConvergenceError, EigenSet, eigvals,
@@ -164,21 +163,16 @@ class TestSelectedVectors:
         es = inverse_iteration(np.array([[0.0, 1.0], [0.0, 0.0]]), [0.0, 0.0])
         assert np.max(es.residuals) <= 1e-8
 
-    def test_real_value_of_real_matrix_in_real_arithmetic(self, monkeypatch):
+    def test_real_value_of_real_matrix_in_real_arithmetic(
+            self, shifted_matrices):
         a = np.random.default_rng(11).standard_normal((30, 30))
         full = eigvals(a, want_vectors=True)
         picked = [int(np.argmax(full.values.imag == 0.0)),
                   int(np.argmax(full.values.imag > 0.0))]
-        factored = []
-        factor = eigen_module.lu_factor
-
-        def recording(matrix, **kwargs):
-            factored.append(matrix.dtype)
-            return factor(matrix, **kwargs)
-
-        monkeypatch.setattr(eigen_module, "lu_factor", recording)
         es = inverse_iteration(a, full.values[picked])
-        assert factored == [np.float64, np.complex128]
+        # one shifted matrix per value, real for the real value
+        assert [m.dtype for m in shifted_matrices] == [np.float64,
+                                                       np.complex128]
         assert np.all(es.vectors[:, 0].imag == 0.0)
         assert np.max(es.residuals) <= 1e-12
         for col, j in enumerate(picked):

@@ -7,7 +7,6 @@ import os
 import numpy as np
 import pytest
 
-import diracstab.eigen as eigen_module
 import diracstab.spectrum as spectrum
 from diracstab.eigen import (EigenSet, blas_threads, eigvals,
                              inverse_iteration)
@@ -237,21 +236,14 @@ class TestTracking:
 
     @pytest.mark.parametrize("model,omega,block", [("mtm", 0.0, 61),
                                                    ("gn", 2.0 / 3.0, 122)])
-    def test_sweep_factors_no_full_matrix(self, grid_cache, monkeypatch,
+    def test_sweep_factors_no_full_matrix(self, grid_cache, shifted_matrices,
                                           model, omega, block):
-        factored = []
-        factor = eigen_module.lu_factor
-
-        def recording(matrix, **kwargs):
-            factored.append(matrix.shape)
-            return factor(matrix, **kwargs)
-
-        monkeypatch.setattr(eigen_module, "lu_factor", recording)
         branches = track_branches(model, omega, [0.2, 0.25, 0.3],
                                   grid_cache(60, 10.0), jobs=2)
-        # a +-pair shares one factorization
-        assert factored and set(factored) == {(block, block)}
-        assert len(factored) < sum(len(br.points) for br in branches)
+        # a +-pair shares one shifted matrix
+        shapes = {m.shape for m in shifted_matrices}
+        assert shifted_matrices and shapes == {(block, block)}
+        assert len(shifted_matrices) < sum(len(br.points) for br in branches)
 
     def test_quartet_transition_recorded(self, mtm_sweep):
         _, branches = mtm_sweep
@@ -305,6 +297,25 @@ class TestTracking:
                                   [0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35])
         assert summary["real_pair_present_at_final_p"] is True
         assert summary["instability_threshold"] is None
+
+    @pytest.mark.parametrize("points", [2, 3, 5])
+    def test_match_radius_is_median_of_rates(self, points):
+        # one rate for two points, two rates from the last three otherwise;
+        # bit for bit the radius np.median gives
+        rng = np.random.default_rng(points)
+        for _ in range(200):
+            ps = np.cumsum(rng.uniform(0.01, 0.1, points))
+            lams = (rng.standard_normal(points)
+                    + 1j * rng.standard_normal(points))
+            branch = TrackedBranch(branch_id=0, points=[
+                BranchPoint(float(p), complex(lam), 0.0, CLASS_REAL)
+                for p, lam in zip(ps, lams)])
+            tail = branch.points[-3:]
+            rates = [abs(b.lam - a.lam) / (b.p - a.p)
+                     for a, b in zip(tail, tail[1:])]
+            step = float(rng.uniform(0.01, 0.1))
+            expected = max(3.0 * float(np.median(rates)) * step, 0.05 * step)
+            assert spectrum._match_radius(branch, step) == expected
 
     def test_growth_rate_decreases_with_frequency(self, grid_cache):
         # at fixed small p the unstable growth rate is larger for the
