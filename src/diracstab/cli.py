@@ -284,8 +284,8 @@ def cmd_sweep(args) -> int:
 
 
 def _p0_metric(model: ModelKind, omega: float, grid) -> float:
-    # a function of its own, so that the matrix and its blocks are freed
-    # before the next cell's assembly
+    # a function of its own, so that the blocks are freed before the next
+    # cell's
     op = assemble(model, omega, 0.0, grid)
     return spurious_metric(parity_eigvals(op), im_cutoff=10.0)
 

@@ -10,9 +10,10 @@ line maps to exit code 3.
 A matrix of the form [[0, B], [C, 0]] is solved at half its dimension:
 eigvals of B C, then root_pairs.
 
-Eigenvectors and residuals for a few selected eigenvalues come from
-inverse_iteration (two solves of one shifted matrix per value, real for
-a real value of a real matrix), not from a full solve with vectors.
+Eigenvectors for a few selected eigenvalues come from inverse_vectors
+(two solves of one shifted matrix per value, real for a real value of a
+real matrix), not from a full solve with vectors; inverse_iteration adds
+their residuals.
 single_blas_thread runs a block of solves on one BLAS thread each.  The
 module needs numpy alone.
 """
@@ -82,11 +83,13 @@ def _as_square(matrix) -> np.ndarray:
 
 def relative_residuals(a: np.ndarray, values, vectors) -> np.ndarray:
     """||a v - lambda v|| / ||a||_F for each value and unit column v."""
-    scale = np.linalg.norm(a)
-    if scale == 0.0:
-        scale = 1.0
+    return _residuals(a, np.linalg.norm(a), values, vectors)
+
+
+def _residuals(a: np.ndarray, anorm: float, values, vectors) -> np.ndarray:
+    # relative_residuals with ||a||_F given
     res = np.linalg.norm(a @ vectors - vectors * values[None, :], axis=0)
-    return res / scale
+    return res / (anorm if anorm != 0.0 else 1.0)
 
 
 def eigvals(matrix, want_vectors: bool = False) -> EigenSet:
@@ -136,14 +139,31 @@ def root_pairs(squares: EigenSet) -> EigenSet:
 def inverse_iteration(matrix, values) -> EigenSet:
     """Unit eigenvectors and residuals for eigenvalues of matrix.
 
+    The vectors are inverse_vectors', and ||matrix||_F is taken once for
+    both the shifts and the residuals.
+    """
+    a = _as_square(matrix)
+    values = np.atleast_1d(np.asarray(values, dtype=complex))
+    anorm = np.linalg.norm(a)
+    vectors = _inverse_vectors(a, anorm, values)
+    return EigenSet(values=values, vectors=vectors,
+                    residuals=_residuals(a, anorm, values, vectors))
+
+
+def inverse_vectors(matrix, values) -> np.ndarray:
+    """Unit eigenvectors for eigenvalues of matrix, one column per value.
+
     Each value gets two solves of one copy of the matrix shifted slightly
     off it: two inverse-iteration steps from a fixed start vector.  A real
     value of a real matrix is done in real arithmetic.
     """
     a = _as_square(matrix)
-    values = np.atleast_1d(np.asarray(values, dtype=complex))
+    return _inverse_vectors(a, np.linalg.norm(a),
+                            np.atleast_1d(np.asarray(values, dtype=complex)))
+
+
+def _inverse_vectors(a: np.ndarray, anorm: float, values) -> np.ndarray:
     n = a.shape[0]
-    anorm = np.linalg.norm(a)
     # no symmetry: soliton eigenvectors are even or odd in x, so a
     # mirror-symmetric start vector can be orthogonal to them
     k = np.arange(1, n + 1)
@@ -162,8 +182,7 @@ def inverse_iteration(matrix, values) -> EigenSet:
             v = np.linalg.solve(shifted, v)
             v /= np.linalg.norm(v)
         vectors[:, col] = v
-    return EigenSet(values=values, vectors=vectors,
-                    residuals=relative_residuals(a, values, vectors))
+    return vectors
 
 
 def _openblas_controls() -> list:

@@ -1,33 +1,37 @@
-"""Assembly of the dense transverse-stability matrices.
+"""The transverse-stability operators, as real parity blocks or as one
+dense matrix.
 
 The linearized problem is a four-component first-order system.  For both
 models an orthogonal change of variables turns it into a block form: two
 2x2 Dirac-type operators coupled only through the transverse term.  The
-block form, which has the same spectrum, is the one assembled on the
+block form, which has the same spectrum, is the one discretized on the
 mapped Chebyshev grid.  It is reduced to a standard eigenvalue problem
 for lambda by left-multiplying with -i times the constant involution
 that carries the symplectic structure (a signed permutation whose square
-is the identity).  The reduction is applied as each block is written, so
-the stored matrix, whose eigenvalues are the stability eigenvalues, is
-the only full-size array assembly makes.
+is the identity).
 
-The matrix anticommutes, at every p, with the parity involution
+The reduced matrix A anticommutes, at every p, with the parity involution
 S = kron(P, J): P swaps components 0 <-> 1 and 2 <-> 3, and J reverses
-the grid (x -> -x).  In the eigenbasis of S the matrix is [[0, B], [C, 0]],
-so its eigenvalues are +-sqrt(eig(B C)).  B and C have a second, exact
+the grid (x -> -x).  In the eigenbasis of S, A is [[0, B], [C, 0]], so
+its eigenvalues are +-sqrt(eig(B C)).  B and C have a second, exact
 antiunitary symmetry, T conj(B) T = B with T = kron(diag(1, -1), J), so
 a unitary change of basis built from mirror pairs of grid nodes makes
-them real; parity_blocks returns them so, split by component where B C
-is block diagonal, and parity_vector carries a vector in those bases back
-to the matrix's own.  All of it is index arithmetic on the stored matrix.
+them real.  parity_blocks writes those real blocks, split by component
+where B C is block diagonal, straight from the model's blocks, one
+(N+1)-square block at a time; parity_vector carries a vector in their
+bases back to A's own.
 
-Component layout: all grid samples of component 0 first, then component 1,
-etc., so each differentiation block is contiguous.
+assemble samples the soliton potential and keeps it with the parameters;
+it writes no matrix.  A itself, StabilityOperator.matrix_a, is written on
+first access, each block straight into its place with the reduction
+applied.  Component layout: all grid samples of component 0 first, then
+component 1, etc., so each differentiation block is contiguous.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -83,34 +87,47 @@ class SpectralBands:
 
 @dataclass(frozen=True)
 class StabilityOperator:
-    """Assembled dense stability matrix and the parameters that built it.
+    """A stability operator: its parameters and the soliton potential on
+    its grid, all that parity_blocks and matrix_a are written from.
 
-    matrix_a is 4(N+1) x 4(N+1).  Each block of the operator was written
-    into it already multiplied by -i and moved and signed by the reduction
-    involution, so its eigenvalues are the stability eigenvalues directly.
+    potential holds |u|^2, u^2 and conj(u)^2 at the grid nodes.
+    matrix_a, the 4(N+1) x 4(N+1) stability matrix, is written on first
+    access and kept, read-only: each block of the operator multiplied by
+    -i and moved and signed by the reduction involution, so its
+    eigenvalues are the stability eigenvalues directly.
     """
 
     model: ModelKind
     omega: float
     p: float
     grid: ChebGrid
-    matrix_a: np.ndarray
+    potential: tuple = field(repr=False, compare=False)
     potential_zeroed: bool = False
 
     @property
     def dim(self) -> int:
-        return self.matrix_a.shape[0]
+        """The order 4(N+1) of matrix_a, known without writing it."""
+        return 4 * (self.grid.n + 1)
+
+    @cached_property
+    def matrix_a(self) -> np.ndarray:
+        a = _assemble_block(self)
+        a.setflags(write=False)
+        return a
 
 
 def _potential_terms(model: ModelKind, omega: float, grid: ChebGrid,
                      zero_potential: bool):
-    """|u|^2, u^2 and conj(u)^2 at the grid nodes, as vectors."""
+    """|u|^2, u^2 and conj(u)^2 at the grid nodes, as read-only vectors."""
     if zero_potential:
         u = np.zeros(grid.n + 1, dtype=complex)
     else:
         profile = SolitonProfile.create(model, omega)
         u = eval_profile(profile, grid.nodes_x)
-    return np.abs(u) ** 2, u ** 2, np.conj(u) ** 2
+    terms = np.abs(u) ** 2, u ** 2, np.conj(u) ** 2
+    for term in terms:
+        term.setflags(write=False)
+    return terms
 
 
 def _reduced(front: np.ndarray, m: int, *parts) -> np.ndarray:
@@ -144,12 +161,13 @@ def _plus_diagonal(block: np.ndarray, diagonal) -> np.ndarray:
     return block
 
 
-def _assemble_block(model: ModelKind, omega: float, p: float, grid: ChebGrid,
-                    zero_potential: bool) -> np.ndarray:
+def _assemble_block(op: StabilityOperator) -> np.ndarray:
+    """op's 4(N+1)-square stability matrix, each block written once."""
+    model, omega, p, grid = op.model, op.omega, op.p, op.grid
     m = grid.n + 1
     eye = np.eye(m, dtype=complex)
     deriv = -1j * grid.d_scaled.astype(complex)
-    abs2, sq, csq = _potential_terms(model, omega, grid, zero_potential)
+    abs2, sq, csq = op.potential
     # omega on the diagonal of +-deriv, then the potential on top of that
     minus = _plus_diagonal(-deriv, omega)
     plus = _plus_diagonal(deriv, omega)
@@ -183,11 +201,12 @@ def _assemble_block(model: ModelKind, omega: float, p: float, grid: ChebGrid,
 
 def assemble(model, omega: float, p: float, grid: ChebGrid,
              zero_potential: bool = False) -> StabilityOperator:
-    """Build the dense stability matrix at transverse wavenumber p.
+    """The stability operator at transverse wavenumber p.
 
-    zero_potential is a test hook that drops the soliton terms, leaving
-    the constant-coefficient operator whose spectrum is purely the
-    continuous bands.
+    Samples the soliton once; no matrix is written until parity_blocks or
+    matrix_a asks for one.  zero_potential is a test hook that drops the
+    soliton terms, leaving the constant-coefficient operator whose
+    spectrum is purely the continuous bands.
     """
     model = ModelKind(model)
     if not isinstance(grid, ChebGrid):
@@ -195,11 +214,10 @@ def assemble(model, omega: float, p: float, grid: ChebGrid,
     # omega admissibility is enforced by profile construction; the zero
     # potential hook still validates it for consistent error behavior
     SolitonProfile.create(model, omega)
-    p = float(p)
-    a = _assemble_block(model, omega, p, grid, zero_potential)
-    a.setflags(write=False)
-    return StabilityOperator(model=model, omega=float(omega), p=p, grid=grid,
-                             matrix_a=a, potential_zeroed=bool(zero_potential))
+    return StabilityOperator(
+        model=model, omega=float(omega), p=float(p), grid=grid,
+        potential=_potential_terms(model, omega, grid, zero_potential),
+        potential_zeroed=bool(zero_potential))
 
 
 def _splits(op: StabilityOperator) -> bool:
@@ -212,52 +230,25 @@ def _splits(op: StabilityOperator) -> bool:
     return op.model is ModelKind.MASSIVE_THIRRING or op.p == 0.0
 
 
-def _mirror_blocks(op: StabilityOperator) -> tuple:
-    """Off-diagonal blocks (B, C) of op.matrix_a in the eigenbasis of S.
-
-    The basis vectors are (e_k +- e_sk) / sqrt(2), with k running over the
-    rows of components 0 and 2 and sk over their mirrors (components 1
-    and 3 at grid index n - j); B maps the -1 eigenspace of S into the +1
-    eigenspace and C the +1 into the -1.  The diagonal blocks, which
-    vanish up to the roundoff of the derivative's centro-antisymmetry,
-    are not formed.  Both blocks are complex and 2(N+1) x 2(N+1).  Their
-    first N+1 rows and columns, parity component 0, hold k in component
-    0; the rest, parity component 1, hold k in component 2.
-    """
-    m = op.grid.n + 1
-    a = op.matrix_a.reshape(4, m, 4, m)
-    # rows of components (0, 2) and the mirrored rows of components (1, 3)
-    rows, mirrored = a[0::2], a[1::2, ::-1]
-    # B = (e_k + e_sk)^T A (e_k - e_sk) / 2,
-    # C = (e_k - e_sk)^T A (e_k + e_sk) / 2
-    same = rows[:, :, 0::2] - mirrored[:, :, 1::2, ::-1]
-    cross = mirrored[:, :, 0::2] - rows[:, :, 1::2, ::-1]
-    b = 0.5 * (same + cross)
-    c = 0.5 * (same - cross)
-    return b.reshape(2 * m, 2 * m), c.reshape(2 * m, 2 * m)
+def _mirror_sums(x: np.ndarray, out: np.ndarray, scale) -> None:
+    """out = (x_k + x_(n-k)) * scale along the last axis, for the first
+    out.shape[-1] indices k."""
+    k = out.shape[-1]
+    np.add(x[..., :k], x[..., ::-1][..., :k], out=out)
+    out *= scale
 
 
-def _times_mirror_basis(x: np.ndarray, odd: complex) -> np.ndarray:
-    """x times W_J along its last axis, odd the factor of the odd columns.
-
-    The columns of W_J are the even combinations (e_k + e_(n-k)) / sqrt(2)
-    for k < n / 2, then e_(n/2) when the grid has a middle node, then the
-    odd combinations odd * (e_k - e_(n-k)) / sqrt(2).
-    """
-    m = x.shape[-1]
-    h = m // 2
-    mirrored = x[..., ::-1]
-    # the middle node pairs with itself: (x + x) / 2 = x
-    scale = np.full(m - h, _SQRT_HALF)
-    scale[h:] = 0.5
-    even = (x[..., :m - h] + mirrored[..., :m - h]) * scale
-    return np.concatenate(
-        [even, (odd * _SQRT_HALF) * (x[..., :h] - mirrored[..., :h])], axis=-1)
+def _mirror_differences(x: np.ndarray, out: np.ndarray, scale) -> None:
+    """out = (x_k - x_(n-k)) * scale along the last axis, for the first
+    out.shape[-1] indices k."""
+    k = out.shape[-1]
+    np.subtract(x[..., :k], x[..., ::-1][..., :k], out=out)
+    out *= scale
 
 
 def _from_mirror_basis(u: np.ndarray) -> np.ndarray:
-    """W_J u for coordinates u on the last axis, W_J with odd factor 1j:
-    from the mirror basis back to the grid nodes."""
+    """W_J u for coordinates u on the last axis (see _real_block): from
+    the mirror basis back to the grid nodes."""
     m = u.shape[-1]
     h = m // 2
     even = u[..., :m - h] * _SQRT_HALF
@@ -269,45 +260,152 @@ def _from_mirror_basis(u: np.ndarray) -> np.ndarray:
     return out
 
 
-def _real_form(blocks: np.ndarray, phase) -> np.ndarray:
-    """phase * W_J^H X W_J for each m x m block X on the last two axes.
+def _real_block(re: np.ndarray, im: np.ndarray, turn: int,
+                out: np.ndarray) -> None:
+    """out = 1j**turn * W_J^H X W_J for X = re + 1j * im, turn in {-1, 0, 1}.
 
-    W_J has odd factor 1j.  With W = blockdiag(W_J, 1j W_J), the blocks of
-    W^-1 B W are these with phase conj(w_row) * w_col, which is 1, 1j or
-    -1j.  T conj(B) T = B, T = kron(diag(1, -1), J), pairs every entry
-    with the conjugate of its mirror, so the imaginary parts cancel
-    exactly and the real part is the whole block.
+    The columns of W_J are the even mirror combinations, then 1j times
+    the odd ones.  W = blockdiag(W_J, 1j W_J) carries the parity block
+    of components (R, J) by the phase 1j**(J - R).  The product is real
+    (see parity_blocks), and it is formed from the real and imaginary
+    parts of X: a factor +-1j only swaps and signs them, so each entry
+    takes the same operations in the same order as the complex product.
     """
-    cols = _times_mirror_basis(blocks, 1j)
-    both = _times_mirror_basis(np.swapaxes(cols, -1, -2), -1j)
-    return (phase * np.swapaxes(both, -1, -2)).real
+    m = re.shape[0]
+    h = m // 2
+    # even combinations (e_k + e_(n-k)) / sqrt(2); a middle node pairs
+    # with itself, (x + x) / 2 = x
+    scale = np.full(m - h, _SQRT_HALF)
+    scale[h:] = 0.5
+    # Y = X W_J, whose odd columns carry the factor 1j
+    y_re, y_im = np.empty((m, m)), np.empty((m, m))
+    _mirror_sums(re, y_re[:, :m - h], scale)
+    _mirror_differences(im, y_re[:, m - h:], -_SQRT_HALF)
+    _mirror_sums(im, y_im[:, :m - h], scale)
+    _mirror_differences(re, y_im[:, m - h:], _SQRT_HALF)
+    # the rows of W_J^H Y, the odd ones times -1j, through the transposes;
+    # the real part of +-1j Z is -+ its imaginary part
+    if turn == 0:
+        _mirror_sums(y_re.T, out[:m - h].T, scale)
+        _mirror_differences(y_im.T, out[m - h:].T, _SQRT_HALF)
+    else:
+        _mirror_sums(y_im.T, out[:m - h].T, -turn * scale)
+        _mirror_differences(y_re.T, out[m - h:].T, turn * _SQRT_HALF)
+
+
+def _component_blocks(op: StabilityOperator) -> dict:
+    """The model blocks that meet in each parity component block (R, J).
+
+    That block of B and of C is taken from rows 2R, 2R + 1 and columns
+    2J, 2J + 1 of A's 4 x 4 blocks, whose rows are rows 2 - 2R, 3 - 2R of
+    the operator's blocks times -1j and +1j.  Maps (R, J) to
+    (derivative, diagonal, upper, lower): derivative is true where the
+    two diagonal blocks are -1j D + diag(diagonal) and 1j D +
+    diag(diagonal), with D the scaled differentiation matrix, and false
+    where they are zero; upper and lower are the complex diagonals of the
+    two off-diagonal blocks.  The vectors are computed as the matrix
+    writer computes its diagonals.  Only the blocks parity_blocks
+    returns are listed.
+    """
+    abs2, sq, csq = op.potential
+    omega, p = op.omega, op.p
+    if op.model is ModelKind.MASSIVE_THIRRING:
+        p2 = p ** 2
+        return {
+            (0, 1): (True, np.full(abs2.shape, omega + p2),
+                     1.0 - sq, 1.0 - csq),
+            (1, 0): (True, (omega + 2.0 * abs2) + p2,
+                     -1.0 + sq, -1.0 + csq),
+        }
+    cross = 1.0 - sq - csq
+    blocks = {
+        (0, 1): (True, np.full(abs2.shape, omega), cross, cross),
+        (1, 0): (True, omega + 2.0 * abs2,
+                 -1.0 + sq + 3.0 * csq, -1.0 + csq + 3.0 * sq),
+    }
+    if not _splits(op):
+        # the transverse term t = 1j p I, -t in rows 2, 3 and t in rows 0, 1
+        t = np.full(abs2.shape, 1j * p)
+        blocks[0, 0] = (False, np.zeros(abs2.shape), -t, -t)
+        blocks[1, 1] = (False, np.zeros(abs2.shape), t, t)
+    return blocks
+
+
+def _complex_blocks(op: StabilityOperator, derivative: bool,
+                    diagonal, upper, lower) -> tuple:
+    """(re, im) of one component block of the complex B, then of C.
+
+    With A_ab, a, b in {0, 1}, the four blocks of A that meet in it (see
+    _component_blocks), B = (same + cross) / 2 and C = (same - cross) / 2.
+    same is A_00 minus A_11 with its rows and columns reversed, and cross
+    is A_10 with its rows reversed minus A_01 with its columns reversed.
+    A_00 and A_11 are -1j and 1j times the diagonal model blocks, so same
+    holds the derivative terms in its real part and the diagonals in its
+    imaginary part; cross lies on the antidiagonal.
+    """
+    d = op.grid.d_scaled
+    m = d.shape[0]
+    nodes = np.arange(m)
+    anti = (nodes, nodes[::-1])
+    same_re = d[::-1, ::-1] - d if derivative else np.zeros((m, m))
+    same_im = np.zeros((m, m))
+    same_im[nodes, nodes] = -(diagonal + diagonal[::-1])
+    cross_re = -(lower.imag[::-1] + upper.imag)
+    cross_im = lower.real[::-1] + upper.real
+    parts = []
+    for sign in (1.0, -1.0):
+        # (same +- cross) / 2, with cross zero off the antidiagonal
+        re, im = 0.5 * same_re, 0.5 * same_im
+        re[anti] = 0.5 * (same_re[anti] + sign * cross_re)
+        im[anti] = 0.5 * (same_im[anti] + sign * cross_im)
+        parts.append((re, im))
+    return tuple(parts)
 
 
 def parity_blocks(op: StabilityOperator) -> list:
-    """Real parity blocks of op.matrix_a: a list of (B, C) pairs.
+    """Real parity blocks of op.matrix_a, a list of (B, C) pairs, written
+    without it.
 
-    B and C are W^-1 B W and W^-1 C W for the complex blocks of the
-    parity eigenbasis (see _mirror_blocks), W = blockdiag(W_J, 1j W_J)
-    with W_J the mirror basis of one component (see _times_mirror_basis).
-    W is unitary and carries B and C to real matrices, so the eigenvalues
-    of op.matrix_a are +-sqrt(mu) for the eigenvalues mu of the real
+    B and C are W^-1 B W and W^-1 C W for the off-diagonal blocks of
+    op.matrix_a in the eigenbasis of S: the basis vectors are
+    (e_k +- e_sk) / sqrt(2), with k running over the rows of components
+    0 and 2 and sk over their mirrors (components 1 and 3 at grid index
+    n - j).  B maps the -1 eigenspace of S into the +1 eigenspace and C
+    the +1 into the -1; their first N+1 rows and columns, parity
+    component 0, hold k in component 0, the rest k in component 2.
+    W = blockdiag(W_J, 1j W_J) with W_J the mirror basis of one component
+    (see _real_block).  W is unitary, and T conj(B) T = B,
+    T = kron(diag(1, -1), J), pairs every entry with the conjugate of its
+    mirror, so B and C become real bit for bit.  The eigenvalues of
+    op.matrix_a are +-sqrt(mu) for the eigenvalues mu of the real
     products B @ C, over all pairs.
 
-    Where B C is block diagonal in the two parity components (mtm at
-    every p, gn at p = 0), there is one (N+1)-square pair per component:
-    pair k has the B that maps parity component 1 - k of the -1
-    eigenspace into component k of the +1 eigenspace, and the C that maps
-    it back.  Otherwise there is one 2(N+1)-square pair.
+    Each (N+1)-square component block is written in real arithmetic from
+    the model's blocks, every entry with the operations, in the order,
+    of the complex chain from op.matrix_a, so the blocks are equal to
+    that chain's.  Where B C is block diagonal in the two parity
+    components (mtm at every p, gn at p = 0), there is one (N+1)-square
+    pair per component: pair k has the B that maps parity component
+    1 - k of the -1 eigenspace into component k of the +1 eigenspace,
+    and the C that maps it back.  Otherwise there is one 2(N+1)-square
+    pair.
     """
     m = op.grid.n + 1
-    b, c = (x.reshape(2, m, 2, m).swapaxes(1, 2) for x in _mirror_blocks(op))
+    # (B or C, row component, column component) -> its block of the output
     if _splits(op):
-        return [(_real_form(b[0, 1], 1j), _real_form(c[1, 0], -1j)),
-                (_real_form(b[1, 0], -1j), _real_form(c[0, 1], 1j))]
-    w = _COMPONENT_PHASES
-    phases = (np.conj(w)[:, None] * w)[:, :, None, None]
-    return [tuple(_real_form(x, phases).swapaxes(1, 2).reshape(2 * m, 2 * m)
-                  for x in (b, c))]
+        pairs = np.empty((2, 2, m, m))
+        slots = {(0, 0, 1): pairs[0, 0], (1, 1, 0): pairs[0, 1],
+                 (0, 1, 0): pairs[1, 0], (1, 0, 1): pairs[1, 1]}
+        result = [tuple(pair) for pair in pairs]
+    else:
+        full = np.empty((2, 2, m, 2, m))
+        slots = {(k, r, j): full[k, r, :, j]
+                 for k in (0, 1) for r in (0, 1) for j in (0, 1)}
+        result = [tuple(full.reshape(2, 2 * m, 2 * m))]
+    for (r, j), blocks in _component_blocks(op).items():
+        for k, parts in enumerate(_complex_blocks(op, *blocks)):
+            _real_block(*parts, j - r, slots[k, r, j])
+    return result
 
 
 def parity_vector(op: StabilityOperator, pair: int, y, z) -> np.ndarray:

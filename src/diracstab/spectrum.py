@@ -5,7 +5,8 @@ blocks, filters continuous-band and boundary artifacts, computes the
 max-real-part discretization metric, extracts isolated eigenvalues, fits
 the small-p eigenvalue slopes, and continues isolated branches across a
 sweep in the transverse wavenumber.  A sweep point's residuals come from
-eigenvectors of the block products, checked on the full matrix.
+eigenvectors of the block products, taken in the parity basis, where they
+equal the residuals on the full matrix.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 
 from .analytics import asymptotic_prediction
 from .cheb import ChebGrid
-from .eigen import (EigenSet, eigvals, inverse_iteration, relative_residuals,
+from .eigen import (EigenSet, eigvals, inverse_iteration, inverse_vectors,
                     root_pairs, single_blas_thread)
 from .operator import (SpectralBands, assemble, continuous_bands,
                        parity_blocks, parity_vector)
@@ -111,7 +112,7 @@ def isolated_eigs(eigs, bands: SpectralBands, margin: float | None = None):
 
 
 def _parity_solve(op):
-    """All eigenvalues of op, and per real block pair (C, B C, eig(B C)).
+    """All eigenvalues of op, and per real block pair (B, C, B C, eig(B C)).
 
     One values-only real solve (dgeev) of each block product, at
     dimension N+1 where the blocks split and 2(N+1) elsewhere, in place
@@ -120,8 +121,8 @@ def _parity_solve(op):
     solves = []
     for b, c in parity_blocks(op):
         bc = b @ c
-        solves.append((c, bc, eigvals(bc).values))
-    return root_pairs(np.concatenate([mu for _, _, mu in solves])), solves
+        solves.append((b, c, bc, eigvals(bc).values))
+    return root_pairs(np.concatenate([s[-1] for s in solves])), solves
 
 
 def parity_eigvals(op) -> EigenSet:
@@ -139,17 +140,24 @@ def _isolated_vectors(op, solves, values) -> EigenSet:
 
     Away from the origin, a value lam is +-sqrt(mu) for an eigenvalue mu
     of one block product B C; one inverse iteration on B C - mu, real
-    when mu is, gives x for both signs, lifted to [x; C x / lam] in the
-    parity basis.  Near the origin C x / lam is ill-conditioned, so those
-    values keep inverse iteration on the full matrix.  The residuals
-    ||A v - lam v|| / ||A||_F are taken with the full matrix either way.
+    when mu is, gives x for both signs, and w = [x; C x / lam], scaled to
+    unit norm, is the eigenvector of M = [[0, B], [C, 0]] that
+    parity_vector lifts.  The residual ||M w - lam w|| / ||M||_F, with
+    ||M||_F^2 the sum of ||B||_F^2 + ||C||_F^2 over all pairs, is the
+    residual on op.matrix_a of the lifted vector, since the change of
+    basis is unitary.  Near the origin C x / lam is ill-conditioned, so
+    those values keep inverse iteration, and its residuals, on
+    op.matrix_a, which is written for them alone.
     """
-    a = op.matrix_a
     vectors = np.empty((op.dim, values.size), dtype=complex)
+    residuals = np.empty(values.size)
     near = np.abs(values) <= _NEAR_ORIGIN_RADIUS
     if near.any():
-        vectors[:, near] = inverse_iteration(a, values[near]).vectors
-    for pair, (c, bc, mu) in enumerate(solves):
+        full = inverse_iteration(op.matrix_a, values[near])
+        vectors[:, near], residuals[near] = full.vectors, full.residuals
+    scale = math.sqrt(sum(np.linalg.norm(b) ** 2 + np.linalg.norm(c) ** 2
+                          for b, c, _, _ in solves))
+    for pair, (b, c, bc, mu) in enumerate(solves):
         roots = np.sqrt(mu)
         # root_pairs made the values from these very roots, bit for bit
         hit = (values[:, None] == roots) | (values[:, None] == -roots)
@@ -157,13 +165,17 @@ def _isolated_vectors(op, solves, values) -> EigenSet:
         if rows.size == 0:
             continue
         wanted, column = np.unique(cols, return_inverse=True)
-        xs = inverse_iteration(bc, mu[wanted]).vectors
-        cxs = c @ xs
-        for i, k in zip(rows, column):
-            v = parity_vector(op, pair, xs[:, k], cxs[:, k] / values[i])
-            vectors[:, i] = v / np.linalg.norm(v)
-    return EigenSet(values=values, vectors=vectors,
-                    residuals=relative_residuals(a, values, vectors))
+        xs = inverse_vectors(bc, mu[wanted])[:, column]
+        lams = values[rows]
+        zs = (c @ xs) / lams
+        norms = np.hypot(np.linalg.norm(xs, axis=0),
+                         np.linalg.norm(zs, axis=0))
+        ys, zs = xs / norms, zs / norms
+        gaps = np.concatenate([b @ zs - ys * lams, c @ ys - zs * lams])
+        residuals[rows] = np.linalg.norm(gaps, axis=0) / scale
+        for i, y, z in zip(rows, ys.T, zs.T):
+            vectors[:, i] = parity_vector(op, pair, y, z)
+    return EigenSet(values=values, vectors=vectors, residuals=residuals)
 
 
 def _solve_values(model, omega, p, grid):

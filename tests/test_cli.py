@@ -11,6 +11,7 @@ import pytest
 
 import diracstab
 import diracstab.cli as cli
+import diracstab.operator as operator_module
 import diracstab.spectrum as spectrum
 from diracstab import __version__
 from diracstab.eigen import blas_threads
@@ -262,6 +263,19 @@ class TestValidate:
         # None where no OpenBLAS is loaded
         assert seen == [None if before is None else 1] * 2
         assert blas_threads() == before
+
+    def test_cells_write_no_full_matrix(self, capsys, monkeypatch):
+        written = []
+        writer = operator_module._assemble_block
+
+        def writing(op):
+            written.append(op)
+            return writer(op)
+
+        monkeypatch.setattr(operator_module, "_assemble_block", writing)
+        assert cli.main(["validate", "--n-values", "100"]) == 0
+        capsys.readouterr()
+        assert written == []
 
 
 class TestNumericalFailure:

@@ -4,6 +4,12 @@ The library assembles only the block form.  The four-component system it
 comes from is built here, by full_system, as the oracle the block form is
 checked against: both must have the same spectrum, and an explicit
 orthogonal change of variables must carry one into the other.
+
+The library writes its real parity blocks straight from the model's
+blocks.  The complex chain they replace, from the assembled matrix
+through the parity eigenbasis and the mirror basis (mirror_blocks,
+times_mirror_basis, real_form), is kept here as the reference they must
+equal bit for bit.
 """
 
 import tracemalloc
@@ -184,6 +190,21 @@ class TestAssembly:
         with pytest.raises(ValueError):
             op.matrix_a[0, 0] = 1.0
 
+    @pytest.mark.parametrize("model", ["mtm", "gn"])
+    def test_dim_does_not_write_the_matrix(self, grid_cache, model,
+                                           monkeypatch):
+        written = []
+        writer = operator_module._assemble_block
+        monkeypatch.setattr(operator_module, "_assemble_block",
+                            lambda op: written.append(op) or writer(op))
+        op = assemble(model, 0.5, 0.3, grid_cache(20, 10.0))
+        assert op.dim == 4 * 21
+        assert written == []
+        assert op.matrix_a.shape == (op.dim, op.dim)
+        # written once, then kept
+        assert op.matrix_a is op.matrix_a
+        assert len(written) == 1
+
     def test_rejects_bad_inputs(self, grid_cache):
         grid = grid_cache(8, 10.0)
         with pytest.raises(DomainError):
@@ -245,14 +266,78 @@ class TestPermutationAssembly:
     def test_no_full_size_temporaries(self, grid_cache, model, form):
         # the m x m blocks add well under one output's worth; a single
         # extra 4(N+1)-square array would push the peak past three outputs
-        grid = grid_cache(100, 10.0)
+        op = assemble(model, 0.5, 0.3, grid_cache(100, 10.0))
         tracemalloc.start()
         try:
-            op = assemble(model, 0.5, 0.3, grid)
+            a = op.matrix_a
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 3 * op.matrix_a.nbytes
+        assert peak < 3 * a.nbytes
+
+
+SQRT_HALF = np.sqrt(0.5)
+
+
+def mirror_blocks(a):
+    """Off-diagonal blocks (B, C) of the 4m-square matrix a in the
+    eigenbasis of S, complex and 2m-square.
+
+    The basis vectors are (e_k +- e_sk) / sqrt(2), with k running over the
+    rows of components 0 and 2 and sk over their mirrors (components 1
+    and 3 at grid index n - j); B maps the -1 eigenspace of S into the +1
+    eigenspace and C the +1 into the -1.
+    """
+    m = a.shape[0] // 4
+    a = a.reshape(4, m, 4, m)
+    # rows of components (0, 2) and the mirrored rows of components (1, 3)
+    rows, mirrored = a[0::2], a[1::2, ::-1]
+    # B = (e_k + e_sk)^T A (e_k - e_sk) / 2,
+    # C = (e_k - e_sk)^T A (e_k + e_sk) / 2
+    same = rows[:, :, 0::2] - mirrored[:, :, 1::2, ::-1]
+    cross = mirrored[:, :, 0::2] - rows[:, :, 1::2, ::-1]
+    b = 0.5 * (same + cross)
+    c = 0.5 * (same - cross)
+    return b.reshape(2 * m, 2 * m), c.reshape(2 * m, 2 * m)
+
+
+def times_mirror_basis(x, odd):
+    """x times W_J along its last axis, odd the factor of the odd columns.
+
+    The columns of W_J are the even combinations (e_k + e_(n-k)) / sqrt(2)
+    for k < n / 2, then e_(n/2) when the grid has a middle node, then the
+    odd combinations odd * (e_k - e_(n-k)) / sqrt(2).
+    """
+    m = x.shape[-1]
+    h = m // 2
+    mirrored = x[..., ::-1]
+    scale = np.full(m - h, SQRT_HALF)
+    scale[h:] = 0.5
+    even = (x[..., :m - h] + mirrored[..., :m - h]) * scale
+    return np.concatenate(
+        [even, (odd * SQRT_HALF) * (x[..., :h] - mirrored[..., :h])], axis=-1)
+
+
+def real_form(blocks, phase):
+    """(phase * W_J^H X W_J).real for each m x m block X on the last two
+    axes, W_J with odd factor 1j."""
+    cols = times_mirror_basis(blocks, 1j)
+    both = times_mirror_basis(np.swapaxes(cols, -1, -2), -1j)
+    return (phase * np.swapaxes(both, -1, -2)).real
+
+
+def reference_parity_blocks(op):
+    """parity_blocks(op) by the complex chain from op.matrix_a."""
+    m = op.grid.n + 1
+    b, c = (x.reshape(2, m, 2, m).swapaxes(1, 2)
+            for x in mirror_blocks(op.matrix_a))
+    if op.model is ModelKind.MASSIVE_THIRRING or op.p == 0.0:
+        return [(real_form(b[0, 1], 1j), real_form(c[1, 0], -1j)),
+                (real_form(b[1, 0], -1j), real_form(c[0, 1], 1j))]
+    w = np.array([1.0, 1j])
+    phases = (np.conj(w)[:, None] * w)[:, :, None, None]
+    return [tuple(real_form(x, phases).swapaxes(1, 2).reshape(2 * m, 2 * m)
+                  for x in (b, c))]
 
 
 def parity_involution(n):
@@ -308,18 +393,16 @@ class TestParity:
     def test_blocks_of_the_eigenbasis(self, grid_cache, model, form):
         omega = 0.5 if model == "mtm" else 2.0 / 3.0
         grid = grid_cache(20, 10.0)
-        op = StabilityOperator(
-            model=ModelKind(model), omega=omega, p=0.3, grid=grid,
-            matrix_a=form_matrix(form, model, omega, 0.3, grid))
+        a = form_matrix(form, model, omega, 0.3, grid)
         m = grid.n + 1
         q = parity_basis(m)
         signs = np.repeat([1.0, -1.0], 2 * m)
         np.testing.assert_allclose(parity_involution(grid.n) @ q, q * signs,
                                    atol=1e-15)
-        rotated = q.T @ op.matrix_a @ q
-        b, c = operator_module._mirror_blocks(op)
+        rotated = q.T @ a @ q
+        b, c = mirror_blocks(a)
         h = 2 * m
-        scale = np.max(np.abs(op.matrix_a))
+        scale = np.max(np.abs(a))
         assert np.max(np.abs(rotated[:h, :h])) <= 1e-14 * scale
         assert np.max(np.abs(rotated[h:, h:])) <= 1e-14 * scale
         np.testing.assert_allclose(b, rotated[:h, h:], rtol=0,
@@ -339,8 +422,44 @@ class TestParity:
         op = assemble(model, omega, p, grid_cache(n, 10.0),
                       zero_potential=zero_potential)
         t = np.kron(np.diag([1.0, -1.0]), np.eye(n + 1)[::-1])
-        for x in operator_module._mirror_blocks(op):
+        for x in mirror_blocks(op.matrix_a):
             assert np.array_equal(t @ x.conj() @ t, x)
+
+    @pytest.mark.parametrize("model", ["mtm", "gn"])
+    @pytest.mark.parametrize("p", [0.0, 0.3, 1.1])
+    @pytest.mark.parametrize("zero_potential", [False, True])
+    @pytest.mark.parametrize("n", [20, 21])
+    def test_blocks_equal_the_complex_chain(self, grid_cache, model, p,
+                                            zero_potential, n):
+        omega = 0.5 if model == "mtm" else 2.0 / 3.0
+        op = assemble(model, omega, p, grid_cache(n, 10.0),
+                      zero_potential=zero_potential)
+        pairs = parity_blocks(op)
+        reference = reference_parity_blocks(op)
+        assert len(pairs) == len(reference)
+        for (b, c), (rb, rc) in zip(pairs, reference):
+            for x, y in ((b, rb), (c, rc)):
+                assert x.dtype == y.dtype == np.float64
+                assert np.array_equal(x, y)
+                # row-major, as the chain's blocks are, so that B @ C
+                # takes the same BLAS path
+                assert x.flags.c_contiguous
+            assert np.array_equal(b @ c, rb @ rc)
+
+    @pytest.mark.parametrize("model,p", [("mtm", 0.3), ("gn", 0.0),
+                                         ("gn", 0.3)])
+    def test_blocks_write_no_full_matrix(self, grid_cache, monkeypatch,
+                                         model, p):
+        monkeypatch.setattr(operator_module, "_assemble_block", None)
+        op = assemble(model, 0.5, p, grid_cache(100, 10.0))
+        tracemalloc.start()
+        try:
+            parity_blocks(op)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # less than the 4(N+1)-square complex matrix alone would take
+        assert peak < 16 * op.dim ** 2
 
     @pytest.mark.parametrize("model", ["mtm", "gn"])
     @pytest.mark.parametrize("p", [0.0, 0.3, 1.1])
@@ -352,8 +471,7 @@ class TestParity:
         m = n + 1
         w = real_basis(m)
         np.testing.assert_allclose(w.conj().T @ w, np.eye(2 * m), atol=1e-15)
-        dense = [w.conj().T @ x @ w
-                 for x in operator_module._mirror_blocks(op)]
+        dense = [w.conj().T @ x @ w for x in mirror_blocks(op.matrix_a)]
         scale = max(np.max(np.abs(x)) for x in dense)
         assert max(np.max(np.abs(x.imag)) for x in dense) <= 1e-15 * scale
         pairs = parity_blocks(op)
@@ -375,7 +493,7 @@ class TestParity:
         omega = 0.5 if model == "mtm" else 2.0 / 3.0
         op = assemble(model, omega, p, grid_cache(20, 10.0))
         m = op.grid.n + 1
-        b, c = operator_module._mirror_blocks(op)
+        b, c = mirror_blocks(op.matrix_a)
         product = component_blocks(b @ c, m)
         off_diagonal = max(np.abs(product[0, 1]).max(),
                            np.abs(product[1, 0]).max())

@@ -7,9 +7,11 @@ import os
 import numpy as np
 import pytest
 
+import diracstab.eigen as eigen_module
+import diracstab.operator as operator_module
 import diracstab.spectrum as spectrum
 from diracstab.eigen import (EigenSet, blas_threads, eigvals,
-                             inverse_iteration)
+                             inverse_iteration, relative_residuals)
 from diracstab.operator import assemble, continuous_bands
 from diracstab.spectrum import (
     CLASS_QUARTET,
@@ -125,6 +127,17 @@ class TestParitySolve:
             assert np.linalg.norm(u) == pytest.approx(1.0, abs=1e-14)
             assert abs(np.vdot(u, v)) >= 1.0 - 1e-10
 
+    def test_parity_residuals_equal_full_matrix_residuals(self, grid_cache):
+        op = assemble("gn", 2.0 / 3.0, 0.3, grid_cache(160, 10.0))
+        es, solves = spectrum._parity_solve(op)
+        iso = isolated_eigs(es, continuous_bands("gn", 2.0 / 3.0, 0.3))
+        half = spectrum._isolated_vectors(op, solves, iso)
+        # the residuals were taken in the parity basis, without the matrix
+        assert "matrix_a" not in vars(op)
+        full = relative_residuals(op.matrix_a, iso, half.vectors)
+        assert np.max(half.residuals) <= 1e-12
+        assert np.max(full) <= 1e-12
+
     def test_near_origin_values_use_the_full_matrix(self, grid_cache):
         # the kernel cluster at p = 0 sits inside the near-origin radius
         op = assemble("gn", 2.0 / 3.0, 0.0, grid_cache(60, 10.0))
@@ -233,6 +246,31 @@ class TestTracking:
                        jobs=1)
         assert seen == [1, 1]
         assert blas_threads() == before
+
+    @pytest.mark.parametrize("model,omega", [("mtm", 0.0),
+                                             ("gn", 2.0 / 3.0)])
+    def test_sweep_writes_no_full_matrix(self, grid_cache, monkeypatch,
+                                         model, omega):
+        calls = []
+        writer = operator_module._assemble_block
+        residuals = eigen_module._residuals
+
+        def writing(op):
+            calls.append("matrix_a")
+            return writer(op)
+
+        def taking(*args):
+            calls.append("residuals")
+            return residuals(*args)
+
+        monkeypatch.setattr(operator_module, "_assemble_block", writing)
+        monkeypatch.setattr(eigen_module, "_residuals", taking)
+        branches = track_branches(model, omega, [0.2, 0.25, 0.3],
+                                  grid_cache(60, 10.0), jobs=2)
+        assert sum(len(br.points) for br in branches) > 0
+        # no value lies near the origin here, so neither the 4(N+1)-square
+        # matrix nor an eigen-module residual is ever taken
+        assert calls == []
 
     @pytest.mark.parametrize("model,omega,block", [("mtm", 0.0, 61),
                                                    ("gn", 2.0 / 3.0, 122)])
