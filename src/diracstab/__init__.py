@@ -2,8 +2,9 @@
 
 Covers the massive Thirring and massive Gross-Neveu (Soler) cubic Dirac
 models: closed-form soliton families, linearized stability operators on a
-tanh-mapped Chebyshev grid, a dense complex eigensolver, and the asymptotic
-growth-rate predictions the numerics are validated against.
+tanh-mapped Chebyshev grid, written as real parity blocks and solved by
+LAPACK's dense real eigensolver, and the asymptotic growth-rate
+predictions the numerics are validated against.
 """
 
 __version__ = "0.1.0"

@@ -14,6 +14,7 @@ be modified.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,6 +50,11 @@ class ChebGrid:
 
 def build_grid(n: int, scale: float = 10.0) -> ChebGrid:
     """Build the mapped grid; n >= 2 (even n recommended), scale > 0."""
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise ValueError(
+            f"polynomial degree n must be an integer, got {n!r}") from None
     if n < 2:
         raise ValueError(f"polynomial degree n must be >= 2, got {n}")
     if scale <= 0:

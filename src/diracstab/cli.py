@@ -270,7 +270,8 @@ def cmd_sweep(args) -> int:
     summary = summarize_sweep(branches, model, omega, ps)
     summary_out = cfg["summary_out"]
     if summary_out is None:
-        stem = out[:-len(".csv")] if out.endswith(".csv") else out
+        extension = "." + cfg["format"]
+        stem = out[:-len(extension)] if out.endswith(extension) else out
         summary_out = stem + ".summary.json"
     else:
         summary_out = _resolve_out(summary_out, summary_out)

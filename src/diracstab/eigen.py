@@ -12,8 +12,8 @@ eigvals of B C, then root_pairs.
 
 Eigenvectors for a few selected eigenvalues come from inverse_vectors
 (two solves of one shifted matrix per value, real for a real value of a
-real matrix), not from a full solve with vectors; inverse_iteration adds
-their residuals.
+real matrix), not from a full solve with vectors; the caller takes
+their residuals in whatever basis it holds the matrix.
 single_blas_thread runs a block of solves on one BLAS thread each.  The
 module needs numpy alone.
 """
@@ -53,10 +53,9 @@ class ConvergenceError(RuntimeError):
 class EigenSet:
     """Eigenvalues, optional eigenvectors, and solve diagnostics.
 
-    values from eigvals and root_pairs are sorted by (imag, real), and
-    selected values keep the order they were asked for; vectors, when
-    present, are unit columns aligned with values; residuals are
-    ||A v - lambda v|| / ||A||_F per pair.  backend names the solver path:
+    values are sorted by (imag, real); vectors, when present, are unit
+    columns aligned with values; residuals are ||A v - lambda v|| /
+    ||A||_F per pair (relative_residuals).  backend names the solver path:
     "lapack" for a direct solve of the matrix, "lapack-parity" for the
     +-sqrt pairs root_pairs takes from real solves of the parity-block
     products B C, at half the dimension or, where the blocks split by
@@ -83,12 +82,8 @@ def _as_square(matrix) -> np.ndarray:
 
 def relative_residuals(a: np.ndarray, values, vectors) -> np.ndarray:
     """||a v - lambda v|| / ||a||_F for each value and unit column v."""
-    return _residuals(a, np.linalg.norm(a), values, vectors)
-
-
-def _residuals(a: np.ndarray, anorm: float, values, vectors) -> np.ndarray:
-    # relative_residuals with ||a||_F given
     res = np.linalg.norm(a @ vectors - vectors * values[None, :], axis=0)
+    anorm = np.linalg.norm(a)
     return res / (anorm if anorm != 0.0 else 1.0)
 
 
@@ -136,20 +131,6 @@ def root_pairs(squares: EigenSet) -> EigenSet:
     return EigenSet(values=values, backend="lapack-parity")
 
 
-def inverse_iteration(matrix, values) -> EigenSet:
-    """Unit eigenvectors and residuals for eigenvalues of matrix.
-
-    The vectors are inverse_vectors', and ||matrix||_F is taken once for
-    both the shifts and the residuals.
-    """
-    a = _as_square(matrix)
-    values = np.atleast_1d(np.asarray(values, dtype=complex))
-    anorm = np.linalg.norm(a)
-    vectors = _inverse_vectors(a, anorm, values)
-    return EigenSet(values=values, vectors=vectors,
-                    residuals=_residuals(a, anorm, values, vectors))
-
-
 def inverse_vectors(matrix, values) -> np.ndarray:
     """Unit eigenvectors for eigenvalues of matrix, one column per value.
 
@@ -158,11 +139,8 @@ def inverse_vectors(matrix, values) -> np.ndarray:
     value of a real matrix is done in real arithmetic.
     """
     a = _as_square(matrix)
-    return _inverse_vectors(a, np.linalg.norm(a),
-                            np.atleast_1d(np.asarray(values, dtype=complex)))
-
-
-def _inverse_vectors(a: np.ndarray, anorm: float, values) -> np.ndarray:
+    values = np.atleast_1d(np.asarray(values, dtype=complex))
+    anorm = np.linalg.norm(a)
     n = a.shape[0]
     # no symmetry: soliton eigenvectors are even or odd in x, so a
     # mirror-symmetric start vector can be orthogonal to them

@@ -1,5 +1,4 @@
-"""The transverse-stability operators, as real parity blocks or as one
-dense matrix.
+"""The transverse-stability operators, as real parity blocks.
 
 The linearized problem is a four-component first-order system.  For both
 models an orthogonal change of variables turns it into a block form: two
@@ -18,39 +17,24 @@ antiunitary symmetry, T conj(B) T = B with T = kron(diag(1, -1), J), so
 a unitary change of basis built from mirror pairs of grid nodes makes
 them real.  parity_blocks writes those real blocks, split by component
 where B C is block diagonal, straight from the model's blocks, one
-(N+1)-square block at a time; parity_vector carries a vector in their
-bases back to A's own.
+(N+1)-square block at a time.
 
 assemble samples the soliton potential and keeps it with the parameters;
-it writes no matrix.  A itself, StabilityOperator.matrix_a, is written on
-first access, each block straight into its place with the reduction
-applied.  Component layout: all grid samples of component 0 first, then
-component 1, etc., so each differentiation block is contiguous.
+it writes no matrix, and A itself is never written.  Its component
+layout, which the parity basis refers to: all grid samples of component
+0 first, then component 1, etc.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
 from .cheb import ChebGrid
 from .soliton import ModelKind, SolitonProfile, eval_profile
 
-# Involution used to reduce i*lambda*(structure)*V = H V to a standard
-# eigenproblem; squares to the identity exactly.
-REDUCTION_BLOCK = np.array([
-    [0.0, 0.0, 1.0, 0.0],
-    [0.0, 0.0, 0.0, -1.0],
-    [1.0, 0.0, 0.0, 0.0],
-    [0.0, -1.0, 0.0, 0.0],
-])
-
 _SQRT_HALF = np.sqrt(0.5)
-
-# the factors w of the two parity components in W = blockdiag(W_J, 1j W_J)
-_COMPONENT_PHASES = np.array([1.0, 1j])
 
 
 @dataclass(frozen=True)
@@ -88,13 +72,11 @@ class SpectralBands:
 @dataclass(frozen=True)
 class StabilityOperator:
     """A stability operator: its parameters and the soliton potential on
-    its grid, all that parity_blocks and matrix_a are written from.
+    its grid, all that parity_blocks writes its blocks from.
 
-    potential holds |u|^2, u^2 and conj(u)^2 at the grid nodes.
-    matrix_a, the 4(N+1) x 4(N+1) stability matrix, is written on first
-    access and kept, read-only: each block of the operator multiplied by
-    -i and moved and signed by the reduction involution, so its
-    eigenvalues are the stability eigenvalues directly.
+    potential holds |u|^2, u^2 and conj(u)^2 at the grid nodes, as
+    read-only vectors.  dim is the order of the stability matrix A, which
+    no part of the library writes.
     """
 
     model: ModelKind
@@ -106,14 +88,8 @@ class StabilityOperator:
 
     @property
     def dim(self) -> int:
-        """The order 4(N+1) of matrix_a, known without writing it."""
+        """The order 4(N+1) of the stability matrix A."""
         return 4 * (self.grid.n + 1)
-
-    @cached_property
-    def matrix_a(self) -> np.ndarray:
-        a = _assemble_block(self)
-        a.setflags(write=False)
-        return a
 
 
 def _potential_terms(model: ModelKind, omega: float, grid: ChebGrid,
@@ -130,81 +106,12 @@ def _potential_terms(model: ModelKind, omega: float, grid: ChebGrid,
     return terms
 
 
-def _reduced(front: np.ndarray, m: int, *parts) -> np.ndarray:
-    """-1j * kron(front, I) @ (sum of parts), written one block at a time.
-
-    front is a 4x4 signed permutation matrix and each part a 4x4 nested
-    list of m x m blocks, None for a zero block.  The parts of a block are
-    summed in the order given, and the sum is written, signed and scaled,
-    straight into the block row that front moves it to; the output is
-    the only 4m x 4m array made.
-    """
-    out = np.zeros((4 * m, 4 * m), dtype=complex)
-    for row, col in enumerate(np.abs(front).argmax(axis=1)):
-        factor = -1j * front[row, col]
-        for j in range(4):
-            blocks = [part[col][j] for part in parts
-                      if part[col][j] is not None]
-            if blocks:
-                out[row * m:(row + 1) * m, j * m:(j + 1) * m] = \
-                    factor * sum(blocks[1:], blocks[0])
-    return out
-
-
-def _on_diagonal(block) -> list:
-    return [[block if i == j else None for j in range(4)] for i in range(4)]
-
-
-def _plus_diagonal(block: np.ndarray, diagonal) -> np.ndarray:
-    """block with diagonal added onto its main diagonal, in place."""
-    block[np.diag_indices_from(block)] += diagonal
-    return block
-
-
-def _assemble_block(op: StabilityOperator) -> np.ndarray:
-    """op's 4(N+1)-square stability matrix, each block written once."""
-    model, omega, p, grid = op.model, op.omega, op.p, op.grid
-    m = grid.n + 1
-    eye = np.eye(m, dtype=complex)
-    deriv = -1j * grid.d_scaled.astype(complex)
-    abs2, sq, csq = op.potential
-    # omega on the diagonal of +-deriv, then the potential on top of that
-    minus = _plus_diagonal(-deriv, omega)
-    plus = _plus_diagonal(deriv, omega)
-    h00 = _plus_diagonal(plus.copy(), 2.0 * abs2)
-    h11 = _plus_diagonal(minus.copy(), 2.0 * abs2)
-    if model is ModelKind.MASSIVE_THIRRING:
-        h = [
-            [h00, np.diag(-1.0 + sq), None, None],
-            [np.diag(-1.0 + csq), h11, None, None],
-            [None, None, plus, np.diag(1.0 - sq)],
-            [None, None, np.diag(1.0 - csq), minus],
-        ]
-        e_term = _on_diagonal((p ** 2) * eye)
-    else:
-        cross = np.diag(1.0 - sq - csq)
-        h = [
-            [h00, np.diag(-1.0 + sq + 3.0 * csq), None, None],
-            [np.diag(-1.0 + csq + 3.0 * sq), h11, None, None],
-            [None, None, plus, cross],
-            [None, None, cross, minus],
-        ]
-        t = 1j * p * eye
-        e_term = [
-            [None, None, None, t],
-            [None, None, t, None],
-            [None, -t, None, None],
-            [-t, None, None, None],
-        ]
-    return _reduced(REDUCTION_BLOCK, m, h, e_term)
-
-
 def assemble(model, omega: float, p: float, grid: ChebGrid,
              zero_potential: bool = False) -> StabilityOperator:
     """The stability operator at transverse wavenumber p.
 
-    Samples the soliton once; no matrix is written until parity_blocks or
-    matrix_a asks for one.  zero_potential is a test hook that drops the
+    Samples the soliton once and writes no matrix; parity_blocks writes
+    the blocks the solves need.  zero_potential is a test hook that drops the
     soliton terms, leaving the constant-coefficient operator whose
     spectrum is purely the continuous bands.
     """
@@ -244,20 +151,6 @@ def _mirror_differences(x: np.ndarray, out: np.ndarray, scale) -> None:
     k = out.shape[-1]
     np.subtract(x[..., :k], x[..., ::-1][..., :k], out=out)
     out *= scale
-
-
-def _from_mirror_basis(u: np.ndarray) -> np.ndarray:
-    """W_J u for coordinates u on the last axis (see _real_block): from
-    the mirror basis back to the grid nodes."""
-    m = u.shape[-1]
-    h = m // 2
-    even = u[..., :m - h] * _SQRT_HALF
-    odd = (1j * _SQRT_HALF) * u[..., m - h:]
-    out = np.empty(u.shape, dtype=complex)
-    out[..., :h] = even[..., :h] + odd
-    out[..., ::-1][..., :h] = even[..., :h] - odd
-    out[..., h:m - h] = u[..., h:m - h]
-    return out
 
 
 def _real_block(re: np.ndarray, im: np.ndarray, turn: int,
@@ -303,8 +196,8 @@ def _component_blocks(op: StabilityOperator) -> dict:
     two diagonal blocks are -1j D + diag(diagonal) and 1j D +
     diag(diagonal), with D the scaled differentiation matrix, and false
     where they are zero; upper and lower are the complex diagonals of the
-    two off-diagonal blocks.  The vectors are computed as the matrix
-    writer computes its diagonals.  Only the blocks parity_blocks
+    two off-diagonal blocks.  Each vector sums its terms in the order the
+    block form adds them onto its diagonals.  Only the blocks parity_blocks
     returns are listed.
     """
     abs2, sq, csq = op.potential
@@ -363,32 +256,31 @@ def _complex_blocks(op: StabilityOperator, derivative: bool,
 
 
 def parity_blocks(op: StabilityOperator) -> list:
-    """Real parity blocks of op.matrix_a, a list of (B, C) pairs, written
-    without it.
+    """Real parity blocks of op's stability matrix A, a list of (B, C)
+    pairs, written without A.
 
-    B and C are W^-1 B W and W^-1 C W for the off-diagonal blocks of
-    op.matrix_a in the eigenbasis of S: the basis vectors are
-    (e_k +- e_sk) / sqrt(2), with k running over the rows of components
-    0 and 2 and sk over their mirrors (components 1 and 3 at grid index
-    n - j).  B maps the -1 eigenspace of S into the +1 eigenspace and C
-    the +1 into the -1; their first N+1 rows and columns, parity
-    component 0, hold k in component 0, the rest k in component 2.
+    B and C are W^-1 B W and W^-1 C W for the off-diagonal blocks of A
+    in the eigenbasis of S: the basis vectors are (e_k +- e_sk) / sqrt(2),
+    with k running over the rows of components 0 and 2 and sk over their
+    mirrors (components 1 and 3 at grid index n - j).  B maps the -1
+    eigenspace of S into the +1 eigenspace and C the +1 into the -1;
+    their first N+1 rows and columns, parity component 0, hold k in
+    component 0, the rest k in component 2.
     W = blockdiag(W_J, 1j W_J) with W_J the mirror basis of one component
     (see _real_block).  W is unitary, and T conj(B) T = B,
     T = kron(diag(1, -1), J), pairs every entry with the conjugate of its
-    mirror, so B and C become real bit for bit.  The eigenvalues of
-    op.matrix_a are +-sqrt(mu) for the eigenvalues mu of the real
-    products B @ C, over all pairs.
+    mirror, so B and C become real bit for bit.  The eigenvalues of A are
+    +-sqrt(mu) for the eigenvalues mu of the real products B @ C, over
+    all pairs.
 
     Each (N+1)-square component block is written in real arithmetic from
     the model's blocks, every entry with the operations, in the order,
-    of the complex chain from op.matrix_a, so the blocks are equal to
-    that chain's.  Where B C is block diagonal in the two parity
-    components (mtm at every p, gn at p = 0), there is one (N+1)-square
-    pair per component: pair k has the B that maps parity component
-    1 - k of the -1 eigenspace into component k of the +1 eigenspace,
-    and the C that maps it back.  Otherwise there is one 2(N+1)-square
-    pair.
+    of the complex chain from A, so the blocks are equal to that chain's.
+    Where B C is block diagonal in the two parity components (mtm at
+    every p, gn at p = 0), there is one (N+1)-square pair per component:
+    pair k has the B that maps parity component 1 - k of the -1
+    eigenspace into component k of the +1 eigenspace, and the C that maps
+    it back.  Otherwise there is one 2(N+1)-square pair.
     """
     m = op.grid.n + 1
     # (B or C, row component, column component) -> its block of the output
@@ -406,28 +298,6 @@ def parity_blocks(op: StabilityOperator) -> list:
         for k, parts in enumerate(_complex_blocks(op, *blocks)):
             _real_block(*parts, j - r, slots[k, r, j])
     return result
-
-
-def parity_vector(op: StabilityOperator, pair: int, y, z) -> np.ndarray:
-    """The vector of op.matrix_a's space with parity-basis parts y and z.
-
-    y and z are coordinates in the real bases of parity_blocks(op)[pair]:
-    y on the rows of its B, z on the rows of its C.  An eigenvector x of
-    B @ C for mu = lam**2 gives the eigenvector of op.matrix_a for lam as
-    y = x, z = C @ x / lam.  The result has the norm of [y; z].
-    """
-    m = op.grid.n + 1
-    # (+1 eigenspace, -1 eigenspace) x parity component x node
-    halves = np.zeros((2, 2, m), dtype=complex)
-    if _splits(op):
-        halves[0, pair], halves[1, 1 - pair] = y, z
-    else:
-        halves[0], halves[1] = np.reshape(y, (2, m)), np.reshape(z, (2, m))
-    plus, minus = _COMPONENT_PHASES[:, None] * _from_mirror_basis(halves)
-    v = np.empty((4, m), dtype=complex)
-    v[0::2] = _SQRT_HALF * (plus + minus)
-    v[1::2, ::-1] = _SQRT_HALF * (plus - minus)
-    return v.ravel()
 
 
 def continuous_bands(model, omega: float, p: float) -> SpectralBands:
@@ -471,27 +341,3 @@ def symmetry_residual(eigs, model) -> float:
         worst = max(worst, float(gaps.max()))
     return worst
 
-
-def hermiticity_defect(op: StabilityOperator) -> float:
-    """Deviation of the recovered operator from its predicted Hermitian defect.
-
-    Undoing the reduction factor recovers the underlying operator; its
-    anti-Hermitian part is exactly the derivative-block contribution
-    (the scaled differentiation matrix is not antisymmetric).  Returns the
-    largest interior-entry deviation from that prediction; boundary rows
-    and columns are excluded per the assembly convention.
-    """
-    m = op.grid.n + 1
-    h_total = 1j * np.tensordot(
-        REDUCTION_BLOCK, op.matrix_a.reshape(4, m, 4 * m), axes=1).reshape(4 * m, 4 * m)
-    delta = h_total - h_total.conj().T
-    dt = op.grid.d_scaled
-    sym = dt + dt.T
-    predicted = np.zeros_like(delta)
-    for c, f in enumerate((-1j, 1j, -1j, 1j)):
-        predicted[c * m:(c + 1) * m, c * m:(c + 1) * m] = f * sym
-    resid = np.abs(delta - predicted)
-    boundary = [c * m for c in range(4)] + [c * m + op.grid.n for c in range(4)]
-    resid[boundary, :] = 0.0
-    resid[:, boundary] = 0.0
-    return float(resid.max())

@@ -5,8 +5,9 @@ blocks, filters continuous-band and boundary artifacts, computes the
 max-real-part discretization metric, extracts isolated eigenvalues, fits
 the small-p eigenvalue slopes, and continues isolated branches across a
 sweep in the transverse wavenumber.  A sweep point's residuals come from
-eigenvectors of the block products, taken in the parity basis, where they
-equal the residuals on the full matrix.
+eigenvectors of M = [[0, B], [C, 0]] for each block pair, taken and
+checked in the parity basis, where they equal the residuals on the
+4(N+1)-square stability matrix; that matrix is never written.
 """
 
 from __future__ import annotations
@@ -20,10 +21,10 @@ import numpy as np
 
 from .analytics import asymptotic_prediction
 from .cheb import ChebGrid
-from .eigen import (EigenSet, eigvals, inverse_iteration, inverse_vectors,
-                    root_pairs, single_blas_thread)
+from .eigen import (EigenSet, eigvals, inverse_vectors, root_pairs,
+                    single_blas_thread)
 from .operator import (SpectralBands, assemble, continuous_bands,
-                       parity_blocks, parity_vector)
+                       parity_blocks)
 from .soliton import ModelKind
 
 __all__ = [
@@ -116,7 +117,7 @@ def _parity_solve(op):
 
     One values-only real solve (dgeev) of each block product, at
     dimension N+1 where the blocks split and 2(N+1) elsewhere, in place
-    of a complex solve of op.matrix_a at 4(N+1).
+    of a complex solve of the stability matrix at 4(N+1).
     """
     solves = []
     for b, c in parity_blocks(op):
@@ -134,48 +135,58 @@ def parity_eigvals(op) -> EigenSet:
     return _parity_solve(op)[0]
 
 
-def _isolated_vectors(op, solves, values) -> EigenSet:
-    """Unit eigenvectors of op.matrix_a and their residuals, for values
-    taken from _parity_solve(op).
+def _parity_vectors(solves, values):
+    """Unit eigenvectors [y; z] of M = [[0, B], [C, 0]] for values taken
+    from _parity_solve, in the real bases of each block pair (B, C).
 
-    Away from the origin, a value lam is +-sqrt(mu) for an eigenvalue mu
-    of one block product B C; one inverse iteration on B C - mu, real
-    when mu is, gives x for both signs, and w = [x; C x / lam], scaled to
-    unit norm, is the eigenvector of M = [[0, B], [C, 0]] that
-    parity_vector lifts.  The residual ||M w - lam w|| / ||M||_F, with
-    ||M||_F^2 the sum of ||B||_F^2 + ||C||_F^2 over all pairs, is the
-    residual on op.matrix_a of the lifted vector, since the change of
-    basis is unitary.  Near the origin C x / lam is ill-conditioned, so
-    those values keep inverse iteration, and its residuals, on
-    op.matrix_a, which is written for them alone.
+    Yields (pair, rows, ys, zs): the values at index rows are +-sqrt(mu)
+    for eigenvalues mu of pair's block product B C, and the columns of ys
+    and zs are the parts of their vectors on the rows of B and of C.
+    Away from the origin, one inverse iteration on B C - mu, real when mu
+    is, gives x for both signs of lam, and [y; z] is [x; C x / lam]
+    scaled to unit norm.  Near the origin C x / lam is ill-conditioned,
+    so each value there takes its vector from inverse iteration on the
+    pair's own real M.
     """
-    vectors = np.empty((op.dim, values.size), dtype=complex)
-    residuals = np.empty(values.size)
     near = np.abs(values) <= _NEAR_ORIGIN_RADIUS
-    if near.any():
-        full = inverse_iteration(op.matrix_a, values[near])
-        vectors[:, near], residuals[near] = full.vectors, full.residuals
-    scale = math.sqrt(sum(np.linalg.norm(b) ** 2 + np.linalg.norm(c) ** 2
-                          for b, c, _, _ in solves))
     for pair, (b, c, bc, mu) in enumerate(solves):
         roots = np.sqrt(mu)
         # root_pairs made the values from these very roots, bit for bit
         hit = (values[:, None] == roots) | (values[:, None] == -roots)
         rows, cols = np.nonzero(hit & ~near[:, None])
-        if rows.size == 0:
-            continue
-        wanted, column = np.unique(cols, return_inverse=True)
-        xs = inverse_vectors(bc, mu[wanted])[:, column]
+        if rows.size:
+            wanted, column = np.unique(cols, return_inverse=True)
+            xs = inverse_vectors(bc, mu[wanted])[:, column]
+            zs = (c @ xs) / values[rows]
+            norms = np.hypot(np.linalg.norm(xs, axis=0),
+                             np.linalg.norm(zs, axis=0))
+            yield pair, rows, xs / norms, zs / norms
+        rows = np.flatnonzero(hit.any(axis=1) & near)
+        if rows.size:
+            k = b.shape[0]
+            m = np.zeros((2 * k, 2 * k))
+            m[:k, k:], m[k:, :k] = b, c
+            ws = inverse_vectors(m, values[rows])
+            yield pair, rows, ws[:k], ws[k:]
+
+
+def _isolated_residuals(solves, values) -> np.ndarray:
+    """||M w - lam w|| / ||M||_F for values taken from _parity_solve.
+
+    w is the unit eigenvector of _parity_vectors, and ||M||_F^2 is the
+    sum of ||B||_F^2 + ||C||_F^2 over all block pairs.  The change of
+    basis to the parity blocks is unitary, so this is the residual on
+    the stability matrix A of w carried back into A's space.
+    """
+    residuals = np.empty(values.size)
+    scale = math.sqrt(sum(np.linalg.norm(b) ** 2 + np.linalg.norm(c) ** 2
+                          for b, c, _, _ in solves))
+    for pair, rows, ys, zs in _parity_vectors(solves, values):
+        b, c = solves[pair][:2]
         lams = values[rows]
-        zs = (c @ xs) / lams
-        norms = np.hypot(np.linalg.norm(xs, axis=0),
-                         np.linalg.norm(zs, axis=0))
-        ys, zs = xs / norms, zs / norms
         gaps = np.concatenate([b @ zs - ys * lams, c @ ys - zs * lams])
         residuals[rows] = np.linalg.norm(gaps, axis=0) / scale
-        for i, y, z in zip(rows, ys.T, zs.T):
-            vectors[:, i] = parity_vector(op, pair, y, z)
-    return EigenSet(values=values, vectors=vectors, residuals=residuals)
+    return residuals
 
 
 def _solve_values(model, omega, p, grid):
@@ -241,8 +252,7 @@ def _solve_isolated(model, omega, p, grid, im_window):
     values, solves = _parity_solve(op)
     iso = isolated_eigs(values, bands, margin)
     iso = iso[np.abs(iso.imag) <= im_window]
-    return (iso, _isolated_vectors(op, solves, iso).residuals, bands,
-            margin)
+    return iso, _isolated_residuals(solves, iso), bands, margin
 
 
 def _match_radius(branch: TrackedBranch, step: float) -> float:

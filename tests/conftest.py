@@ -1,8 +1,14 @@
-"""Shared fixtures: memoized grids and p = 0 reference spectra.
+"""Shared fixtures and the dense test oracle.
 
 The p = 0 eigensolves at N = 300 are the most expensive shared inputs
 (table metrics, kernel counts, isolated-set structure), so they are
 computed once per session and reused.
+
+The library solves through the real parity blocks alone and never writes
+the 4(N+1)-square stability matrix.  stability_matrix writes it here, as
+the oracle: the block form's blocks laid out whole and reduced by a dense
+product.  parity_basis and real_basis carry vectors of the parity blocks'
+bases back into its space.
 """
 
 import threading
@@ -10,9 +16,126 @@ import threading
 import numpy as np
 import pytest
 
+import diracstab.spectrum as spectrum
 from diracstab.cheb import build_grid
+from diracstab.eigen import relative_residuals
 from diracstab.operator import assemble
+from diracstab.soliton import ModelKind
 from diracstab.spectrum import parity_eigvals
+
+# Involution used to reduce i*lambda*(structure)*V = H V to a standard
+# eigenproblem; squares to the identity exactly.
+REDUCTION_BLOCK = np.array([
+    [0.0, 0.0, 1.0, 0.0],
+    [0.0, 0.0, 0.0, -1.0],
+    [1.0, 0.0, 0.0, 0.0],
+    [0.0, -1.0, 0.0, 0.0],
+])
+
+
+def dense_reduced(front, m, *parts):
+    """-1j * kron(front, I) @ (sum of the parts), each part a 4x4 nested
+    list of m x m blocks (None for a zero block) laid out whole by
+    np.block."""
+    zero = np.zeros((m, m), dtype=complex)
+    dense = [np.block([[zero if b is None else b for b in row] for row in part])
+             for part in parts]
+    total = sum(dense[1:], dense[0])
+    return -1j * (np.kron(front, np.eye(m)).astype(complex) @ total)
+
+
+def stability_matrix(op):
+    """The 4(N+1)-square stability matrix A of op: the block form of the
+    operator, from op's potential, reduced by REDUCTION_BLOCK, so that
+    its eigenvalues are the stability eigenvalues.  Component layout:
+    all grid samples of component 0 first, then component 1, etc."""
+    omega, p, grid = op.omega, op.p, op.grid
+    m = grid.n + 1
+    eye = np.eye(m, dtype=complex)
+    deriv = -1j * grid.d_scaled.astype(complex)
+    abs2, sq, csq = op.potential
+    # omega on the diagonal of +-deriv, then the potential on top of that
+    minus, plus = -deriv + omega * eye, deriv + omega * eye
+    h00 = plus + np.diag(2.0 * abs2)
+    h11 = minus + np.diag(2.0 * abs2)
+    if op.model is ModelKind.MASSIVE_THIRRING:
+        h = [
+            [h00, np.diag(-1.0 + sq), None, None],
+            [np.diag(-1.0 + csq), h11, None, None],
+            [None, None, plus, np.diag(1.0 - sq)],
+            [None, None, np.diag(1.0 - csq), minus],
+        ]
+        e2 = (p ** 2) * eye
+        e_term = [[e2 if i == j else None for j in range(4)] for i in range(4)]
+    else:
+        cross = np.diag(1.0 - sq - csq)
+        h = [
+            [h00, np.diag(-1.0 + sq + 3.0 * csq), None, None],
+            [np.diag(-1.0 + csq + 3.0 * sq), h11, None, None],
+            [None, None, plus, cross],
+            [None, None, cross, minus],
+        ]
+        t = 1j * p * eye
+        e_term = [
+            [None, None, None, t],
+            [None, None, t, None],
+            [None, -t, None, None],
+            [-t, None, None, None],
+        ]
+    return dense_reduced(REDUCTION_BLOCK, m, h, e_term)
+
+
+def parity_basis(m):
+    """The eigenbasis Q of S = kron(P, J) as dense columns: (e_k + e_sk) /
+    sqrt(2), then (e_k - e_sk) / sqrt(2); k runs over components 0 and 2,
+    sk over components 1 and 3 mirrored."""
+    k = np.concatenate([np.arange(m), 2 * m + np.arange(m)])
+    sk = np.concatenate([2 * m - 1 - np.arange(m), 4 * m - 1 - np.arange(m)])
+    e = np.eye(4 * m)
+    return np.hstack([e[:, k] + e[:, sk], e[:, k] - e[:, sk]]) / np.sqrt(2.0)
+
+
+def real_basis(m):
+    """The dense W = blockdiag(W_J, 1j W_J): the columns of W_J are the even
+    mirror combinations (e_k + e_(n-k)) / sqrt(2), e_(n/2) at a middle
+    node, then 1j (e_k - e_(n-k)) / sqrt(2)."""
+    h = m // 2
+    e = np.eye(m)
+    cols = [(e[:, k] + e[:, m - 1 - k]) / np.sqrt(2.0) for k in range(h)]
+    cols += [e[:, h]] if m % 2 else []
+    cols += [1j * (e[:, k] - e[:, m - 1 - k]) / np.sqrt(2.0) for k in range(h)]
+    w_j = np.array(cols).T
+    zero = np.zeros((m, m))
+    return np.block([[w_j, zero], [zero, 1j * w_j]])
+
+
+def lift(m, pair, ys, zs):
+    """Columns [y; z] in the real bases of parity block pair `pair`, y on
+    the rows of its B and z on those of its C, as vectors of A's space."""
+    if ys.shape[0] == m:
+        # split blocks: y on B's component of the +1 eigenspace, z on
+        # C's of the -1
+        y2 = np.zeros((2 * m, ys.shape[1]), dtype=complex)
+        z2 = np.zeros((2 * m, zs.shape[1]), dtype=complex)
+        y2[pair * m:(pair + 1) * m] = ys
+        z2[(1 - pair) * m:(2 - pair) * m] = zs
+        ys, zs = y2, z2
+    both = np.kron(np.eye(2), real_basis(m)) @ np.concatenate([ys, zs])
+    return parity_basis(m) @ both
+
+
+def lifted_residuals(op, solves, values):
+    """||A v - lambda v|| / ||A||_F on the dense oracle A, for the
+    parity-basis eigenvectors of values (spectrum._parity_vectors) lifted
+    into A's space."""
+    a = stability_matrix(op)
+    residuals = np.full(values.size, np.nan)
+    for pair, rows, ys, zs in spectrum._parity_vectors(solves, values):
+        vectors = lift(op.grid.n + 1, pair, ys, zs)
+        np.testing.assert_allclose(np.linalg.norm(vectors, axis=0), 1.0,
+                                   rtol=0, atol=1e-14)
+        residuals[rows] = relative_residuals(a, values[rows], vectors)
+    return residuals
 
 
 class GridCache:
@@ -55,7 +178,7 @@ def p0_spectra(grid_cache):
 @pytest.fixture
 def shifted_matrices(monkeypatch):
     """Every distinct matrix np.linalg.solve sees while the test runs, in
-    order of first use: the shifted matrices of inverse_iteration, each
+    order of first use: the shifted matrices of inverse_vectors, each
     solved once per inverse-iteration step.  Safe under a sweep's thread
     pool."""
     seen = []

@@ -36,6 +36,13 @@ class TestNodes:
         with pytest.raises(ValueError):
             build_grid(8, -2.0)
 
+    def test_degree_must_be_an_integer(self):
+        with pytest.raises(ValueError, match="integer, got 20.0"):
+            build_grid(20.0)
+        g = build_grid(np.int64(20))
+        assert g.n == 20
+        assert np.array_equal(g.d_scaled, build_grid(20).d_scaled)
+
     def test_arrays_read_only(self):
         g = build_grid(8, 10.0)
         for arr in (g.nodes_z, g.nodes_x, g.d_standard, g.d_scaled):

@@ -5,13 +5,13 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import diracstab
 import diracstab.cli as cli
-import diracstab.operator as operator_module
 import diracstab.spectrum as spectrum
 from diracstab import __version__
 from diracstab.eigen import blas_threads
@@ -156,6 +156,18 @@ class TestSweep:
         assert doc["summary"]["p_final"] == pytest.approx(0.3)
         assert doc["summary"]["gap_closes_at"] == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_summary_named_after_the_output(self, outdir, capsys, fmt):
+        rc = cli.main(["sweep", "--model", "mtm", "--omega", "0",
+                       "--p-range", "0.1:0.2:0.1", "--n", "20",
+                       "--format", fmt])
+        assert rc == 0
+        expected = [f"sweep-mtm-omega0.0.{fmt}",
+                    "sweep-mtm-omega0.0.summary.json"]
+        assert capsys.readouterr().out.split() == [str(outdir / name)
+                                                   for name in expected]
+        assert sorted(p.name for p in outdir.iterdir()) == sorted(expected)
+
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_rejects_fewer_than_one_job(self, capsys, jobs):
         rc = cli.main(["sweep", "--model", "mtm", "--omega", "0",
@@ -264,18 +276,17 @@ class TestValidate:
         assert seen == [None if before is None else 1] * 2
         assert blas_threads() == before
 
-    def test_cells_write_no_full_matrix(self, capsys, monkeypatch):
-        written = []
-        writer = operator_module._assemble_block
-
-        def writing(op):
-            written.append(op)
-            return writer(op)
-
-        monkeypatch.setattr(operator_module, "_assemble_block", writing)
-        assert cli.main(["validate", "--n-values", "100"]) == 0
+    def test_cells_write_no_full_matrix(self, capsys):
+        tracemalloc.start()
+        try:
+            assert cli.main(["validate", "--n-values", "100"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         capsys.readouterr()
-        assert written == []
+        # less than the complex 4(N+1)-square stability matrix alone
+        # would take
+        assert peak < 16 * (4 * 101) ** 2
 
 
 class TestNumericalFailure:

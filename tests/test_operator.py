@@ -1,13 +1,15 @@
 """Operator assembly: algebraic constants, form equivalence, bands, symmetry.
 
-The library assembles only the block form.  The four-component system it
-comes from is built here, by full_system, as the oracle the block form is
-checked against: both must have the same spectrum, and an explicit
-orthogonal change of variables must carry one into the other.
+The library writes only the real parity blocks of the block form and no
+matrix.  The dense stability matrix of the block form is written in the
+tests, by conftest.stability_matrix, and the four-component system the
+block form comes from is built here, by full_system.  They are the
+oracles: both must have the same spectrum, and an explicit orthogonal
+change of variables must carry one into the other.
 
 The library writes its real parity blocks straight from the model's
-blocks.  The complex chain they replace, from the assembled matrix
-through the parity eigenbasis and the mirror basis (mirror_blocks,
+blocks.  The complex chain they replace, from the dense matrix through
+the parity eigenbasis and the mirror basis (mirror_blocks,
 times_mirror_basis, real_form), is kept here as the reference they must
 equal bit for bit.
 """
@@ -18,16 +20,15 @@ import numpy as np
 import pytest
 
 import diracstab.operator as operator_module
-from diracstab.cheb import build_grid
+import diracstab.spectrum as spectrum
+from conftest import (REDUCTION_BLOCK, dense_reduced, lifted_residuals,
+                      parity_basis, real_basis, stability_matrix)
 from diracstab.eigen import eigvals
 from diracstab.operator import (
-    REDUCTION_BLOCK,
     StabilityOperator,
     assemble,
     continuous_bands,
-    hermiticity_defect,
     parity_blocks,
-    parity_vector,
     symmetry_residual,
 )
 from diracstab.soliton import DomainError, ModelKind
@@ -57,18 +58,7 @@ def matching_distance(a, b):
     return max(d.min(axis=1).max(), d.min(axis=0).max())
 
 
-def dense_reduced(front, m, *parts):
-    """The reference for the block writer: -1j * kron(front, I) @ (sum of
-    the parts), each part laid out whole by np.block."""
-    zero = np.zeros((m, m), dtype=complex)
-    dense = [np.block([[zero if b is None else b for b in row] for row in part])
-             for part in parts]
-    total = sum(dense[1:], dense[0])
-    return -1j * (np.kron(front, np.eye(m)).astype(complex) @ total)
-
-
-def full_system(model, omega, p, grid, zero_potential=False,
-                reduce=dense_reduced):
+def full_system(model, omega, p, grid, zero_potential=False):
     """The reduced matrix of the four-component system: derivative and
     frequency part d, transverse term e and soliton potential w, reduced
     by SIGMA_DIAG."""
@@ -109,14 +99,15 @@ def full_system(model, omega, p, grid, zero_potential=False,
             [2.0 * d_sq + d_csq, d_abs2, d_abs2, d_sq],
             [d_abs2, d_sq + 2.0 * d_csq, d_csq, d_abs2],
         ]
-    return reduce(SIGMA_DIAG, m, d_part, e_term, w_part)
+    return dense_reduced(SIGMA_DIAG, m, d_part, e_term, w_part)
 
 
 def form_matrix(form, model, omega, p, grid):
-    """The block form from the library, or the full-system oracle."""
+    """The block-form matrix of the library's operator, or the
+    full-system oracle."""
     if form == "full":
         return full_system(model, omega, p, grid)
-    return assemble(model, omega, p, grid).matrix_a
+    return stability_matrix(assemble(model, omega, p, grid))
 
 
 class TestAlgebraicConstants:
@@ -144,7 +135,8 @@ class TestFormEquivalence:
     def test_same_spectrum(self, grid_cache, model, omega, p):
         grid = grid_cache(16, 10.0)
         ev_full = eigvals(full_system(model, omega, p, grid)).values
-        ev_block = eigvals(assemble(model, omega, p, grid).matrix_a).values
+        block = stability_matrix(assemble(model, omega, p, grid))
+        ev_block = eigvals(block).values
         assert matching_distance(ev_full, ev_block) <= 1e-8
 
     @pytest.mark.parametrize("model,omega,p", [
@@ -154,7 +146,7 @@ class TestFormEquivalence:
     def test_explicit_change_of_variables(self, grid_cache, model, omega, p):
         grid = grid_cache(12, 10.0)
         full = full_system(model, omega, p, grid)
-        block = assemble(model, omega, p, grid).matrix_a
+        block = stability_matrix(assemble(model, omega, p, grid))
         s_big = np.kron(BLOCK_MIXING / np.sqrt(2.0), np.eye(grid.n + 1))
         np.testing.assert_allclose(s_big @ full @ s_big.T, block, atol=1e-12)
 
@@ -163,7 +155,7 @@ class TestFormEquivalence:
         m = grid.n + 1
 
         def a(p):
-            return assemble("mtm", 0.2, p, grid).matrix_a
+            return stability_matrix(assemble("mtm", 0.2, p, grid))
 
         base = a(0.0)
         expected = -1j * 0.5**2 * np.kron(REDUCTION_BLOCK, np.eye(m))
@@ -173,7 +165,7 @@ class TestFormEquivalence:
         grid = grid_cache(10, 10.0)
 
         def a(p):
-            return assemble("gn", 0.5, p, grid).matrix_a
+            return stability_matrix(assemble("gn", 0.5, p, grid))
 
         base = a(0.0)
         np.testing.assert_allclose(a(0.7) - base, 0.7 * (a(1.0) - base),
@@ -187,23 +179,24 @@ class TestAssembly:
         assert isinstance(op, StabilityOperator)
         assert op.dim == 4 * (grid.n + 1)
         assert not op.potential_zeroed
-        with pytest.raises(ValueError):
-            op.matrix_a[0, 0] = 1.0
+        for term in op.potential:
+            assert term.shape == (grid.n + 1,)
+            with pytest.raises(ValueError):
+                term[0] = 1.0
 
     @pytest.mark.parametrize("model", ["mtm", "gn"])
-    def test_dim_does_not_write_the_matrix(self, grid_cache, model,
-                                           monkeypatch):
-        written = []
-        writer = operator_module._assemble_block
-        monkeypatch.setattr(operator_module, "_assemble_block",
-                            lambda op: written.append(op) or writer(op))
-        op = assemble(model, 0.5, 0.3, grid_cache(20, 10.0))
-        assert op.dim == 4 * 21
-        assert written == []
-        assert op.matrix_a.shape == (op.dim, op.dim)
-        # written once, then kept
-        assert op.matrix_a is op.matrix_a
-        assert len(written) == 1
+    def test_dim_does_not_write_the_matrix(self, grid_cache, model):
+        grid = grid_cache(100, 10.0)
+        tracemalloc.start()
+        try:
+            op = assemble(model, 0.5, 0.3, grid)
+            assert op.dim == 4 * 101
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the potential vectors and the profile samples, far below one
+        # (N+1)-square real block, let alone the complex 4(N+1)-square A
+        assert peak < 8 * (grid.n + 1) ** 2
 
     def test_rejects_bad_inputs(self, grid_cache):
         grid = grid_cache(8, 10.0)
@@ -212,8 +205,8 @@ class TestAssembly:
         with pytest.raises(ValueError):
             assemble("mtm", 0.5, 0.1, np.eye(4))
 
-    # form is "block" alone: hermiticity_defect and the library's memory
-    # use concern the assembled form; the ids name it as TestParity's do
+    # form is "block" alone, the form the library's operator takes; the
+    # ids name it as TestParity's do
     @pytest.mark.parametrize("model", ["mtm", "gn"])
     @pytest.mark.parametrize("form", ["block"])
     def test_hermiticity_defect_vanishes(self, grid_cache, model, form):
@@ -222,58 +215,30 @@ class TestAssembly:
         assert hermiticity_defect(op) <= 1e-12
 
 
-class TestPermutationAssembly:
-    @pytest.mark.parametrize("model", ["mtm", "gn"])
-    @pytest.mark.parametrize("form", ["full", "block"])
-    @pytest.mark.parametrize("p", [0.0, 0.3])
-    def test_matches_dense_product(self, grid_cache, monkeypatch, model,
-                                   form, p):
-        omega = 0.5 if model == "mtm" else 2.0 / 3.0
-        grid = grid_cache(20, 10.0)
-        if form == "full":
-            # the block writer on the three parts of the oracle
-            fast = full_system(model, omega, p, grid,
-                               reduce=operator_module._reduced)
-            dense = full_system(model, omega, p, grid)
-        else:
-            fast = assemble(model, omega, p, grid).matrix_a
-            monkeypatch.setattr(operator_module, "_reduced", dense_reduced)
-            dense = assemble(model, omega, p, grid).matrix_a
-        # signed zeros may differ; every value and eigenvalue is equal
-        assert np.array_equal(fast, dense)
-        assert np.array_equal(eigvals(fast).values, eigvals(dense).values)
+def hermiticity_defect(op):
+    """Deviation of the recovered operator from its predicted Hermitian
+    defect.
 
-    @pytest.mark.parametrize("front", [REDUCTION_BLOCK, SIGMA_DIAG])
-    def test_random_matrix(self, front):
-        rng = np.random.default_rng(1)
-        m = 3
-
-        def block():
-            return (rng.standard_normal((m, m))
-                    + 1j * rng.standard_normal((m, m)))
-
-        parts = [[[block() for _ in range(4)] for _ in range(4)]
-                 for _ in range(3)]
-        # a block missing from one part, and one missing from every part
-        parts[1][0][2] = None
-        for part in parts:
-            part[3][1] = None
-        assert np.array_equal(operator_module._reduced(front, m, *parts),
-                              dense_reduced(front, m, *parts))
-
-    @pytest.mark.parametrize("model", ["mtm", "gn"])
-    @pytest.mark.parametrize("form", ["block"])  # see the hermiticity test
-    def test_no_full_size_temporaries(self, grid_cache, model, form):
-        # the m x m blocks add well under one output's worth; a single
-        # extra 4(N+1)-square array would push the peak past three outputs
-        op = assemble(model, 0.5, 0.3, grid_cache(100, 10.0))
-        tracemalloc.start()
-        try:
-            a = op.matrix_a
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 3 * a.nbytes
+    Undoing the reduction factor of the dense oracle recovers the
+    underlying operator; its anti-Hermitian part is exactly the
+    derivative-block contribution (the scaled differentiation matrix is
+    not antisymmetric).  Returns the largest interior-entry deviation from
+    that prediction; boundary rows and columns are excluded.
+    """
+    m = op.grid.n + 1
+    a = stability_matrix(op)
+    h_total = 1j * (np.kron(REDUCTION_BLOCK, np.eye(m)) @ a)
+    delta = h_total - h_total.conj().T
+    dt = op.grid.d_scaled
+    sym = dt + dt.T
+    predicted = np.zeros_like(delta)
+    for c, f in enumerate((-1j, 1j, -1j, 1j)):
+        predicted[c * m:(c + 1) * m, c * m:(c + 1) * m] = f * sym
+    resid = np.abs(delta - predicted)
+    boundary = [c * m for c in range(4)] + [c * m + op.grid.n for c in range(4)]
+    resid[boundary, :] = 0.0
+    resid[:, boundary] = 0.0
+    return float(resid.max())
 
 
 SQRT_HALF = np.sqrt(0.5)
@@ -327,10 +292,10 @@ def real_form(blocks, phase):
 
 
 def reference_parity_blocks(op):
-    """parity_blocks(op) by the complex chain from op.matrix_a."""
+    """parity_blocks(op) by the complex chain from the dense oracle."""
     m = op.grid.n + 1
     b, c = (x.reshape(2, m, 2, m).swapaxes(1, 2)
-            for x in mirror_blocks(op.matrix_a))
+            for x in mirror_blocks(stability_matrix(op)))
     if op.model is ModelKind.MASSIVE_THIRRING or op.p == 0.0:
         return [(real_form(b[0, 1], 1j), real_form(c[1, 0], -1j)),
                 (real_form(b[1, 0], -1j), real_form(c[0, 1], 1j))]
@@ -345,30 +310,6 @@ def parity_involution(n):
     0 <-> 1 and 2 <-> 3, J reverses the n + 1 grid points."""
     swap = np.kron(np.eye(2), PAULI_SIGMA1)
     return np.kron(swap, np.eye(n + 1)[::-1])
-
-
-def parity_basis(m):
-    """The eigenbasis Q of S as dense columns: (e_k + e_sk) / sqrt(2), then
-    (e_k - e_sk) / sqrt(2); k runs over components 0 and 2, sk over
-    components 1 and 3 mirrored."""
-    k = np.concatenate([np.arange(m), 2 * m + np.arange(m)])
-    sk = np.concatenate([2 * m - 1 - np.arange(m), 4 * m - 1 - np.arange(m)])
-    e = np.eye(4 * m)
-    return np.hstack([e[:, k] + e[:, sk], e[:, k] - e[:, sk]]) / np.sqrt(2.0)
-
-
-def real_basis(m):
-    """The dense W = blockdiag(W_J, 1j W_J): the columns of W_J are the even
-    mirror combinations (e_k + e_(n-k)) / sqrt(2), e_(n/2) at a middle
-    node, then 1j (e_k - e_(n-k)) / sqrt(2)."""
-    h = m // 2
-    e = np.eye(m)
-    cols = [(e[:, k] + e[:, m - 1 - k]) / np.sqrt(2.0) for k in range(h)]
-    cols += [e[:, h]] if m % 2 else []
-    cols += [1j * (e[:, k] - e[:, m - 1 - k]) / np.sqrt(2.0) for k in range(h)]
-    w_j = np.array(cols).T
-    zero = np.zeros((m, m))
-    return np.block([[w_j, zero], [zero, 1j * w_j]])
 
 
 def component_blocks(x, m):
@@ -422,7 +363,7 @@ class TestParity:
         op = assemble(model, omega, p, grid_cache(n, 10.0),
                       zero_potential=zero_potential)
         t = np.kron(np.diag([1.0, -1.0]), np.eye(n + 1)[::-1])
-        for x in mirror_blocks(op.matrix_a):
+        for x in mirror_blocks(stability_matrix(op)):
             assert np.array_equal(t @ x.conj() @ t, x)
 
     @pytest.mark.parametrize("model", ["mtm", "gn"])
@@ -448,9 +389,7 @@ class TestParity:
 
     @pytest.mark.parametrize("model,p", [("mtm", 0.3), ("gn", 0.0),
                                          ("gn", 0.3)])
-    def test_blocks_write_no_full_matrix(self, grid_cache, monkeypatch,
-                                         model, p):
-        monkeypatch.setattr(operator_module, "_assemble_block", None)
+    def test_blocks_write_no_full_matrix(self, grid_cache, model, p):
         op = assemble(model, 0.5, p, grid_cache(100, 10.0))
         tracemalloc.start()
         try:
@@ -471,7 +410,8 @@ class TestParity:
         m = n + 1
         w = real_basis(m)
         np.testing.assert_allclose(w.conj().T @ w, np.eye(2 * m), atol=1e-15)
-        dense = [w.conj().T @ x @ w for x in mirror_blocks(op.matrix_a)]
+        dense = [w.conj().T @ x @ w
+                 for x in mirror_blocks(stability_matrix(op))]
         scale = max(np.max(np.abs(x)) for x in dense)
         assert max(np.max(np.abs(x.imag)) for x in dense) <= 1e-15 * scale
         pairs = parity_blocks(op)
@@ -493,7 +433,7 @@ class TestParity:
         omega = 0.5 if model == "mtm" else 2.0 / 3.0
         op = assemble(model, omega, p, grid_cache(20, 10.0))
         m = op.grid.n + 1
-        b, c = mirror_blocks(op.matrix_a)
+        b, c = mirror_blocks(stability_matrix(op))
         product = component_blocks(b @ c, m)
         off_diagonal = max(np.abs(product[0, 1]).max(),
                            np.abs(product[1, 0]).max())
@@ -506,28 +446,21 @@ class TestParity:
             assert [x.shape for pair in pairs for x in pair] == \
                 [(2 * m, 2 * m)] * 2
 
+
     @pytest.mark.parametrize("model,p", [("mtm", 0.3), ("gn", 0.0),
                                          ("gn", 0.3)])
     @pytest.mark.parametrize("n", [20, 21])
     def test_parity_vector_against_dense_bases(self, grid_cache, model, p, n):
+        # every eigenvector of the residual path, in the real parity
+        # bases, carried by the dense bases into the oracle's space, has
+        # there the residual taken in the parity bases
         omega = 0.5 if model == "mtm" else 2.0 / 3.0
         op = assemble(model, omega, p, grid_cache(n, 10.0))
-        m = n + 1
-        lift = np.kron(np.eye(2), real_basis(m))
-        rng = np.random.default_rng(3)
-        for pair, (b, c) in enumerate(parity_blocks(op)):
-            y = rng.standard_normal(b.shape[0])
-            z = rng.standard_normal(c.shape[0]) * 1j
-            if b.shape[0] == m:
-                # y on B's component of the +1 eigenspace, z on C's of the -1
-                y2, z2 = np.zeros(2 * m, complex), np.zeros(2 * m, complex)
-                y2[pair * m:(pair + 1) * m] = y
-                z2[(1 - pair) * m:(2 - pair) * m] = z
-            else:
-                y2, z2 = y, z
-            want = parity_basis(m) @ lift @ np.concatenate([y2, z2])
-            np.testing.assert_allclose(parity_vector(op, pair, y, z), want,
-                                       rtol=0, atol=1e-14)
+        es, solves = spectrum._parity_solve(op)
+        half = spectrum._isolated_residuals(solves, es.values)
+        assert np.max(half) <= 1e-13
+        np.testing.assert_allclose(lifted_residuals(op, solves, es.values),
+                                   half, rtol=0, atol=1e-14)
 
 
 class TestContinuousBands:
@@ -566,7 +499,7 @@ class TestContinuousBands:
             op = assemble(model, omega, p, grid_cache(80, 10.0),
                           zero_potential=True)
             assert op.potential_zeroed
-            es = eigvals(op.matrix_a)
+            es = eigvals(stability_matrix(op))
             bands = continuous_bands(model, omega, p)
             assert np.max(bands.distance(es.values)) <= 1e-8
 
@@ -599,5 +532,5 @@ class TestSymmetryResidual:
     def test_assembled_operator_spectrum_is_symmetric(
             self, grid_cache, model, omega, p):
         op = assemble(model, omega, p, grid_cache(60, 10.0))
-        es = eigvals(op.matrix_a)
+        es = eigvals(stability_matrix(op))
         assert symmetry_residual(es, model) <= 1e-10

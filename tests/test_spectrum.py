@@ -7,11 +7,10 @@ import os
 import numpy as np
 import pytest
 
-import diracstab.eigen as eigen_module
-import diracstab.operator as operator_module
 import diracstab.spectrum as spectrum
-from diracstab.eigen import (EigenSet, blas_threads, eigvals,
-                             inverse_iteration, relative_residuals)
+from conftest import lift, lifted_residuals, stability_matrix
+from diracstab.eigen import (EigenSet, blas_threads, eigvals, inverse_vectors,
+                             relative_residuals)
 from diracstab.operator import assemble, continuous_bands
 from diracstab.spectrum import (
     CLASS_QUARTET,
@@ -52,21 +51,21 @@ class TestIsolation:
     def test_free_operator_has_no_isolated_eigenvalues(self, grid_cache):
         op = assemble("mtm", 0.5, 0.3, grid_cache(80, 10.0),
                       zero_potential=True)
-        es = eigvals(op.matrix_a)
+        es = eigvals(stability_matrix(op))
         iso = isolated_eigs(es, continuous_bands("mtm", 0.5, 0.3))
         assert iso.size == 0
 
     def test_mtm_isolated_pairs_at_small_p(self, grid_cache):
         # frozen from a converged run: one real pair, one imaginary pair
         op = assemble("mtm", 0.0, 0.2, grid_cache(200, 10.0))
-        es = eigvals(op.matrix_a)
+        es = eigvals(stability_matrix(op))
         iso = isolated_eigs(es, continuous_bands("mtm", 0.0, 0.2))
         for target in (0.34615373, -0.34615373, 0.36582879j, -0.36582879j):
             assert np.min(np.abs(iso - target)) <= 1e-6
 
     def test_gn_isolated_pairs_at_small_p(self, grid_cache):
         op = assemble("gn", 2.0 / 3.0, 0.1, grid_cache(300, 10.0))
-        es = eigvals(op.matrix_a)
+        es = eigvals(stability_matrix(op))
         iso = isolated_eigs(es, continuous_bands("gn", 2.0 / 3.0, 0.1))
         for target in (0.07350171, -0.07350171, 0.04768846j, -0.04768846j):
             assert np.min(np.abs(iso - target)) <= 1e-6
@@ -105,7 +104,7 @@ class TestParitySolve:
         assert reduced.backend == "lapack-parity"
         assert reduced.values.size == op.dim
         iso = isolated_eigs(reduced, bands)
-        full = isolated_eigs(eigvals(op.matrix_a), bands)
+        full = isolated_eigs(eigvals(stability_matrix(op)), bands)
         assert iso.size == full.size == 4
         # matched, not sorted: the parity solve gives exact zeros where the
         # full solve gives +-1e-15, and a lexicographic sort splits on those
@@ -120,34 +119,67 @@ class TestParitySolve:
         iso = isolated_eigs(es, bands)
         assert iso.size == 4
         assert np.all(np.abs(iso) > spectrum._NEAR_ORIGIN_RADIUS)
-        half = spectrum._isolated_vectors(op, solves, iso)
-        full = inverse_iteration(op.matrix_a, iso)
-        assert np.max(half.residuals) <= 1e-12
-        for u, v in zip(half.vectors.T, full.vectors.T):
-            assert np.linalg.norm(u) == pytest.approx(1.0, abs=1e-14)
-            assert abs(np.vdot(u, v)) >= 1.0 - 1e-10
+        assert np.max(spectrum._isolated_residuals(solves, iso)) <= 1e-12
+        full = inverse_vectors(stability_matrix(op), iso)
+        for pair, rows, ys, zs in spectrum._parity_vectors(solves, iso):
+            for u, j in zip(lift(op.grid.n + 1, pair, ys, zs).T, rows):
+                assert np.linalg.norm(u) == pytest.approx(1.0, abs=1e-14)
+                assert abs(np.vdot(u, full[:, j])) >= 1.0 - 1e-10
 
     def test_parity_residuals_equal_full_matrix_residuals(self, grid_cache):
         op = assemble("gn", 2.0 / 3.0, 0.3, grid_cache(160, 10.0))
         es, solves = spectrum._parity_solve(op)
         iso = isolated_eigs(es, continuous_bands("gn", 2.0 / 3.0, 0.3))
-        half = spectrum._isolated_vectors(op, solves, iso)
-        # the residuals were taken in the parity basis, without the matrix
-        assert "matrix_a" not in vars(op)
-        full = relative_residuals(op.matrix_a, iso, half.vectors)
-        assert np.max(half.residuals) <= 1e-12
-        assert np.max(full) <= 1e-12
+        half = spectrum._isolated_residuals(solves, iso)
+        assert np.max(half) <= 1e-12
+        np.testing.assert_allclose(lifted_residuals(op, solves, iso), half,
+                                   rtol=0, atol=1e-14)
 
-    def test_near_origin_values_use_the_full_matrix(self, grid_cache):
+    def test_near_origin_values_use_their_pair_matrix(self, grid_cache,
+                                                      shifted_matrices):
         # the kernel cluster at p = 0 sits inside the near-origin radius
         op = assemble("gn", 2.0 / 3.0, 0.0, grid_cache(60, 10.0))
         es, solves = spectrum._parity_solve(op)
         near = es.values[np.abs(es.values) <= spectrum._NEAR_ORIGIN_RADIUS]
         assert near.size > 0
-        half = spectrum._isolated_vectors(op, solves, near)
-        full = inverse_iteration(op.matrix_a, near)
-        assert np.array_equal(half.vectors, full.vectors)
-        assert np.array_equal(half.residuals, full.residuals)
+        half = spectrum._isolated_residuals(solves, near)
+        # one shifted M = [[0, B], [C, 0]] per value, at 2(N+1) where the
+        # blocks split, in place of the 4(N+1)-square A
+        assert [m.shape for m in shifted_matrices] == [(122, 122)] * near.size
+        assert np.max(half) <= 1e-12
+        np.testing.assert_allclose(lifted_residuals(op, solves, near), half,
+                                   rtol=0, atol=1e-14)
+
+    def test_near_origin_solves_are_real_and_half_size(self, grid_cache,
+                                                       shifted_matrices):
+        # a benchmark sweep input with a real near-origin pair; its
+        # complex quartets shift the (N+1)-square B C by a complex mu
+        n = 22
+        iso, residuals, _, _ = spectrum._solve_isolated(
+            "mtm", 0.25, 0.95, grid_cache(n, 10.0), 1.25)
+        near = iso[np.abs(iso) <= spectrum._NEAR_ORIGIN_RADIUS]
+        assert near.size == 2 and np.all(near.imag == 0.0)
+        assert max(m.shape[0] for m in shifted_matrices) <= 2 * (n + 1)
+        # one real shifted M of order 2(N+1) per near-origin value, in
+        # place of the complex 4(N+1)-square A
+        pair_solves = [m for m in shifted_matrices
+                       if m.shape[0] == 2 * (n + 1)]
+        assert len(pair_solves) == near.size
+        assert all(m.dtype == np.float64 for m in pair_solves)
+        assert np.max(residuals) <= 1e-13
+
+    def test_unsplit_near_origin_residuals_match_the_oracle(self,
+                                                            grid_cache):
+        # gn at p > 0: one 2(N+1)-square block pair, M of order 4(N+1)
+        op = assemble("gn", 2.0 / 3.0, 0.003, grid_cache(100, 10.0))
+        es, solves = spectrum._parity_solve(op)
+        assert len(solves) == 1
+        near = es.values[np.abs(es.values) <= spectrum._NEAR_ORIGIN_RADIUS]
+        assert near.size > 0
+        half = spectrum._isolated_residuals(solves, near)
+        assert np.max(half) <= 1e-12
+        np.testing.assert_allclose(lifted_residuals(op, solves, near), half,
+                                   rtol=0, atol=1e-14)
 
 
 class TestSlopeFit:
@@ -251,26 +283,24 @@ class TestTracking:
                                              ("gn", 2.0 / 3.0)])
     def test_sweep_writes_no_full_matrix(self, grid_cache, monkeypatch,
                                          model, omega):
-        calls = []
-        writer = operator_module._assemble_block
-        residuals = eigen_module._residuals
+        shapes = []
 
-        def writing(op):
-            calls.append("matrix_a")
-            return writer(op)
+        def recording(solve):
+            def wrapped(matrix, *args, **kwargs):
+                assert np.isrealobj(matrix)
+                shapes.append(np.shape(matrix))
+                return solve(matrix, *args, **kwargs)
+            return wrapped
 
-        def taking(*args):
-            calls.append("residuals")
-            return residuals(*args)
-
-        monkeypatch.setattr(operator_module, "_assemble_block", writing)
-        monkeypatch.setattr(eigen_module, "_residuals", taking)
+        for name in ("eigvals", "inverse_vectors"):
+            monkeypatch.setattr(spectrum, name,
+                                recording(getattr(spectrum, name)))
         branches = track_branches(model, omega, [0.2, 0.25, 0.3],
                                   grid_cache(60, 10.0), jobs=2)
         assert sum(len(br.points) for br in branches) > 0
-        # no value lies near the origin here, so neither the 4(N+1)-square
-        # matrix nor an eigen-module residual is ever taken
-        assert calls == []
+        # every matrix solved is a real block product, of order N+1 or
+        # 2(N+1), never the 4(N+1)-square A
+        assert shapes and max(max(shape) for shape in shapes) <= 2 * 61
 
     @pytest.mark.parametrize("model,omega,block", [("mtm", 0.0, 61),
                                                    ("gn", 2.0 / 3.0, 122)])
@@ -362,7 +392,7 @@ class TestTracking:
         rates = {}
         for omega in (-0.5, 0.5):
             op = assemble("mtm", omega, 0.2, grid)
-            es = eigvals(op.matrix_a)
+            es = eigvals(stability_matrix(op))
             iso = isolated_eigs(es, continuous_bands("mtm", omega, 0.2))
             rates[omega] = float(iso.real.max())
         assert rates[-0.5] > 2.0 * rates[0.5]
