@@ -7,14 +7,18 @@ the small-p eigenvalue slopes, and continues isolated branches across a
 sweep in the transverse wavenumber.  A sweep point's residuals come from
 eigenvectors of M = [[0, B], [C, 0]] for each block pair, taken and
 checked in the parity basis, where they equal the residuals on the
-4(N+1)-square stability matrix; that matrix is never written.
+4(N+1)-square stability matrix; that matrix is never written.  A sweep's
+points are solved inline, or on a pool of forked worker processes when
+track_branches is given jobs > 1.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from concurrent.futures import ThreadPoolExecutor
+# unused here: benchmarks/tracing.py patches spectrum.ThreadPoolExecutor,
+# and benchmarks/selfcheck.py reads it
+from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -255,6 +259,28 @@ def _solve_isolated(model, omega, p, grid, im_window):
     return iso, _isolated_residuals(solves, iso), bands, margin
 
 
+# (model, omega, grid, im_window) of the sweep, in a pool worker
+_worker_args = ()
+
+
+def _start_worker(*args):
+    global _worker_args
+    _worker_args = args
+
+
+def _solve_in_worker(p):
+    model, omega, grid, im_window = _worker_args
+    return _solve_isolated(model, omega, p, grid, im_window)
+
+
+def _fork_context():
+    """multiprocessing's fork context, or None where the platform has none."""
+    import multiprocessing
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return None
+    return multiprocessing.get_context("fork")
+
+
 def _match_radius(branch: TrackedBranch, step: float) -> float:
     # median |dlambda/dp| over the last two steps, scaled to the current
     # step so mixed-resolution grids keep a consistent radius
@@ -279,9 +305,16 @@ def track_branches(model, omega: float, p_grid, grid: ChebGrid,
                    jobs: int = 1, im_window: float | None = None) -> list:
     """Continue isolated eigenvalue branches across an ascending p-grid.
 
-    Eigensolves for the grid points run in a pool of jobs >= 1 threads, on
-    one BLAS thread each; the matching pass itself is sequential and
-    deterministic.  Branches are
+    Each grid point is solved on one BLAS thread.  At jobs == 1 the points
+    are solved inline; at jobs > 1 on a pool of min(jobs, len(p_grid))
+    forked worker processes, which inherit the model, grid and window and
+    receive only p, and inline where the platform cannot fork.  Forked
+    workers overlap their solves at every matrix order, where threads do
+    not: numpy keeps the GIL through most of an eigvals call below about
+    order 500.  A fork copies the calling thread alone, so a caller that
+    runs threads of its own should keep jobs == 1.  The matching pass
+    itself is sequential and deterministic, so the branches do not depend
+    on jobs.  Branches are
     seeded at the first grid point from the asymptotic predictions plus
     any remaining isolated eigenvalues, and terminated with an 'absorbed'
     or 'lost' event when no candidate falls inside the match radius.
@@ -305,12 +338,21 @@ def track_branches(model, omega: float, p_grid, grid: ChebGrid,
     if im_window is None:
         im_window = 1.0 + abs(omega)
 
-    # a second BLAS thread slows these solves down even at --jobs 1, so
-    # the pool's jobs are the only parallelism
-    with single_blas_thread(), \
-            ThreadPoolExecutor(max_workers=jobs) as pool:
-        solved = list(pool.map(
-            lambda p: _solve_isolated(model, omega, p, grid, im_window), ps))
+    # a second BLAS thread slows these solves down even at jobs=1, so the
+    # pool's workers, forked on the one thread set here, are the only
+    # parallelism
+    with single_blas_thread():
+        context = _fork_context() if jobs > 1 else None
+        if context is None:
+            solved = [_solve_isolated(model, omega, p, grid, im_window)
+                      for p in ps]
+        else:
+            from concurrent.futures import ProcessPoolExecutor
+            with ProcessPoolExecutor(
+                    max_workers=min(jobs, len(ps)), mp_context=context,
+                    initializer=_start_worker,
+                    initargs=(model, omega, grid, im_window)) as pool:
+                solved = list(pool.map(_solve_in_worker, ps))
 
     pred = asymptotic_prediction(model, omega, with_corrections=False)
     first_step = ps[1] - ps[0]

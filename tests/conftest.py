@@ -11,7 +11,8 @@ product.  parity_basis and real_basis carry vectors of the parity blocks'
 bases back into its space.
 """
 
-import threading
+import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -175,21 +176,56 @@ def p0_spectra(grid_cache):
     return SpectrumCache(grid_cache)
 
 
+class FileRecord:
+    """An append-only list kept in a file.
+
+    A sweep at jobs > 1 runs its solves in forked worker processes, where
+    a recorder patched in by the test appends to the worker's copy of a
+    list; appends to a FileRecord reach the test from any process.  Each
+    value is written as one JSON line and read back through decode, in
+    order of append within each process.
+    """
+
+    def __init__(self, path, decode=None):
+        self._path = path
+        self._decode = decode or (lambda value: value)
+        path.write_text("")
+
+    def append(self, value):
+        with open(self._path, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps(value) + "\n")
+
+    def __iter__(self):
+        lines = self._path.read_text(encoding="utf-8").splitlines()
+        return (self._decode(json.loads(line)) for line in lines)
+
+    def __len__(self):
+        return sum(1 for _ in self)
+
+
 @pytest.fixture
-def shifted_matrices(monkeypatch):
-    """Every distinct matrix np.linalg.solve sees while the test runs, in
-    order of first use: the shifted matrices of inverse_vectors, each
-    solved once per inverse-iteration step.  Safe under a sweep's thread
-    pool."""
-    seen = []
-    lock = threading.Lock()
+def file_record(tmp_path):
+    """FileRecord factory: file_record(name, decode=None)."""
+    return lambda name, decode=None: FileRecord(tmp_path / f"{name}.jsonl",
+                                                decode)
+
+
+@pytest.fixture
+def shifted_matrices(monkeypatch, file_record):
+    """The shape and dtype of every distinct matrix np.linalg.solve sees
+    while the test runs, in its own process or a forked pool worker, in
+    order of first use per process: the shifted matrices of
+    inverse_vectors, each solved once per inverse-iteration step."""
+    seen = []  # per process: a forked worker keeps its own copy
+    record = file_record("shifted", lambda v: SimpleNamespace(
+        shape=tuple(v[0]), dtype=np.dtype(v[1])))
     solve = np.linalg.solve
 
     def recording(matrix, rhs):
-        with lock:
-            if not any(m is matrix for m in seen):
-                seen.append(matrix)
+        if not any(m is matrix for m in seen):
+            seen.append(matrix)
+            record.append([matrix.shape, matrix.dtype.str])
         return solve(matrix, rhs)
 
     monkeypatch.setattr(np.linalg, "solve", recording)
-    return seen
+    return record

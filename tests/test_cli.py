@@ -14,7 +14,7 @@ import diracstab
 import diracstab.cli as cli
 import diracstab.spectrum as spectrum
 from diracstab import __version__
-from diracstab.eigen import blas_threads
+from diracstab.eigen import ConvergenceError, blas_threads
 
 
 @pytest.fixture(autouse=True)
@@ -188,18 +188,44 @@ class TestSweep:
             assert (outdir / "one" / name).read_bytes() == \
                    (outdir / "two" / name).read_bytes()
 
-    def test_rows_do_not_depend_on_jobs(self, outdir, capsys, monkeypatch):
-        # every solve runs on one BLAS thread, whatever --jobs is
-        rows = []
-        for jobs in ("1", "2"):
+    @pytest.mark.parametrize("model,omega,n", [("gn", "0.6667", "100"),
+                                               ("mtm", "0", "60")])
+    def test_outputs_do_not_depend_on_jobs(self, outdir, capsys, monkeypatch,
+                                           model, omega, n):
+        # every solve runs on one BLAS thread, inline or in a forked
+        # worker, whatever --jobs is; only the header's config names it
+        outputs = []
+        for jobs in ("1", "2", "4"):
             (outdir / jobs).mkdir()
             monkeypatch.setenv(cli.OUTDIR_ENV, str(outdir / jobs))
-            assert cli.main(["sweep", "--model", "gn", "--omega", "0.6667",
-                             "--p-range", "0.1:0.5:0.1", "--n", "100",
+            assert cli.main(["sweep", "--model", model, "--omega", omega,
+                             "--p-range", "0.1:0.5:0.1", "--n", n,
                              "--jobs", jobs]) == 0
-            csv_path = produced_file(capsys, outdir / jobs, index=0)
-            rows.append(csv_path.read_text().splitlines()[1:])
-        assert rows[0] == rows[1]
+            csv_path, summary_path = capsys.readouterr().out.split()
+            with open(csv_path, "rb") as fh:
+                rows = fh.read().split(b"\n", 1)[1]
+            with open(summary_path, encoding="utf-8") as fh:
+                summary = json.load(fh)["summary"]
+            outputs.append((rows, json.dumps(summary)))
+        assert outputs[0] == outputs[1] == outputs[2]
+
+    def test_convergence_failure_in_a_worker_exits_3(self, capsys,
+                                                     monkeypatch):
+        # patched before the pool forks, so its workers inherit it
+        parent = os.getpid()
+        solve = spectrum.eigvals
+
+        def failing(matrix, want_vectors=False):
+            if os.getpid() != parent:
+                raise ConvergenceError("LAPACK eigensolve did not converge")
+            return solve(matrix, want_vectors=want_vectors)
+
+        monkeypatch.setattr(spectrum, "eigvals", failing)
+        rc = cli.main(["sweep", "--model", "gn", "--omega", "0.6667",
+                       "--p-range", "0.1:0.3:0.1", "--n", "20", "--jobs", "2"])
+        assert rc == 3
+        assert "numerical failure: LAPACK eigensolve did not converge" in \
+            capsys.readouterr().err
 
     def test_invalid_ranges(self, capsys):
         base = ["sweep", "--model", "mtm", "--omega", "0", "--n", "60"]
@@ -423,6 +449,50 @@ def test_commands_load_no_scipy(tmp_path):
              if m.split(".")[0] == "scipy"
              or m.split(".")[:2] in (["numpy", "random"], ["numpy", "ma"])]
     assert heavy == []
+
+
+def test_sweep_pool_forks_no_threaded_process(tmp_path):
+    # CPython 3.12 warns (DeprecationWarning) when a process that runs
+    # more than one thread forks; the 3.10 and 3.12 legs of CI run this
+    # test too.  On Linux the script also makes 3.12's check on any
+    # version: the parent's thread count in /proc/self/stat just after
+    # each fork, warned about once the sweep is done, so that a failure
+    # leaves no worker waiting.
+    script = textwrap.dedent("""
+        import os, sys, warnings
+        from diracstab import cli
+
+        fork, counts = os.fork, []
+
+        def counted_fork():
+            pid = fork()
+            if pid:
+                with open("/proc/self/stat", encoding="ascii") as fh:
+                    counts.append(int(fh.read().rsplit(")", 1)[1].split()[17]))
+            return pid
+
+        if os.path.exists("/proc/self/stat"):
+            os.fork = counted_fork
+        rc = cli.main(["sweep", "--model", "gn", "--omega", "0.6667",
+                       "--n", "40", "--p-range", "0.1:0.4:0.1", "--jobs", "2"])
+        if max(counts, default=1) > 1:
+            warnings.warn(f"forked with {counts} threads", DeprecationWarning)
+        if os.fork is counted_fork and len(counts) != 2:
+            sys.exit(f"forked {len(counts)} workers, not 2")
+        sys.exit(rc)
+    """)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(diracstab.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    env[cli.OUTDIR_ENV] = str(tmp_path)
+    # files, not pipes: a worker stranded by a failed fork would hold a
+    # pipe open past the timeout
+    with open(tmp_path / "stdout", "wb") as out, \
+            open(tmp_path / "stderr", "wb") as err:
+        proc = subprocess.run([sys.executable, "-W",
+                               "error::DeprecationWarning", "-c", script],
+                              env=env, stdout=out, stderr=err, timeout=120)
+    assert proc.returncode == 0
+    assert (tmp_path / "stderr").read_text() == ""
 
 
 def test_version_flag(capsys):

@@ -1,8 +1,8 @@
 """Isolated-eigenvalue extraction, slope fits, and branch continuation."""
 
-from types import SimpleNamespace
-
+import multiprocessing
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -225,8 +225,10 @@ class TestTracking:
             track_branches("mtm", 0.0, [0.1, 0.2], grid_cache(30, 10.0),
                            jobs=jobs)
 
-    def test_sweep_solves_values_only(self, grid_cache, monkeypatch):
-        asked = []
+    def test_sweep_solves_values_only(self, grid_cache, monkeypatch,
+                                      file_record):
+        # the pool's workers are forked processes: record through a file
+        asked = file_record("asked")
         solve = spectrum.eigvals
 
         def recording(matrix, want_vectors=False):
@@ -237,11 +239,12 @@ class TestTracking:
         branches = track_branches("mtm", 0.0, [0.2, 0.25, 0.3],
                                   grid_cache(60, 10.0), jobs=2)
         # one solve per component block at each of the three points
-        assert asked == [False] * 6
+        assert list(asked) == [False] * 6
         worst = max(pt.residual for br in branches for pt in br.points)
         assert worst <= 1e-8
 
-    def test_pool_caps_blas_threads(self, grid_cache, monkeypatch):
+    def test_pool_caps_blas_threads(self, grid_cache, monkeypatch,
+                                    file_record):
         before = blas_threads()
         if before is None:
             pytest.skip("no OpenBLAS library is loaded")
@@ -249,7 +252,7 @@ class TestTracking:
             cores = len(os.sched_getaffinity(0))
         except AttributeError:
             cores = os.cpu_count()
-        seen = []
+        seen = file_record("threads")
         solve = spectrum.eigvals
 
         def recording(matrix, want_vectors=False):
@@ -282,13 +285,13 @@ class TestTracking:
     @pytest.mark.parametrize("model,omega", [("mtm", 0.0),
                                              ("gn", 2.0 / 3.0)])
     def test_sweep_writes_no_full_matrix(self, grid_cache, monkeypatch,
-                                         model, omega):
-        shapes = []
+                                         file_record, model, omega):
+        shapes = file_record("shapes")
 
         def recording(solve):
             def wrapped(matrix, *args, **kwargs):
                 assert np.isrealobj(matrix)
-                shapes.append(np.shape(matrix))
+                shapes.append(max(np.shape(matrix)))
                 return solve(matrix, *args, **kwargs)
             return wrapped
 
@@ -300,7 +303,7 @@ class TestTracking:
         assert sum(len(br.points) for br in branches) > 0
         # every matrix solved is a real block product, of order N+1 or
         # 2(N+1), never the 4(N+1)-square A
-        assert shapes and max(max(shape) for shape in shapes) <= 2 * 61
+        assert shapes and max(shapes) <= 2 * 61
 
     @pytest.mark.parametrize("model,omega,block", [("mtm", 0.0, 61),
                                                    ("gn", 2.0 / 3.0, 122)])
@@ -312,6 +315,39 @@ class TestTracking:
         shapes = {m.shape for m in shifted_matrices}
         assert shifted_matrices and shapes == {(block, block)}
         assert len(shifted_matrices) < sum(len(br.points) for br in branches)
+
+    def test_more_jobs_than_points(self, grid_cache, monkeypatch,
+                                   file_record):
+        workers = file_record("workers")
+        start = spectrum._start_worker
+
+        def recording(*args):
+            workers.append(os.getpid())
+            start(*args)
+
+        monkeypatch.setattr(spectrum, "_start_worker", recording)
+        ps, grid = [0.2, 0.25], grid_cache(30, 10.0)
+        pooled = track_branches("mtm", 0.0, ps, grid, jobs=8)
+        # one worker process per point, not per job
+        assert len(set(workers)) == len(ps)
+        assert pooled == track_branches("mtm", 0.0, ps, grid, jobs=1)
+
+    def test_runs_inline_without_fork(self, grid_cache, monkeypatch,
+                                      file_record):
+        workers = file_record("workers")
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                            lambda: ["spawn"])
+        monkeypatch.setattr(spectrum, "_start_worker",
+                            lambda *args: workers.append(os.getpid()))
+        ps, grid = [0.2, 0.25], grid_cache(30, 10.0)
+        inline = track_branches("mtm", 0.0, ps, grid, jobs=2)
+        assert len(workers) == 0
+        assert inline == track_branches("mtm", 0.0, ps, grid, jobs=1)
+
+    def test_pool_leaves_no_processes(self, grid_cache):
+        track_branches("gn", 2.0 / 3.0, [0.2, 0.25, 0.3],
+                       grid_cache(30, 10.0), jobs=2)
+        assert multiprocessing.active_children() == []
 
     def test_quartet_transition_recorded(self, mtm_sweep):
         _, branches = mtm_sweep
