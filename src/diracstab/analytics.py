@@ -261,12 +261,12 @@ def _slopes(model: ModelKind, omega: float) -> tuple[float, float]:
 
 
 def asymptotic_prediction(model: ModelKind, omega: float,
-                          with_corrections: bool = True) -> AsymptoticPrediction:
+                          with_corrections: bool = False) -> AsymptoticPrediction:
     """Closed-form slopes Lambda_r, Lambda_i; for Gross-Neveu also alpha, beta.
 
-    The correction coefficients need a full quadrature pipeline and are
-    skipped when with_corrections is False or omega is outside the window
-    [0.05, 0.95].
+    The correction coefficients need a full quadrature pipeline, and so
+    scipy; they are computed only when with_corrections is True and omega
+    lies in the window [0.05, 0.95].
     """
     model = ModelKind(model)
     _check_omega(model, omega)

@@ -244,22 +244,27 @@ def _classify(lam: complex) -> str:
     return CLASS_QUARTET
 
 
-def _solve_isolated(model, omega, p, grid, im_window):
+def _solve_isolated(model, omega, grid, p):
     """One sweep point: isolated eigenvalues, their residuals, the bands.
 
     The solve is values-only, from the real parity blocks; residuals come
     from eigenvectors of the block products for the few kept values.
+    Only values with |Im lambda| <= 1 + |omega|, the p = 0 outer band
+    edge, are kept: point branches stay within the original gap scale,
+    while under-resolved band modes far up the imaginary axis can pass
+    the distance filter at moderate N and would otherwise spawn artifact
+    branches.
     """
     op = assemble(model, omega, p, grid)
     bands = continuous_bands(model, omega, p)
     margin = default_margin(bands)
     values, solves = _parity_solve(op)
     iso = isolated_eigs(values, bands, margin)
-    iso = iso[np.abs(iso.imag) <= im_window]
+    iso = iso[np.abs(iso.imag) <= 1.0 + abs(omega)]
     return iso, _isolated_residuals(solves, iso), bands, margin
 
 
-# (model, omega, grid, im_window) of the sweep, in a pool worker
+# (model, omega, grid) of the sweep, in a pool worker
 _worker_args = ()
 
 
@@ -269,8 +274,7 @@ def _start_worker(*args):
 
 
 def _solve_in_worker(p):
-    model, omega, grid, im_window = _worker_args
-    return _solve_isolated(model, omega, p, grid, im_window)
+    return _solve_isolated(*_worker_args, p)
 
 
 def _fork_context():
@@ -302,28 +306,30 @@ def _velocity(branch: TrackedBranch) -> complex:
 
 
 def track_branches(model, omega: float, p_grid, grid: ChebGrid,
-                   jobs: int = 1, im_window: float | None = None) -> list:
+                   jobs: int = 1) -> list:
     """Continue isolated eigenvalue branches across an ascending p-grid.
 
     Each grid point is solved on one BLAS thread.  At jobs == 1 the points
     are solved inline; at jobs > 1 on a pool of min(jobs, len(p_grid))
-    forked worker processes, which inherit the model, grid and window and
+    forked worker processes, which inherit the model and grid and
     receive only p, and inline where the platform cannot fork.  Forked
     workers overlap their solves at every matrix order, where threads do
     not: numpy keeps the GIL through most of an eigvals call below about
     order 500.  A fork copies the calling thread alone, so a caller that
     runs threads of its own should keep jobs == 1.  The matching pass
     itself is sequential and deterministic, so the branches do not depend
-    on jobs.  Branches are
-    seeded at the first grid point from the asymptotic predictions plus
-    any remaining isolated eigenvalues, and terminated with an 'absorbed'
-    or 'lost' event when no candidate falls inside the match radius.
+    on jobs.  Branches are seeded at the first grid point from the
+    asymptotic predictions plus any remaining isolated eigenvalues, and
+    terminated with an 'absorbed' or 'lost' event when no candidate falls
+    inside the match radius.
 
-    Only candidates with |Im lambda| <= im_window are tracked: point
-    branches stay within the original gap scale, while under-resolved
-    band modes far up the imaginary axis can pass the distance filter
-    at moderate N and would otherwise spawn artifact branches.  The
-    default window is 1 + |omega|, the p = 0 outer band edge.
+    At each step the pairs of branch and candidate inside the branch's
+    match radius are assigned nearest first, ties to the earlier branch
+    and then to the lower candidate, each branch and candidate at most
+    once.  A branch with a second free candidate within 1.1 times its
+    distance takes the free candidate nearest its linear extrapolation
+    instead, and a warning is logged.  Only candidates with
+    |Im lambda| <= 1 + |omega|, the p = 0 outer band edge, are tracked.
     """
     model = ModelKind(model)
     ps = [float(p) for p in p_grid]
@@ -335,8 +341,6 @@ def track_branches(model, omega: float, p_grid, grid: ChebGrid,
         raise ValueError("p-grid values must be positive")
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    if im_window is None:
-        im_window = 1.0 + abs(omega)
 
     # a second BLAS thread slows these solves down even at jobs=1, so the
     # pool's workers, forked on the one thread set here, are the only
@@ -344,14 +348,13 @@ def track_branches(model, omega: float, p_grid, grid: ChebGrid,
     with single_blas_thread():
         context = _fork_context() if jobs > 1 else None
         if context is None:
-            solved = [_solve_isolated(model, omega, p, grid, im_window)
-                      for p in ps]
+            solved = [_solve_isolated(model, omega, grid, p) for p in ps]
         else:
             from concurrent.futures import ProcessPoolExecutor
             with ProcessPoolExecutor(
                     max_workers=min(jobs, len(ps)), mp_context=context,
                     initializer=_start_worker,
-                    initargs=(model, omega, grid, im_window)) as pool:
+                    initargs=(model, omega, grid)) as pool:
                 solved = list(pool.map(_solve_in_worker, ps))
 
     pred = asymptotic_prediction(model, omega, with_corrections=False)
@@ -391,43 +394,36 @@ def track_branches(model, omega: float, p_grid, grid: ChebGrid,
         p = ps[k]
         step = ps[k] - ps[k - 1]
         iso, res, bands, margin = solved[k]
+        lams = np.array([br.last.lam for br in active], dtype=complex)
+        radii = np.array([_match_radius(br, step) for br in active])
+        dist = np.abs(iso - lams[:, None])
+        # the pairs inside each branch's radius, nearest first, ties in
+        # branch then candidate order; a pair skipped here never becomes
+        # valid again, so the first valid pair is the nearest one left
+        rows, cols = np.nonzero(dist <= radii[:, None])
+        order = np.lexsort((cols, rows, dist[rows, cols]))
         taken = np.zeros(iso.size, dtype=bool)
-        pending = list(active)
-        assigned: dict[int, int] = {}
-        while pending:
-            best = None
-            for bi, br in enumerate(pending):
-                radius = _match_radius(br, step)
-                if iso.size == 0:
-                    continue
-                dist = np.abs(iso - br.last.lam)
-                dist[taken] = np.inf
-                j = int(np.argmin(dist))
-                if dist[j] <= radius and (best is None or dist[j] < best[0]):
-                    best = (float(dist[j]), bi, j, radius)
-            if best is None:
-                break
-            dist_best, bi, j, radius = best
-            br = pending[bi]
+        match = np.full(len(active), -1)
+        for i, j in zip(rows[order], cols[order]):
+            if match[i] >= 0 or taken[j]:
+                continue
+            br = active[i]
             # near-tie: prefer the candidate closest to the extrapolation
-            dist = np.abs(iso - br.last.lam)
-            dist[taken] = np.inf
-            near = np.flatnonzero((dist <= radius) & (dist <= 1.1 * dist_best))
+            near = np.flatnonzero(~taken & (dist[i] <= radii[i])
+                                  & (dist[i] <= 1.1 * dist[i, j]))
             if near.size > 1:
                 guess = br.last.lam + _velocity(br) * step
-                j = int(near[np.argmin(np.abs(iso[near] - guess))])
+                j = near[np.argmin(np.abs(iso[near] - guess))]
                 logger.warning(
                     "ambiguous branch match at p=%g for branch %d: "
                     "%d candidates within radius; using extrapolation",
                     p, br.branch_id, near.size)
             taken[j] = True
-            assigned[br.branch_id] = j
-            pending.remove(br)
+            match[i] = j
 
         still_active = []
-        for br in active:
-            if br.branch_id in assigned:
-                j = assigned[br.branch_id]
+        for br, j in zip(active, match):
+            if j >= 0:
                 lam = complex(iso[j])
                 cls = _classify(lam)
                 if cls != br.last.classification:

@@ -274,12 +274,12 @@ class TestCorrections:
         assert abs(corr["beta"].real) <= 1e-9
 
     def test_attached_to_prediction_inside_window(self):
-        pred = asymptotic_prediction(GN, 0.5)
+        pred = asymptotic_prediction(GN, 0.5, with_corrections=True)
         assert pred.alpha == pytest.approx(self.FROZEN[0.5][0], rel=1e-6)
         assert pred.beta == pytest.approx(self.FROZEN[0.5][1], rel=1e-6)
 
     def test_skipped_outside_window(self):
-        pred = asymptotic_prediction(GN, 0.97)
+        pred = asymptotic_prediction(GN, 0.97, with_corrections=True)
         assert pred.alpha is None and pred.beta is None
         pred = asymptotic_prediction(GN, 0.5, with_corrections=False)
         assert pred.alpha is None and pred.beta is None

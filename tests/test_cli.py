@@ -451,6 +451,25 @@ def test_commands_load_no_scipy(tmp_path):
     assert heavy == []
 
 
+def test_prediction_runs_without_scipy():
+    # a fresh interpreter in which any scipy import fails, as on a plain
+    # pip install: the exported prediction computes no corrections unless
+    # asked to
+    script = textwrap.dedent("""
+        import sys
+        sys.modules["scipy"] = None
+        import diracstab
+        pred = diracstab.asymptotic_prediction("gn", 0.5)
+        print(pred.alpha is None and pred.beta is None)
+    """)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(diracstab.__file__)))
+    proc = subprocess.run([sys.executable, "-c", script],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True"]
+
+
 def test_sweep_pool_forks_no_threaded_process(tmp_path):
     # CPython 3.12 warns (DeprecationWarning) when a process that runs
     # more than one thread forks; the 3.10 and 3.12 legs of CI run this

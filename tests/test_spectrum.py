@@ -156,7 +156,7 @@ class TestParitySolve:
         # complex quartets shift the (N+1)-square B C by a complex mu
         n = 22
         iso, residuals, _, _ = spectrum._solve_isolated(
-            "mtm", 0.25, 0.95, grid_cache(n, 10.0), 1.25)
+            "mtm", 0.25, grid_cache(n, 10.0), 0.95)
         near = iso[np.abs(iso) <= spectrum._NEAR_ORIGIN_RADIUS]
         assert near.size == 2 and np.all(near.imag == 0.0)
         assert max(m.shape[0] for m in shifted_matrices) <= 2 * (n + 1)
@@ -432,3 +432,54 @@ class TestTracking:
             iso = isolated_eigs(es, continuous_bands("mtm", omega, 0.2))
             rates[omega] = float(iso.real.max())
         assert rates[-0.5] > 2.0 * rates[0.5]
+
+
+class TestMatching:
+    """The matching rule on synthetic sweep points, far from the seeds.
+
+    Each step assigns the pair of branch and candidate nearest overall,
+    ties to the earlier branch, then the next nearest of what is left; a
+    second candidate within 1.1 times the nearest distance sends the
+    branch to the candidate nearest its extrapolation, with a warning.
+    """
+
+    @staticmethod
+    def track(monkeypatch, ps, points):
+        # one list of candidate eigenvalues per grid point, solved in order
+        def point(p, iso):
+            bands = continuous_bands("mtm", 0.0, p)
+            return (np.array(iso, dtype=complex), np.zeros(len(iso)), bands,
+                    default_margin(bands))
+
+        solved = iter([point(p, iso) for p, iso in zip(ps, points)])
+        monkeypatch.setattr(spectrum, "_solve_isolated",
+                            lambda *args: next(solved))
+        return track_branches("mtm", 0.0, ps, None, jobs=1)
+
+    def test_nearest_pair_wins_over_branch_order(self, monkeypatch):
+        branches = self.track(monkeypatch, [1.0, 1.125],
+                              [[5.0, 5.25], [5.1875]])
+        # branch 1 is 0.0625 away, branch 0 0.1875, both inside 0.375
+        assert [pt.lam for pt in branches[1].points] == [5.25, 5.1875]
+        assert len(branches[0].points) == 1
+        assert branches[0].events == [(1.125, "lost (no match within radius)")]
+
+    def test_exact_tie_goes_to_lower_branch_id(self, monkeypatch):
+        branches = self.track(monkeypatch, [1.0, 1.125],
+                              [[5.0, 5.25], [5.125]])
+        assert [pt.lam for pt in branches[0].points] == [5.0, 5.125]
+        assert len(branches[1].points) == 1
+        assert len(branches) == 2
+
+    def test_near_tie_follows_the_extrapolation(self, monkeypatch, caplog):
+        # moving at +1 per unit p, the branch is extrapolated to 5.25; the
+        # candidate behind it is nearer, the one ahead within 1.1 times
+        with caplog.at_level("WARNING", logger=spectrum.logger.name):
+            branches = self.track(monkeypatch, [1.0, 1.125, 1.25],
+                                  [[5.0], [5.125], [5.0, 5.2578125]])
+        assert [pt.lam for pt in branches[0].points] == [5.0, 5.125,
+                                                         5.2578125]
+        assert [pt.lam for pt in branches[1].points] == [5.0]
+        warnings = [r.getMessage() for r in caplog.records]
+        assert warnings == ["ambiguous branch match at p=1.25 for branch 0: "
+                            "2 candidates within radius; using extrapolation"]
