@@ -16,8 +16,9 @@ its eigenvalues are +-sqrt(eig(B C)).  B and C have a second, exact
 antiunitary symmetry, T conj(B) T = B with T = kron(diag(1, -1), J), so
 a unitary change of basis built from mirror pairs of grid nodes makes
 them real.  parity_blocks writes those real blocks, split by component
-where B C is block diagonal, straight from the model's blocks, one
-(N+1)-square block at a time.
+where B C is block diagonal, in closed form from the model's blocks: the
+differentiation matrix is centro-antisymmetric, so in the mirror basis
+each (N+1)-square block is one transform of it plus four diagonals.
 
 assemble samples the soliton potential and keeps it with the parameters;
 it writes no matrix, and A itself is never written.  Its component
@@ -137,53 +138,22 @@ def _splits(op: StabilityOperator) -> bool:
     return op.model is ModelKind.MASSIVE_THIRRING or op.p == 0.0
 
 
-def _mirror_sums(x: np.ndarray, out: np.ndarray, scale) -> None:
-    """out = (x_k + x_(n-k)) * scale along the last axis, for the first
-    out.shape[-1] indices k."""
-    k = out.shape[-1]
-    np.add(x[..., :k], x[..., ::-1][..., :k], out=out)
-    out *= scale
+def _mirror_basis(x: np.ndarray) -> np.ndarray:
+    """M^T x along the first axis, for the real mirror basis M = [E, O].
 
-
-def _mirror_differences(x: np.ndarray, out: np.ndarray, scale) -> None:
-    """out = (x_k - x_(n-k)) * scale along the last axis, for the first
-    out.shape[-1] indices k."""
-    k = out.shape[-1]
-    np.subtract(x[..., :k], x[..., ::-1][..., :k], out=out)
-    out *= scale
-
-
-def _real_block(re: np.ndarray, im: np.ndarray, turn: int,
-                out: np.ndarray) -> None:
-    """out = 1j**turn * W_J^H X W_J for X = re + 1j * im, turn in {-1, 0, 1}.
-
-    The columns of W_J are the even mirror combinations, then 1j times
-    the odd ones.  W = blockdiag(W_J, 1j W_J) carries the parity block
-    of components (R, J) by the phase 1j**(J - R).  The product is real
-    (see parity_blocks), and it is formed from the real and imaginary
-    parts of X: a factor +-1j only swaps and signs them, so each entry
-    takes the same operations in the same order as the complex product.
+    E holds the even combinations (e_k + e_(n-k)) / sqrt(2) for k < n / 2,
+    then e_(n/2) when the grid has a middle node; O holds the odd ones
+    (e_k - e_(n-k)) / sqrt(2).
     """
-    m = re.shape[0]
+    m = x.shape[0]
     h = m // 2
-    # even combinations (e_k + e_(n-k)) / sqrt(2); a middle node pairs
-    # with itself, (x + x) / 2 = x
-    scale = np.full(m - h, _SQRT_HALF)
-    scale[h:] = 0.5
-    # Y = X W_J, whose odd columns carry the factor 1j
-    y_re, y_im = np.empty((m, m)), np.empty((m, m))
-    _mirror_sums(re, y_re[:, :m - h], scale)
-    _mirror_differences(im, y_re[:, m - h:], -_SQRT_HALF)
-    _mirror_sums(im, y_im[:, :m - h], scale)
-    _mirror_differences(re, y_im[:, m - h:], _SQRT_HALF)
-    # the rows of W_J^H Y, the odd ones times -1j, through the transposes;
-    # the real part of +-1j Z is -+ its imaginary part
-    if turn == 0:
-        _mirror_sums(y_re.T, out[:m - h].T, scale)
-        _mirror_differences(y_im.T, out[m - h:].T, _SQRT_HALF)
-    else:
-        _mirror_sums(y_im.T, out[:m - h].T, -turn * scale)
-        _mirror_differences(y_re.T, out[m - h:].T, turn * _SQRT_HALF)
+    out = np.empty_like(x)
+    np.add(x[:h], x[::-1][:h], out=out[:h])
+    out[:h] *= _SQRT_HALF
+    out[h:m - h] = x[h:m - h]
+    np.subtract(x[:h], x[::-1][:h], out=out[m - h:])
+    out[m - h:] *= _SQRT_HALF
+    return out
 
 
 def _component_blocks(op: StabilityOperator) -> dict:
@@ -192,67 +162,32 @@ def _component_blocks(op: StabilityOperator) -> dict:
     That block of B and of C is taken from rows 2R, 2R + 1 and columns
     2J, 2J + 1 of A's 4 x 4 blocks, whose rows are rows 2 - 2R, 3 - 2R of
     the operator's blocks times -1j and +1j.  Maps (R, J) to
-    (derivative, diagonal, upper, lower): derivative is true where the
-    two diagonal blocks are -1j D + diag(diagonal) and 1j D +
-    diag(diagonal), with D the scaled differentiation matrix, and false
-    where they are zero; upper and lower are the complex diagonals of the
-    two off-diagonal blocks.  Each vector sums its terms in the order the
-    block form adds them onto its diagonals.  Only the blocks parity_blocks
-    returns are listed.
+    (diagonal, upper, lower): where J != R the two diagonal blocks are
+    -1j D + diag(diagonal) and 1j D + diag(diagonal), with D the scaled
+    differentiation matrix, and where J == R they are zero; upper and
+    lower are the complex diagonals of the two off-diagonal blocks.  Only
+    the blocks parity_blocks returns are listed.
     """
     abs2, sq, csq = op.potential
     omega, p = op.omega, op.p
     if op.model is ModelKind.MASSIVE_THIRRING:
         p2 = p ** 2
         return {
-            (0, 1): (True, np.full(abs2.shape, omega + p2),
-                     1.0 - sq, 1.0 - csq),
-            (1, 0): (True, (omega + 2.0 * abs2) + p2,
-                     -1.0 + sq, -1.0 + csq),
+            (0, 1): (np.full(abs2.shape, omega + p2), 1.0 - sq, 1.0 - csq),
+            (1, 0): ((omega + 2.0 * abs2) + p2, -1.0 + sq, -1.0 + csq),
         }
     cross = 1.0 - sq - csq
     blocks = {
-        (0, 1): (True, np.full(abs2.shape, omega), cross, cross),
-        (1, 0): (True, omega + 2.0 * abs2,
+        (0, 1): (np.full(abs2.shape, omega), cross, cross),
+        (1, 0): (omega + 2.0 * abs2,
                  -1.0 + sq + 3.0 * csq, -1.0 + csq + 3.0 * sq),
     }
     if not _splits(op):
         # the transverse term t = 1j p I, -t in rows 2, 3 and t in rows 0, 1
         t = np.full(abs2.shape, 1j * p)
-        blocks[0, 0] = (False, np.zeros(abs2.shape), -t, -t)
-        blocks[1, 1] = (False, np.zeros(abs2.shape), t, t)
+        blocks[0, 0] = (np.zeros(abs2.shape), -t, -t)
+        blocks[1, 1] = (np.zeros(abs2.shape), t, t)
     return blocks
-
-
-def _complex_blocks(op: StabilityOperator, derivative: bool,
-                    diagonal, upper, lower) -> tuple:
-    """(re, im) of one component block of the complex B, then of C.
-
-    With A_ab, a, b in {0, 1}, the four blocks of A that meet in it (see
-    _component_blocks), B = (same + cross) / 2 and C = (same - cross) / 2.
-    same is A_00 minus A_11 with its rows and columns reversed, and cross
-    is A_10 with its rows reversed minus A_01 with its columns reversed.
-    A_00 and A_11 are -1j and 1j times the diagonal model blocks, so same
-    holds the derivative terms in its real part and the diagonals in its
-    imaginary part; cross lies on the antidiagonal.
-    """
-    d = op.grid.d_scaled
-    m = d.shape[0]
-    nodes = np.arange(m)
-    anti = (nodes, nodes[::-1])
-    same_re = d[::-1, ::-1] - d if derivative else np.zeros((m, m))
-    same_im = np.zeros((m, m))
-    same_im[nodes, nodes] = -(diagonal + diagonal[::-1])
-    cross_re = -(lower.imag[::-1] + upper.imag)
-    cross_im = lower.real[::-1] + upper.real
-    parts = []
-    for sign in (1.0, -1.0):
-        # (same +- cross) / 2, with cross zero off the antidiagonal
-        re, im = 0.5 * same_re, 0.5 * same_im
-        re[anti] = 0.5 * (same_re[anti] + sign * cross_re)
-        im[anti] = 0.5 * (same_im[anti] + sign * cross_im)
-        parts.append((re, im))
-    return tuple(parts)
 
 
 def parity_blocks(op: StabilityOperator) -> list:
@@ -266,16 +201,23 @@ def parity_blocks(op: StabilityOperator) -> list:
     eigenspace of S into the +1 eigenspace and C the +1 into the -1;
     their first N+1 rows and columns, parity component 0, hold k in
     component 0, the rest k in component 2.
-    W = blockdiag(W_J, 1j W_J) with W_J the mirror basis of one component
-    (see _real_block).  W is unitary, and T conj(B) T = B,
-    T = kron(diag(1, -1), J), pairs every entry with the conjugate of its
-    mirror, so B and C become real bit for bit.  The eigenvalues of A are
-    +-sqrt(mu) for the eigenvalues mu of the real products B @ C, over
-    all pairs.
+    W = blockdiag(W_J, 1j W_J) with W_J = [E, 1j O], E and O the even and
+    odd mirror combinations of one component (see _mirror_basis).  W is
+    unitary, and T conj(B) T = B, T = kron(diag(1, -1), J), pairs every
+    entry with the conjugate of its mirror, so B and C are real.  The
+    eigenvalues of A are +-sqrt(mu) for the eigenvalues mu of the real
+    products B @ C, over all pairs.
 
-    Each (N+1)-square component block is written in real arithmetic from
-    the model's blocks, every entry with the operations, in the order,
-    of the complex chain from A, so the blocks are equal to that chain's.
+    The scaled differentiation matrix D is centro-antisymmetric,
+    D[n-i, n-j] = -D[i, j], so E^T D E and O^T D O vanish and each
+    (N+1)-square component block (R, J) is written in closed form from
+    M^T D M and four diagonals.  With t = J - R, g = upper +
+    reversed(lower), d = diagonal (see _component_blocks) and the upper
+    sign for B, the lower for C, it is t [[0, E^T D O], [-O^T D E, 0]]
+    plus, at k:
+      t (d_k + d_(n-k)) / 2 +- Re(1j**(t+1) (g_k + g_(n-k))) / 4
+        on the even-even diagonal, with -+ on the odd-odd one, and
+      +-Re(1j**t (g_k - g_(n-k))) / 4 on both even-odd diagonals.
     Where B C is block diagonal in the two parity components (mtm at
     every p, gn at p = 0), there is one (N+1)-square pair per component:
     pair k has the B that maps parity component 1 - k of the -1
@@ -283,6 +225,8 @@ def parity_blocks(op: StabilityOperator) -> list:
     it back.  Otherwise there is one 2(N+1)-square pair.
     """
     m = op.grid.n + 1
+    h = m // 2
+    e = m - h
     # (B or C, row component, column component) -> its block of the output
     if _splits(op):
         pairs = np.empty((2, 2, m, m))
@@ -294,9 +238,24 @@ def parity_blocks(op: StabilityOperator) -> list:
         slots = {(k, r, j): full[k, r, :, j]
                  for k in (0, 1) for r in (0, 1) for j in (0, 1)}
         result = [tuple(full.reshape(2, 2 * m, 2 * m))]
-    for (r, j), blocks in _component_blocks(op).items():
-        for k, parts in enumerate(_complex_blocks(op, *blocks)):
-            _real_block(*parts, j - r, slots[k, r, j])
+    mdm = _mirror_basis(_mirror_basis(op.grid.d_scaled).T).T  # M^T D M
+    evens, odds = np.arange(e), np.arange(h)
+    for (r, j), (d, upper, lower) in _component_blocks(op).items():
+        t = j - r
+        g = upper + lower[::-1]
+        d_sum = 0.5 * t * (d[:e] + d[::-1][:e])
+        g_sum = 0.25 * (1j ** (t + 1) * (g[:e] + g[::-1][:e])).real
+        g_diff = 0.25 * (1j ** t * (g[:h] - g[::-1][:h])).real
+        for k, sign in enumerate((1.0, -1.0)):
+            out = slots[k, r, j]
+            out[:e, :e] = 0.0
+            out[e:, e:] = 0.0
+            np.multiply(mdm[:e, e:], t, out=out[:e, e:])
+            np.multiply(mdm[e:, :e], -t, out=out[e:, :e])
+            out[evens, evens] += d_sum + sign * g_sum
+            out[e + odds, e + odds] += d_sum[:h] - sign * g_sum[:h]
+            out[odds, e + odds] += sign * g_diff
+            out[e + odds, odds] += sign * g_diff
     return result
 
 
