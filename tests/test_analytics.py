@@ -308,6 +308,16 @@ class TestHelpers:
         val = quad_integral(lambda x: np.exp(-mu * abs(x)) * (1.0 + 2.0j), mu)
         assert val == pytest.approx((1.0 + 2.0j) * 2.0 / mu, rel=1e-11)
 
+    def test_quad_integral_resolves_oscillation(self):
+        # about three periods per panel of width 1/mu
+        val = quad_integral(lambda x: np.exp(-abs(x)) * np.cos(20.0 * x), 1.0)
+        assert abs(val - 2.0 / 401.0) <= 1e-12
+
+    def test_quad_integral_raises_when_unresolved(self):
+        # about thirty periods per panel: the 40- and 80-panel rules disagree
+        with pytest.raises(NumericsError):
+            quad_integral(lambda x: np.exp(-abs(x)) * np.cos(200.0 * x), 1.0)
+
     def test_du_domega_step_insensitive(self):
         xs = np.array([-0.7, 0.0, 1.1])
         a = du_domega(MTM, 0.5, xs, step=1e-5)

@@ -454,20 +454,28 @@ def test_commands_load_no_scipy(tmp_path):
 def test_prediction_runs_without_scipy():
     # a fresh interpreter in which any scipy import fails, as on a plain
     # pip install: the exported prediction computes no corrections unless
-    # asked to
+    # asked to, and computes them by its own quadrature when asked
+    from test_analytics import TestCorrections
+
     script = textwrap.dedent("""
         import sys
         sys.modules["scipy"] = None
         import diracstab
         pred = diracstab.asymptotic_prediction("gn", 0.5)
         print(pred.alpha is None and pred.beta is None)
+        pred = diracstab.asymptotic_prediction("gn", 0.5, with_corrections=True)
+        print(repr(pred.alpha), repr(pred.beta))
     """)
     src = os.path.dirname(os.path.dirname(os.path.abspath(diracstab.__file__)))
     proc = subprocess.run([sys.executable, "-c", script],
                           env=dict(os.environ, PYTHONPATH=src),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["True"]
+    skipped, alpha, beta = proc.stdout.split()
+    assert skipped == "True"
+    alpha_ref, beta_ref = TestCorrections.FROZEN[0.5]
+    assert complex(alpha) == pytest.approx(alpha_ref, rel=1e-6)
+    assert complex(beta) == pytest.approx(beta_ref, rel=1e-6)
 
 
 def test_sweep_pool_forks_no_threaded_process(tmp_path):
