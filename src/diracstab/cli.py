@@ -8,6 +8,11 @@ the package version, and contains no timestamps.
 Config precedence: command-line flags > JSON config file (--config, keys
 named like the long flags with underscores) > built-in defaults.
 
+sweep --jobs K and validate solve on forked worker processes through
+spectrum._map_forked, each worker on one BLAS thread.  validate takes one
+worker per cpu in the process's affinity mask, with no flag for it, and
+formats every line itself, so its output does not depend on the count.
+
 Exit codes: 0 success; 2 domain or configuration error; 3 numerical
 non-convergence; 4 validation failure.
 """
@@ -29,9 +34,9 @@ from .eigen import ConvergenceError, eigvals, single_blas_thread  # noqa: F401
 from .operator import assemble, continuous_bands
 from .soliton import (DomainError, ModelKind, SolitonProfile,
                       algebraic_profile_mtm, eval_profile)
-from .spectrum import (BranchNotFound, default_margin, isolated_eigs,
-                       parity_eigvals, spurious_metric, summarize_sweep,
-                       track_branches)
+from .spectrum import (BranchNotFound, _map_forked, default_margin,
+                       isolated_eigs, parity_eigvals, spurious_metric,
+                       summarize_sweep, track_branches)
 
 OUTDIR_ENV = "DIRACSTAB_OUTDIR"
 
@@ -291,6 +296,21 @@ def _p0_metric(model: ModelKind, omega: float, grid) -> float:
     return spurious_metric(parity_eigvals(op), im_cutoff=10.0)
 
 
+def _p0_cell(cells, index: int) -> float:
+    # the pool sends a worker the index alone; the cells and their grids
+    # reach it through the fork
+    return _p0_metric(*cells[index])
+
+
+def _usable_cpus() -> int:
+    """The cpus this process may run on: its affinity mask, where the
+    platform has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def cmd_validate(args) -> int:
     defaults = {"model": None, "n_values": "100,300", "scale": None,
                 "out": None}
@@ -309,26 +329,31 @@ def cmd_validate(args) -> int:
                 raise ValueError(f"no published {model.value} metric for "
                                  f"N={n}; published N values: {published}")
     scale = float(cfg["scale"]) if cfg["scale"] is not None else 10.0
+    cells = []
+    for model in models:
+        for n in n_list:
+            grid = build_grid(n, scale)
+            cells += [(model, om, grid)
+                      for om in _VALIDATE_OMEGAS[model.value]]
+    # one worker per usable cpu, each on one BLAS thread, as in a sweep: a
+    # second BLAS thread adds cpu time to these solves and saves no wall
+    # time, and the (mtm, +0.5, 500) cell passes on one thread only
+    with single_blas_thread():
+        metrics = _map_forked(_p0_cell, (cells,), range(len(cells)),
+                              _usable_cpus())
     lines = []
     all_ok = True
-    # one BLAS thread, as in a sweep: a second one adds cpu time to these
-    # solves and saves no wall time
-    with single_blas_thread():
-        for model in models:
-            for n in n_list:
-                grid = build_grid(n, scale)
-                for om in _VALIDATE_OMEGAS[model.value]:
-                    key = (model.value, om, n)
-                    metric = _p0_metric(model, om, grid)
-                    reference = _REFERENCE_METRICS[key]
-                    ceiling = _STATED_CEILINGS.get(key, 10.0 * reference)
-                    ok = metric <= ceiling
-                    all_ok = all_ok and ok
-                    lines.append(
-                        f"{model.value} omega={om:+.4f} N={n}: "
-                        f"metric={metric:.3e} reference={reference:.3e} "
-                        f"ceiling={ceiling:.3e} "
-                        f"{'PASS' if ok else 'FAIL'}")
+    for (model, om, grid), metric in zip(cells, metrics):
+        key = (model.value, om, grid.n)
+        reference = _REFERENCE_METRICS[key]
+        ceiling = _STATED_CEILINGS.get(key, 10.0 * reference)
+        ok = metric <= ceiling
+        all_ok = all_ok and ok
+        lines.append(
+            f"{model.value} omega={om:+.4f} N={grid.n}: "
+            f"metric={metric:.3e} reference={reference:.3e} "
+            f"ceiling={ceiling:.3e} "
+            f"{'PASS' if ok else 'FAIL'}")
     report = "\n".join(lines) + "\n"
     sys.stdout.write(report)
     if cfg["out"]:

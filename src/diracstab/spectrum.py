@@ -7,9 +7,10 @@ the small-p eigenvalue slopes, and continues isolated branches across a
 sweep in the transverse wavenumber.  A sweep point's residuals come from
 eigenvectors of M = [[0, B], [C, 0]] for each block pair, taken and
 checked in the parity basis, where they equal the residuals on the
-4(N+1)-square stability matrix; that matrix is never written.  A sweep's
-points are solved inline, or on a pool of forked worker processes when
-track_branches is given jobs > 1.
+4(N+1)-square stability matrix; that matrix is never written.
+_map_forked runs independent solves inline or on a pool of forked worker
+processes: a sweep's points when track_branches is given jobs > 1, and
+the p = 0 cells of the command line's validate.
 """
 
 from __future__ import annotations
@@ -264,17 +265,18 @@ def _solve_isolated(model, omega, grid, p):
     return iso, _isolated_residuals(solves, iso), bands, margin
 
 
-# (model, omega, grid) of the sweep, in a pool worker
-_worker_args = ()
+# (fn, shared) of the open pool, in one of its workers
+_worker_task = ()
 
 
-def _start_worker(*args):
-    global _worker_args
-    _worker_args = args
+def _start_worker(fn, shared):
+    global _worker_task
+    _worker_task = (fn, shared)
 
 
-def _solve_in_worker(p):
-    return _solve_isolated(*_worker_args, p)
+def _run_in_worker(item):
+    fn, shared = _worker_task
+    return fn(*shared, item)
 
 
 def _fork_context():
@@ -283,6 +285,28 @@ def _fork_context():
     if "fork" not in multiprocessing.get_all_start_methods():
         return None
     return multiprocessing.get_context("fork")
+
+
+def _map_forked(fn, shared: tuple, items, jobs: int) -> list:
+    """[fn(*shared, item) for item in items], in item order.
+
+    Runs inline at jobs == 1, for a single item, or where the platform
+    cannot fork; otherwise on a pool of min(jobs, len(items)) forked
+    worker processes.  The workers inherit fn and shared through the
+    fork, so neither is pickled; only the items and the results are.  A
+    fork copies the calling thread alone, and each worker keeps the
+    caller's BLAS thread counts.  An exception raised by fn in a worker
+    is raised here.
+    """
+    items = list(items)
+    context = _fork_context() if jobs > 1 and len(items) > 1 else None
+    if context is None:
+        return [fn(*shared, item) for item in items]
+    from concurrent.futures import ProcessPoolExecutor
+    with ProcessPoolExecutor(max_workers=min(jobs, len(items)),
+                             mp_context=context, initializer=_start_worker,
+                             initargs=(fn, shared)) as pool:
+        return list(pool.map(_run_in_worker, items))
 
 
 def _match_radius(branch: TrackedBranch, step: float) -> float:
@@ -309,19 +333,19 @@ def track_branches(model, omega: float, p_grid, grid: ChebGrid,
                    jobs: int = 1) -> list:
     """Continue isolated eigenvalue branches across an ascending p-grid.
 
-    Each grid point is solved on one BLAS thread.  At jobs == 1 the points
-    are solved inline; at jobs > 1 on a pool of min(jobs, len(p_grid))
-    forked worker processes, which inherit the model and grid and
-    receive only p, and inline where the platform cannot fork.  Forked
-    workers overlap their solves at every matrix order, where threads do
-    not: numpy keeps the GIL through most of an eigvals call below about
-    order 500.  A fork copies the calling thread alone, so a caller that
-    runs threads of its own should keep jobs == 1.  The matching pass
-    itself is sequential and deterministic, so the branches do not depend
-    on jobs.  Branches are seeded at the first grid point from the
-    asymptotic predictions plus any remaining isolated eigenvalues, and
-    terminated with an 'absorbed' or 'lost' event when no candidate falls
-    inside the match radius.
+    Each grid point is solved on one BLAS thread, through _map_forked:
+    inline at jobs == 1, and at jobs > 1 on a pool of min(jobs,
+    len(p_grid)) forked worker processes, which inherit the model and
+    grid and receive only p (inline where the platform cannot fork).
+    Forked workers overlap their solves at every matrix order, where
+    threads do not: numpy keeps the GIL through most of an eigvals call
+    below about order 500.  A fork copies the calling thread alone, so a
+    caller that runs threads of its own should keep jobs == 1.  The
+    matching pass itself is sequential and deterministic, so the branches
+    do not depend on jobs.  Branches are seeded at the first grid point
+    from the asymptotic predictions plus any remaining isolated
+    eigenvalues, and terminated with an 'absorbed' or 'lost' event when
+    no candidate falls inside the match radius.
 
     At each step the pairs of branch and candidate inside the branch's
     match radius are assigned nearest first, ties to the earlier branch
@@ -346,16 +370,7 @@ def track_branches(model, omega: float, p_grid, grid: ChebGrid,
     # pool's workers, forked on the one thread set here, are the only
     # parallelism
     with single_blas_thread():
-        context = _fork_context() if jobs > 1 else None
-        if context is None:
-            solved = [_solve_isolated(model, omega, grid, p) for p in ps]
-        else:
-            from concurrent.futures import ProcessPoolExecutor
-            with ProcessPoolExecutor(
-                    max_workers=min(jobs, len(ps)), mp_context=context,
-                    initializer=_start_worker,
-                    initargs=(model, omega, grid)) as pool:
-                solved = list(pool.map(_solve_in_worker, ps))
+        solved = _map_forked(_solve_isolated, (model, omega, grid), ps, jobs)
 
     pred = asymptotic_prediction(model, omega, with_corrections=False)
     first_step = ps[1] - ps[0]

@@ -44,6 +44,12 @@ def produced_file(capsys, outdir, index=0):
     return outdir / names[index].split("/")[-1]
 
 
+def use_workers(monkeypatch, count):
+    # validate runs one worker per usable cpu: a count of 1 pins the
+    # inline path, and 2 the forked pool, on any runner
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: count)
+
+
 class TestSoliton:
     def test_profile_csv(self, outdir, capsys):
         rc = cli.main(["soliton", "--model", "mtm", "--omega", "0.5"])
@@ -264,6 +270,51 @@ class TestValidate:
         assert rc == 4
         assert "FAIL" in capsys.readouterr().out
 
+    def test_outputs_do_not_depend_on_workers(self, outdir, capsys,
+                                              monkeypatch):
+        # both models; only the parent formats lines, so the pool changes
+        # no byte of the report or of stdout
+        outputs = []
+        for count in (1, 2):
+            sub = outdir / str(count)
+            sub.mkdir()
+            monkeypatch.setenv(cli.OUTDIR_ENV, str(sub))
+            use_workers(monkeypatch, count)
+            assert cli.main(["validate", "--n-values", "100",
+                             "--out", "report.txt"]) == 0
+            outputs.append((capsys.readouterr().out,
+                            (sub / "report.txt").read_bytes()))
+        assert len(outputs[0][0].splitlines()) == 5
+        assert outputs[0] == outputs[1]
+
+    def test_failure_exit_code_in_the_pool(self, capsys, monkeypatch):
+        use_workers(monkeypatch, 2)
+        monkeypatch.setattr(cli, "_STATED_CEILINGS",
+                            {("mtm", 0.0, 100): 1e-12})
+        rc = cli.main(["validate", "--model", "mtm", "--n-values", "100"])
+        assert rc == 4
+        verdicts = [line.rsplit(" ", 1)[-1]
+                    for line in capsys.readouterr().out.splitlines()]
+        assert verdicts == ["PASS", "FAIL", "PASS"]
+
+    def test_lapack_failure_in_a_worker_exits_3(self, capsys, monkeypatch):
+        # patched before the pool forks, so its workers inherit it
+        use_workers(monkeypatch, 2)
+        parent = os.getpid()
+        solve = np.linalg.eigvals
+
+        def failing(a):
+            if os.getpid() != parent:
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return solve(a)
+
+        monkeypatch.setattr(np.linalg, "eigvals", failing)
+        rc = cli.main(["validate", "--model", "mtm", "--n-values", "100"])
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert "numerical failure:" in captured.err
+        assert captured.out == ""
+
     @pytest.mark.parametrize("argv,n", [
         (["--model", "mtm", "--n-values", "200"], 200),
         (["--model", "gn", "--n-values", "100,250"], 250),
@@ -286,23 +337,30 @@ class TestValidate:
         assert cli.main(["validate", f"--n-values={n_values}"]) == 2
         assert "error:" in capsys.readouterr().err
 
-    def test_cells_run_on_one_blas_thread(self, capsys, monkeypatch):
+    def test_cells_run_on_one_blas_thread(self, capsys, monkeypatch,
+                                          file_record):
+        # the cells run in the pool's forked workers: record through a file
         before = blas_threads()
-        seen = []
+        seen = file_record("threads")
         metric = cli._p0_metric
 
         def recording(*args):
-            seen.append(blas_threads())
+            seen.append([os.getpid(), blas_threads()])
             return metric(*args)
 
         monkeypatch.setattr(cli, "_p0_metric", recording)
+        use_workers(monkeypatch, 2)
         assert cli.main(["validate", "--model", "gn",
                          "--n-values", "100"]) == 0
+        pids, threads = zip(*seen)
+        assert os.getpid() not in pids
         # None where no OpenBLAS is loaded
-        assert seen == [None if before is None else 1] * 2
+        assert list(threads) == [None if before is None else 1] * 2
         assert blas_threads() == before
 
-    def test_cells_write_no_full_matrix(self, capsys):
+    def test_cells_write_no_full_matrix(self, capsys, monkeypatch):
+        # inline, so that the peak below is a cell's and not the parent's
+        use_workers(monkeypatch, 1)
         tracemalloc.start()
         try:
             assert cli.main(["validate", "--n-values", "100"]) == 0
@@ -344,8 +402,10 @@ class TestSolveDimension:
         (["sweep", "--model", "gn", "--omega", "0.6667", "--n", "20",
           "--p-range", "0.1:0.2:0.1"], 42),
     ], ids=["spectrum", "sweep", "validate", "spectrum-gn-p", "sweep-gn"])
-    def test_solves_at_half_dimension(self, argv, dim, capsys, monkeypatch):
-        dims = []
+    def test_solves_at_half_dimension(self, argv, dim, capsys, monkeypatch,
+                                      file_record):
+        # validate solves in forked workers: record through a file
+        dims = file_record("dims", tuple)
 
         def recording(solve):
             def wrapped(matrix, want_vectors=False):
@@ -355,6 +415,7 @@ class TestSolveDimension:
 
         monkeypatch.setattr(cli, "eigvals", recording(cli.eigvals))
         monkeypatch.setattr(spectrum, "eigvals", recording(spectrum.eigvals))
+        use_workers(monkeypatch, 2)
         assert cli.main(argv) == 0
         assert dims and set(dims) == {(dim, dim)}
 

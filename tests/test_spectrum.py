@@ -344,6 +344,28 @@ class TestTracking:
         assert len(workers) == 0
         assert inline == track_branches("mtm", 0.0, ps, grid, jobs=1)
 
+    def test_map_forked_keeps_item_order(self, monkeypatch, file_record):
+        workers = file_record("workers")
+        start = spectrum._start_worker
+
+        def recording(*args):
+            workers.append(os.getpid())
+            start(*args)
+
+        monkeypatch.setattr(spectrum, "_start_worker", recording)
+        # a lambda cannot be pickled: fn reaches the workers by the fork
+        ratio = lambda base, k: (base // k, os.getpid())  # noqa: E731
+        items = [7, 3, 9, 1, 5]
+        pooled = spectrum._map_forked(ratio, (100,), items, 2)
+        assert [q for q, _ in pooled] == [100 // k for k in items]
+        assert len(set(workers)) == 2
+        assert {pid for _, pid in pooled} <= set(workers)
+        # one job, or one item, runs inline
+        parent = [(100 // k, os.getpid()) for k in items]
+        assert spectrum._map_forked(ratio, (100,), items, 1) == parent
+        assert spectrum._map_forked(ratio, (100,), items[:1], 4) == parent[:1]
+        assert len(workers) == 2
+
     def test_pool_leaves_no_processes(self, grid_cache):
         track_branches("gn", 2.0 / 3.0, [0.2, 0.25, 0.3],
                        grid_cache(30, 10.0), jobs=2)
