@@ -8,6 +8,18 @@ sweep in the transverse wavenumber.  A sweep point's residuals come from
 eigenvectors of M = [[0, B], [C, 0]] for each block pair, taken and
 checked in the parity basis, where they equal the residuals on the
 4(N+1)-square stability matrix; that matrix is never written.
+
+A sweep point takes the two-grid route: its isolated values are found
+by the values-only solve on a coarse grid of even degree N_c = 2
+floor(N / 4), and each is refined at N by inverse iteration on the fine
+B C, whose iterate also gives the residual.  The drift of a value
+between the grids is the per-value resolution check of Boyd's rule
+(Chebyshev and Fourier Spectral Methods, ch. 7).  Guards send a point
+to the full solve at N instead, which finds every value the fine grid
+has: N_c below _COARSE_FLOOR, the sweep's first point, a closed gap, a
+coarse value near the origin or a band, and a refinement that is not
+finite, coalesces or drifts (see _refined_point).  spectrum, slope_fit
+and validate keep the full solve.
 _map_forked runs independent solves inline or on a pool of forked worker
 processes: a sweep's points when track_branches is given jobs > 1, and
 the p = 0 cells of the command line's validate.
@@ -25,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analytics import asymptotic_prediction
-from .cheb import ChebGrid
+from .cheb import ChebGrid, build_grid
 from .eigen import (EigenSet, eigvals, inverse_vectors, root_pairs,
                     single_blas_thread)
 from .operator import (SpectralBands, assemble, continuous_bands,
@@ -49,6 +61,11 @@ _CLASS_TOL = 1e-6          # relative axis tolerance, solver-residual scale
 _NEAR_ORIGIN_RADIUS = 5e-3
 _MARGIN_FLOOR = 1e-3
 _MARGIN_FRACTION = 0.05
+# smallest coarse degree N_c of the two-grid route (N >= 120).  Against
+# N = 160, gn omega = 2/3 values drift by up to 1.3e-6 at N_c = 60, by
+# 6.4e-5 at 50 and 2.3e-3 at 40, so below 60 nearly every point would
+# fail the drift guard and pay both solves.
+_COARSE_FLOOR = 60
 
 
 class BranchNotFound(RuntimeError):
@@ -140,6 +157,15 @@ def parity_eigvals(op) -> EigenSet:
     return _parity_solve(op)[0]
 
 
+def _lift(c, xs, lams):
+    """Unit eigenvectors [y; z] of M = [[0, B], [C, 0]] for lams, from
+    eigenvectors x of B C for lams**2: [x; C x / lam] scaled to unit
+    norm, returned as the parts ys and zs on the rows of B and of C."""
+    zs = (c @ xs) / lams
+    norms = np.hypot(np.linalg.norm(xs, axis=0), np.linalg.norm(zs, axis=0))
+    return xs / norms, zs / norms
+
+
 def _parity_vectors(solves, values):
     """Unit eigenvectors [y; z] of M = [[0, B], [C, 0]] for values taken
     from _parity_solve, in the real bases of each block pair (B, C).
@@ -148,10 +174,9 @@ def _parity_vectors(solves, values):
     for eigenvalues mu of pair's block product B C, and the columns of ys
     and zs are the parts of their vectors on the rows of B and of C.
     Away from the origin, one inverse iteration on B C - mu, real when mu
-    is, gives x for both signs of lam, and [y; z] is [x; C x / lam]
-    scaled to unit norm.  Near the origin C x / lam is ill-conditioned,
-    so each value there takes its vector from inverse iteration on the
-    pair's own real M.
+    is, gives x for both signs of lam, and _lift makes [y; z].  Near the
+    origin C x / lam is ill-conditioned, so each value there takes its
+    vector from inverse iteration on the pair's own real M.
     """
     near = np.abs(values) <= _NEAR_ORIGIN_RADIUS
     for pair, (b, c, bc, mu) in enumerate(solves):
@@ -162,10 +187,7 @@ def _parity_vectors(solves, values):
         if rows.size:
             wanted, column = np.unique(cols, return_inverse=True)
             xs = inverse_vectors(bc, mu[wanted])[:, column]
-            zs = (c @ xs) / values[rows]
-            norms = np.hypot(np.linalg.norm(xs, axis=0),
-                             np.linalg.norm(zs, axis=0))
-            yield pair, rows, xs / norms, zs / norms
+            yield (pair, rows) + _lift(c, xs, values[rows])
         rows = np.flatnonzero(hit.any(axis=1) & near)
         if rows.size:
             k = b.shape[0]
@@ -175,22 +197,32 @@ def _parity_vectors(solves, values):
             yield pair, rows, ws[:k], ws[k:]
 
 
+def _block_scale(pairs) -> float:
+    """||M||_F over all block pairs: the root of the summed ||B||_F^2 +
+    ||C||_F^2."""
+    return math.sqrt(sum(np.linalg.norm(b) ** 2 + np.linalg.norm(c) ** 2
+                         for b, c, *_ in pairs))
+
+
+def _pair_residuals(b, c, ys, zs, lams) -> np.ndarray:
+    """||M w - lam w|| per column w = [y; z] of one block pair's M."""
+    gaps = np.concatenate([b @ zs - ys * lams, c @ ys - zs * lams])
+    return np.linalg.norm(gaps, axis=0)
+
+
 def _isolated_residuals(solves, values) -> np.ndarray:
     """||M w - lam w|| / ||M||_F for values taken from _parity_solve.
 
-    w is the unit eigenvector of _parity_vectors, and ||M||_F^2 is the
-    sum of ||B||_F^2 + ||C||_F^2 over all block pairs.  The change of
-    basis to the parity blocks is unitary, so this is the residual on
-    the stability matrix A of w carried back into A's space.
+    w is the unit eigenvector of _parity_vectors, and ||M||_F is
+    _block_scale's.  The change of basis to the parity blocks is
+    unitary, so this is the residual on the stability matrix A of w
+    carried back into A's space.
     """
     residuals = np.empty(values.size)
-    scale = math.sqrt(sum(np.linalg.norm(b) ** 2 + np.linalg.norm(c) ** 2
-                          for b, c, _, _ in solves))
+    scale = _block_scale(solves)
     for pair, rows, ys, zs in _parity_vectors(solves, values):
         b, c = solves[pair][:2]
-        lams = values[rows]
-        gaps = np.concatenate([b @ zs - ys * lams, c @ ys - zs * lams])
-        residuals[rows] = np.linalg.norm(gaps, axis=0) / scale
+        residuals[rows] = _pair_residuals(b, c, ys, zs, values[rows]) / scale
     return residuals
 
 
@@ -245,24 +277,129 @@ def _classify(lam: complex) -> str:
     return CLASS_QUARTET
 
 
-def _solve_isolated(model, omega, grid, p):
+class _FullSolve(Exception):
+    """A guard of the two-grid route: the point takes the full solve."""
+
+
+def _coarse_grid(grid: ChebGrid):
+    """The two-grid route's coarse grid, on grid's map: even degree
+    N_c = 2 floor(N / 4), or None when N_c is below _COARSE_FLOOR."""
+    n = 2 * (grid.n // 4)
+    return build_grid(n, grid.scale) if n >= _COARSE_FLOOR else None
+
+
+def _tracked(values, bands, margin, omega):
+    # point branches stay within the p = 0 outer band edge, |Im| <= 1 + |omega|
+    iso = isolated_eigs(values, bands, margin)
+    return iso[np.abs(iso.imag) <= 1.0 + abs(omega)]
+
+
+def _full_point(model, omega, grid, p, bands, margin, guard):
+    """Every eigenvalue at N from one values-only parity solve; the kept
+    ones and their residuals.  guard names why the point came here."""
+    logger.debug("p=%g: full solve (%s)", p, guard)
+    values, solves = _parity_solve(assemble(model, omega, p, grid))
+    iso = _tracked(values, bands, margin, omega)
+    return iso, _isolated_residuals(solves, iso)
+
+
+def _refined_point(model, omega, grid, coarse, p, bands, margin):
+    """The kept values of the coarse grid, refined at N, and their residuals.
+
+    Each kept mu_c = lambda_c**2 of a block pair takes one inverse
+    iteration on the fine B C - mu_c (inverse_vectors: two shifted
+    solves, as the full solve's residuals take, real when mu_c is), and
+    mu becomes the Rayleigh quotient of the unit iterate x, exactly real
+    when mu_c is.  mu_c and its conjugate share one refinement, and so
+    do the four values +-sqrt(mu), +-conj(sqrt(mu)), with one residual
+    from the lift of x.
+
+    Raises _FullSolve when a guard fails, for the full solve to find
+    every value at N:
+    - a coarse value within _NEAR_ORIGIN_RADIUS of 0, where C x / lambda
+      is ill-conditioned and the full solve takes vectors from M;
+    - a coarse value within 2 margin of a band, where band modes are
+      born as N grows;
+    - a refinement that is not finite (a singular shift);
+    - two coarse values that refine to one, so that the coarse grid
+      missed a value of the fine one;
+    - a refined value that drifts from its coarse value by more than
+      _CLASS_TOL (1 + |lambda|): the coarse grid does not resolve it,
+      and may have missed others.
+    """
+    values, solves = _parity_solve(assemble(model, omega, p, coarse))
+    found = _tracked(values, bands, margin, omega)
+    if np.any(np.abs(found) <= _NEAR_ORIGIN_RADIUS):
+        raise _FullSolve("coarse value near the origin")
+    if np.any(bands.distance(found) <= 2.0 * margin):
+        raise _FullSolve("coarse value near a band")
+    fine = parity_blocks(assemble(model, omega, p, grid))
+    lams = np.empty(found.size, dtype=complex)
+    residuals = np.empty(found.size)
+    scale = _block_scale(fine)
+    for (b, c), (_, _, _, mu) in zip(fine, solves):
+        roots = np.sqrt(mu)
+        hit = (found[:, None] == roots) | (found[:, None] == -roots)
+        rows, cols = np.nonzero(hit)
+        if not rows.size:
+            continue
+        flip = mu[cols].imag < 0.0
+        wanted, column = np.unique(np.where(flip, mu[cols].conj(), mu[cols]),
+                                   return_inverse=True)
+        bc = b @ c
+        try:
+            xs = inverse_vectors(bc, wanted)
+        except np.linalg.LinAlgError as exc:
+            raise _FullSolve("non-finite refinement") from exc
+        mus = np.einsum("ij,ij->j", xs.conj(), bc @ xs)
+        real = wanted.imag == 0.0
+        mus[real] = mus[real].real
+        tops = np.sqrt(mus)
+        ys, zs = _lift(c, xs, tops)
+        residuals[rows] = (_pair_residuals(b, c, ys, zs, tops) / scale)[column]
+        refined = np.where(flip, tops[column].conj(), tops[column])
+        # the sign of the coarse value's root, whichever branch sqrt took
+        keep = np.abs(found[rows] - refined) <= np.abs(found[rows] + refined)
+        lams[rows] = np.where(keep, refined, -refined)
+    if not (np.all(np.isfinite(lams)) and np.all(np.isfinite(residuals))):
+        raise _FullSolve("non-finite refinement")
+    tol = _CLASS_TOL * (1.0 + np.abs(lams))
+    # each value is close to itself; any other close pair has coalesced
+    close = np.abs(lams[:, None] - lams) <= tol[:, None]
+    if np.count_nonzero(close) > lams.size:
+        raise _FullSolve("two coarse values refine to one")
+    if np.any(np.abs(lams - found) > tol):
+        raise _FullSolve("refined value drifts")
+    order = np.lexsort((lams.real, lams.imag))
+    return lams[order], residuals[order]
+
+
+def _solve_isolated(model, omega, grid, coarse, p0, p):
     """One sweep point: isolated eigenvalues, their residuals, the bands.
 
-    The solve is values-only, from the real parity blocks; residuals come
-    from eigenvectors of the block products for the few kept values.
     Only values with |Im lambda| <= 1 + |omega|, the p = 0 outer band
     edge, are kept: point branches stay within the original gap scale,
     while under-resolved band modes far up the imaginary axis can pass
     the distance filter at moderate N and would otherwise spawn artifact
-    branches.
+    branches.  The values come from the two-grid route, _refined_point
+    on the coarse grid coarse, and otherwise from the full solve at N:
+    without a coarse grid, at the sweep's first point p0, where the gap
+    is closed, and wherever a guard of _refined_point fails.
     """
-    op = assemble(model, omega, p, grid)
     bands = continuous_bands(model, omega, p)
     margin = default_margin(bands)
-    values, solves = _parity_solve(op)
-    iso = isolated_eigs(values, bands, margin)
-    iso = iso[np.abs(iso.imag) <= 1.0 + abs(omega)]
-    return iso, _isolated_residuals(solves, iso), bands, margin
+    try:
+        if coarse is None:
+            raise _FullSolve("coarse grid below the floor")
+        if p == p0:
+            raise _FullSolve("first point")
+        if bands.gap_width == 0.0:
+            raise _FullSolve("gap closed")
+        iso, res = _refined_point(model, omega, grid, coarse, p, bands, margin)
+    except _FullSolve as guard:
+        iso, res = _full_point(model, omega, grid, p, bands, margin,
+                               str(guard))
+    return iso, res, bands, margin
 
 
 # (fn, shared) of the open pool, in one of its workers
@@ -342,7 +479,12 @@ def track_branches(model, omega: float, p_grid, grid: ChebGrid,
     below about order 500.  A fork copies the calling thread alone, so a
     caller that runs threads of its own should keep jobs == 1.  The
     matching pass itself is sequential and deterministic, so the branches
-    do not depend on jobs.  Branches are seeded at the first grid point
+    do not depend on jobs.  Each point but the first takes the two-grid
+    route of _refined_point where its guards allow: the values found on
+    the coarse grid of _coarse_grid, built once here and inherited by the
+    workers, refined at N; a guard sends the point to the full solve
+    (_full_point), whose candidates the refined ones equal to about
+    1e-12.  Branches are seeded at the first grid point
     from the asymptotic predictions plus any remaining isolated
     eigenvalues, and terminated with an 'absorbed' or 'lost' event when
     no candidate falls inside the match radius.
@@ -370,7 +512,9 @@ def track_branches(model, omega: float, p_grid, grid: ChebGrid,
     # pool's workers, forked on the one thread set here, are the only
     # parallelism
     with single_blas_thread():
-        solved = _map_forked(_solve_isolated, (model, omega, grid), ps, jobs)
+        solved = _map_forked(_solve_isolated,
+                             (model, omega, grid, _coarse_grid(grid), ps[0]),
+                             ps, jobs)
 
     pred = asymptotic_prediction(model, omega, with_corrections=False)
     first_step = ps[1] - ps[0]

@@ -9,6 +9,7 @@ import pytest
 
 import diracstab.spectrum as spectrum
 from conftest import lift, lifted_residuals, stability_matrix
+from diracstab.cheb import build_grid
 from diracstab.eigen import (EigenSet, blas_threads, eigvals, inverse_vectors,
                              relative_residuals)
 from diracstab.operator import assemble, continuous_bands
@@ -155,8 +156,9 @@ class TestParitySolve:
         # a benchmark sweep input with a real near-origin pair; its
         # complex quartets shift the (N+1)-square B C by a complex mu
         n = 22
+        # no coarse grid: the full solve, as below the floor
         iso, residuals, _, _ = spectrum._solve_isolated(
-            "mtm", 0.25, grid_cache(n, 10.0), 0.95)
+            "mtm", 0.25, grid_cache(n, 10.0), None, None, 0.95)
         near = iso[np.abs(iso) <= spectrum._NEAR_ORIGIN_RADIUS]
         assert near.size == 2 and np.all(near.imag == 0.0)
         assert max(m.shape[0] for m in shifted_matrices) <= 2 * (n + 1)
@@ -456,6 +458,142 @@ class TestTracking:
         assert rates[-0.5] > 2.0 * rates[0.5]
 
 
+# criterion 10's sweep grids
+_GN_GRID = ("gn", 2.0 / 3.0, 160, np.arange(0.05, 1.0001, 0.05))
+_MTM_GRID = ("mtm", 0.0, 120, np.union1d(np.arange(0.05, 1.0001, 0.05),
+                                         np.arange(0.31, 0.3901, 0.01)))
+_TWO_GRID = "two-grid"
+
+
+@pytest.fixture
+def routes(monkeypatch, file_record):
+    """The route each sweep point took while the test ran, as [p, route]
+    records: _TWO_GRID, or the guard that sent it to the full solve."""
+    record = file_record("routes")
+    full, refined = spectrum._full_point, spectrum._refined_point
+
+    def full_recording(model, omega, grid, p, bands, margin, guard):
+        record.append([p, guard])
+        return full(model, omega, grid, p, bands, margin, guard)
+
+    def refined_recording(model, omega, grid, coarse, p, bands, margin):
+        found = refined(model, omega, grid, coarse, p, bands, margin)
+        record.append([p, _TWO_GRID])
+        return found
+
+    monkeypatch.setattr(spectrum, "_full_point", full_recording)
+    monkeypatch.setattr(spectrum, "_refined_point", refined_recording)
+    return record
+
+
+class TestTwoGrid:
+    """Sweep points found on the coarse grid and refined at N, against the
+    full solve at N, and the guards that send a point to the full solve."""
+
+    @pytest.mark.parametrize("model,omega,n,ps", [_GN_GRID, _MTM_GRID],
+                             ids=["gn", "mtm"])
+    def test_routes_agree(self, grid_cache, monkeypatch, routes, model,
+                          omega, n, ps):
+        grid = grid_cache(n, 10.0)
+        two = track_branches(model, omega, ps, grid, jobs=2)
+        taken = dict(routes)
+        monkeypatch.setattr(spectrum, "_coarse_grid", lambda grid: None)
+        full = track_branches(model, omega, ps, grid, jobs=2)
+        assert [br.branch_id for br in two] == [br.branch_id for br in full]
+        assert [br.events for br in two] == [br.events for br in full]
+        for a, b in zip(two, full):
+            assert ([(pt.p, pt.classification) for pt in a.points]
+                    == [(pt.p, pt.classification) for pt in b.points])
+            for x, y in zip(a.points, b.points):
+                assert abs(x.lam - y.lam) <= 1e-10
+                assert x.residual <= 1e-8
+                # a real mu refines in real arithmetic: exact axis pairs
+                if x.classification == CLASS_REAL:
+                    assert x.lam.imag == 0.0
+                elif x.classification == spectrum.CLASS_IMAG:
+                    assert x.lam.real == 0.0
+        if model == "gn":
+            # the coarse grid resolves every gn value to the drift tolerance
+            assert taken == {float(p): _TWO_GRID for p in ps[1:]} | {
+                float(ps[0]): "first point"}
+
+    def test_first_point_takes_full_solve(self, grid_cache, routes):
+        track_branches("gn", 2.0 / 3.0, [0.2, 0.25, 0.3],
+                       grid_cache(160, 10.0), jobs=2)
+        assert dict(routes) == {0.2: "first point", 0.25: _TWO_GRID,
+                                0.3: _TWO_GRID}
+
+    def test_closed_gap_takes_full_solve(self, grid_cache, routes):
+        # the mtm gap closes at p = sqrt(1 - omega), about 0.707 here
+        track_branches("mtm", 0.5, [0.5, 0.8, 0.9], grid_cache(120, 10.0),
+                       jobs=2)
+        taken = dict(routes)
+        assert taken[0.8] == taken[0.9] == "gap closed"
+
+    @pytest.mark.parametrize("model,omega,ps,guard", [
+        ("gn", 0.7, [0.9, 0.95, 1.0], "coarse value near a band"),
+        ("gn", 2.0 / 3.0, [0.001, 0.002, 0.003],
+         "coarse value near the origin"),
+    ], ids=["band", "origin"])
+    def test_proximity_takes_full_solve(self, grid_cache, routes, model,
+                                        omega, ps, guard):
+        track_branches(model, omega, ps, grid_cache(160, 10.0), jobs=2)
+        taken = dict(routes)
+        assert [taken[p] for p in ps[1:]] == [guard, guard]
+
+    def test_drift_takes_full_solve(self, grid_cache, routes):
+        # mtm omega=0 is under-resolved at N_c = 60: its values move by
+        # about 0.2 between N = 60 and N = 120
+        track_branches("mtm", 0.0, [0.2, 0.25], grid_cache(120, 10.0),
+                       jobs=1)
+        assert dict(routes)[0.25] == "refined value drifts"
+
+    def test_coalescing_takes_full_solve(self, grid_cache, routes):
+        # at N_c = 60 the real pair of N = 120 is a second imaginary pair,
+        # and both imaginary pairs refine to the one of N = 120
+        track_branches("mtm", 0.0, [0.15, 0.2], grid_cache(120, 10.0),
+                       jobs=1)
+        assert dict(routes)[0.2] == "two coarse values refine to one"
+
+    # the poisoned vectors warn on their way through the lift
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_non_finite_refinement_takes_full_solve(self, grid_cache,
+                                                    monkeypatch, routes):
+        refining = []
+        refined, vectors = spectrum._refined_point, spectrum.inverse_vectors
+
+        def flagged(*args):
+            refining.append(True)
+            try:
+                return refined(*args)
+            finally:
+                refining.pop()
+
+        def poisoned(matrix, values):
+            xs = vectors(matrix, values)
+            return xs * np.nan if refining else xs
+
+        monkeypatch.setattr(spectrum, "_refined_point", flagged)
+        monkeypatch.setattr(spectrum, "inverse_vectors", poisoned)
+        branches = track_branches("gn", 2.0 / 3.0, [0.2, 0.25],
+                                  grid_cache(160, 10.0), jobs=1)
+        assert dict(routes)[0.25] == "non-finite refinement"
+        assert all(np.isfinite(pt.lam) and pt.residual <= 1e-8
+                   for br in branches for pt in br.points)
+
+    def test_coarse_floor(self, grid_cache, routes):
+        # N_c = 2 floor(N / 4) must reach 60: N = 120 does, N = 116 not
+        assert spectrum._coarse_grid(grid_cache(116, 10.0)) is None
+        coarse = spectrum._coarse_grid(grid_cache(120, 10.0))
+        assert (coarse.n, coarse.scale) == (60, 10.0)
+        # the benchmark's coarse mtm sweep and the N = 60 solve-count tests
+        for n in (22, 60):
+            ps = [0.2, 0.25, 0.3]
+            track_branches("gn", 2.0 / 3.0, ps, grid_cache(n, 10.0), jobs=2)
+        assert sorted(routes) == [[p, "coarse grid below the floor"]
+                                  for p in ps for _ in (22, 60)]
+
+
 class TestMatching:
     """The matching rule on synthetic sweep points, far from the seeds.
 
@@ -476,7 +614,7 @@ class TestMatching:
         solved = iter([point(p, iso) for p, iso in zip(ps, points)])
         monkeypatch.setattr(spectrum, "_solve_isolated",
                             lambda *args: next(solved))
-        return track_branches("mtm", 0.0, ps, None, jobs=1)
+        return track_branches("mtm", 0.0, ps, build_grid(30), jobs=1)
 
     def test_nearest_pair_wins_over_branch_order(self, monkeypatch):
         branches = self.track(monkeypatch, [1.0, 1.125],
