@@ -1,4 +1,5 @@
-"""Tanh-mapped Chebyshev collocation grid and scaled differentiation matrix.
+"""Tanh-mapped Chebyshev collocation grid, scaled differentiation matrix,
+and polynomial interpolation between two grids on one map.
 
 The reference interval z in [-1, 1] carries the standard Chebyshev nodes
 z_j = cos(j pi / N); the map x = L * atanh(z) sends them to the real line
@@ -96,6 +97,35 @@ def build_grid(n: int, scale: float = 10.0) -> ChebGrid:
         arr.setflags(write=False)
     return ChebGrid(n=n, scale=float(scale), nodes_z=z, nodes_x=x,
                     d_standard=d, d_scaled=d_scaled)
+
+
+def interpolation_matrix(source: ChebGrid, target: ChebGrid) -> np.ndarray:
+    """Polynomial interpolation from source's nodes to target's.
+
+    The (target.n + 1) x (source.n + 1) matrix that takes values at
+    source's nodes to the values of their degree-source.n interpolant in z
+    at target's nodes, in the barycentric form for Chebyshev-Lobatto
+    points (Berrut and Trefethen, SIAM Review 46 (2004) 501-517); a
+    target node that is also a source node gets a unit row.  Both grids
+    must share the map scale, so that z and x interpolate alike.  The
+    matrix commutes bit for bit with x -> -x: entry (i, j) equals entry
+    (target.n - i, source.n - j).
+    """
+    if source.scale != target.scale:
+        raise ValueError(f"grids on different maps: scale {source.scale} "
+                         f"and {target.scale}")
+    weights = (-1.0) ** np.arange(source.n + 1)
+    weights[[0, -1]] *= 0.5
+    diff = target.nodes_z[:, None] - source.nodes_z
+    shared = diff == 0.0
+    diff[shared] = 1.0
+    terms = weights / diff
+    terms /= terms.sum(axis=1, keepdims=True)
+    rows = shared.any(axis=1)
+    terms[rows] = shared[rows]
+    # the row sums round differently at mirror nodes: average each entry
+    # with its mirror, a commutative sum, so that the symmetry is exact
+    return 0.5 * (terms + terms[::-1, ::-1])
 
 
 def sample_on_grid(grid: ChebGrid, f) -> np.ndarray:

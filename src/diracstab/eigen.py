@@ -11,9 +11,10 @@ A matrix of the form [[0, B], [C, 0]] is solved at half its dimension:
 eigvals of B C, then root_pairs.
 
 Eigenvectors for a few selected eigenvalues come from inverse_vectors
-(two solves of one shifted matrix per value, real for a real value of a
-real matrix), not from a full solve with vectors; the caller takes
-their residuals in whatever basis it holds the matrix.
+(inverse iteration: solves of one shifted matrix per value, two by
+default, from a fixed start vector or from the caller's; real for a
+real value of a real matrix), not from a full solve with vectors; the
+caller takes their residuals in whatever basis it holds the matrix.
 single_blas_thread runs a block of solves on one BLAS thread each.  The
 module needs numpy alone.
 """
@@ -131,32 +132,39 @@ def root_pairs(squares: EigenSet) -> EigenSet:
     return EigenSet(values=values, backend="lapack-parity")
 
 
-def inverse_vectors(matrix, values) -> np.ndarray:
+def inverse_vectors(matrix, values, starts=None,
+                    steps: int = _INVERSE_STEPS) -> np.ndarray:
     """Unit eigenvectors for eigenvalues of matrix, one column per value.
 
-    Each value gets two solves of one copy of the matrix shifted slightly
-    off it: two inverse-iteration steps from a fixed start vector.  A real
-    value of a real matrix is done in real arithmetic.
+    Each value gets steps solves (two by default) of one copy of the
+    matrix shifted slightly off it: inverse iteration from the value's
+    column of starts, or from a fixed start vector when starts is None.
+    A real value of a real matrix is done in real arithmetic, from the
+    real part of its start; when the matrix and every value are real,
+    the vectors come back real.
     """
     a = _as_square(matrix)
     values = np.atleast_1d(np.asarray(values, dtype=complex))
     anorm = np.linalg.norm(a)
     n = a.shape[0]
-    # no symmetry: soliton eigenvectors are even or odd in x, so a
-    # mirror-symmetric start vector can be orthogonal to them
-    k = np.arange(1, n + 1)
-    start = ((k * _START_STEPS[0]) % 1.0 - 0.5
-             + 1j * ((k * _START_STEPS[1]) % 1.0 - 0.5))
-    start /= np.linalg.norm(start)
-    vectors = np.empty((n, values.size), dtype=complex)
+    if starts is None:
+        # no symmetry: soliton eigenvectors are even or odd in x, so a
+        # mirror-symmetric start vector can be orthogonal to them
+        k = np.arange(1, n + 1)
+        start = ((k * _START_STEPS[0]) % 1.0 - 0.5
+                 + 1j * ((k * _START_STEPS[1]) % 1.0 - 0.5))
+        start /= np.linalg.norm(start)
+        starts = np.broadcast_to(start[:, None], (n, values.size))
+    real = np.isrealobj(a) and not np.any(values.imag)
+    vectors = np.empty((n, values.size), dtype=float if real else complex)
     for col, lam in enumerate(values):
         shift = lam + 10.0 * _EPS * max(anorm, 1.0)
-        v = start
+        v = starts[:, col]
         if np.isrealobj(a) and lam.imag == 0.0:
-            shift, v = shift.real, start.real
+            shift, v = shift.real, v.real
         shifted = a.astype(np.result_type(a, shift))
         shifted[np.diag_indices(n)] -= shift
-        for _ in range(_INVERSE_STEPS):
+        for _ in range(steps):
             v = np.linalg.solve(shifted, v)
             v /= np.linalg.norm(v)
         vectors[:, col] = v

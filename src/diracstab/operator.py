@@ -20,6 +20,13 @@ where B C is block diagonal, in closed form from the model's blocks: the
 differentiation matrix is centro-antisymmetric, so in the mirror basis
 each (N+1)-square block is one transform of it plus four diagonals.
 
+Outside the transverse term the blocks do not depend on p, so
+parity_products gives B and C at any p as ParityBlocks, the p = 0 blocks
+plus a diagonal, and writes B C from the p = 0 pairs and their products
+(parity_base) in O(N**2); a sweep takes the (N+1)-square products once.
+parity_transfer carries a vector of the blocks' bases from a coarse grid
+to a fine one.
+
 assemble samples the soliton potential and keeps it with the parameters;
 it writes no matrix, and A itself is never written.  Its component
 layout, which the parity basis refers to: all grid samples of component
@@ -28,11 +35,11 @@ layout, which the parity basis refers to: all grid samples of component
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .cheb import ChebGrid
+from .cheb import ChebGrid, interpolation_matrix
 from .soliton import ModelKind, SolitonProfile, eval_profile
 
 _SQRT_HALF = np.sqrt(0.5)
@@ -222,7 +229,8 @@ def parity_blocks(op: StabilityOperator) -> list:
     every p, gn at p = 0), there is one (N+1)-square pair per component:
     pair k has the B that maps parity component 1 - k of the -1
     eigenspace into component k of the +1 eigenspace, and the C that maps
-    it back.  Otherwise there is one 2(N+1)-square pair.
+    it back.  Otherwise there is one 2(N+1)-square pair.  The solves
+    take these blocks, and their products, from parity_products.
     """
     m = op.grid.n + 1
     h = m // 2
@@ -257,6 +265,133 @@ def parity_blocks(op: StabilityOperator) -> list:
             out[odds, e + odds] += sign * g_diff
             out[e + odds, odds] += sign * g_diff
     return result
+
+
+@dataclass(frozen=True, eq=False)
+class ParityBlock:
+    """One block, B or C, of a parity block pair at some p: its p = 0
+    matrix plus the diagonal p adds, kept apart so that no block is
+    written per p.
+
+    parts is (X,) for a pair that splits, X the (N+1)-square p = 0 block,
+    or (U, L) for gn's 2(N+1)-square pair, whose p = 0 matrix
+    [[0, U], [L, 0]] has zero diagonal blocks.  shift is the diagonal:
+    a scalar, or one entry per row.  The block acts on vectors through @,
+    np.asarray writes it out, and frobenius is its Frobenius norm.
+    """
+
+    parts: tuple
+    shift: float | np.ndarray = 0.0
+
+    @property
+    def shape(self) -> tuple:
+        n = sum(part.shape[0] for part in self.parts)
+        return n, n
+
+    def __matmul__(self, x):
+        if len(self.parts) == 1:
+            out = self.parts[0] @ x
+        else:
+            upper, lower = self.parts
+            m = upper.shape[0]
+            out = np.concatenate([upper @ x[m:], lower @ x[:m]])
+        if np.any(self.shift):
+            out += np.reshape(self.shift, (-1,) + (1,) * (x.ndim - 1)) * x
+        return out
+
+    def __array__(self, dtype=None, copy=None):
+        if len(self.parts) == 1:
+            dense = np.array(self.parts[0], dtype=dtype)
+        else:
+            upper, lower = self.parts
+            m = upper.shape[0]
+            dense = np.zeros((2 * m, 2 * m), dtype=dtype or upper.dtype)
+            dense[:m, m:], dense[m:, :m] = upper, lower
+        dense[np.diag_indices_from(dense)] += self.shift
+        return dense
+
+    @property
+    def frobenius(self) -> float:
+        shift = np.broadcast_to(self.shift, self.shape[:1])
+        squares = sum(np.linalg.norm(part) ** 2 for part in self.parts)
+        if len(self.parts) == 1:
+            squares += 2.0 * np.dot(np.diagonal(self.parts[0]), shift)
+        return float(np.sqrt(squares + np.dot(shift, shift)))
+
+
+def parity_base(op: StabilityOperator) -> tuple:
+    """The p = 0 block pairs of op's model, omega and grid, with their
+    products: a tuple of read-only (B, C, B @ C), one per pair of
+    parity_blocks at p = 0, whatever op.p is.  parity_products builds the
+    pairs and products at any p from these."""
+    base = tuple((b, c, b @ c)
+                 for b, c in parity_blocks(replace(op, p=0.0)))
+    for arrays in base:
+        for x in arrays:
+            x.setflags(write=False)
+    return base
+
+
+def parity_products(op: StabilityOperator, base: tuple | None = None) -> list:
+    """(B, C, B @ C) for each block pair of parity_blocks(op), from the p = 0
+    pairs and products: B and C as ParityBlocks, B C written out.
+
+    base is parity_base of op's model, omega and grid, taken here when not
+    given; at p = 0 its products are returned as they are.  Outside the
+    transverse term the blocks do not depend on p, so a pair costs
+    O(N**2) on top of its base.  With (B0, C0, B0 C0), (B1, C1, B1 C1)
+    the base pairs:
+    - mtm: p**2 sits on the diagonal of every block, B = B0 + s I and
+      C = C0 - s I with s = p**2 for pair 0 (s = -p**2 for pair 1, from
+      B1, C1), so B C = B0 C0 + s (C0 - B0) - s**2 I;
+    - gn at p > 0: B = [[p S, B0], [B1, -p S]] and
+      C = [[-p S, C1], [C0, p S]], S the +1 on the even and -1 on the odd
+      rows of a component, so B C = [[B0 C0 - p**2 I, p (S C1 + B0 S)],
+      [-p (B1 S + S C0), B1 C1 - p**2 I]].  Written out, the blocks
+      equal parity_blocks(op)'s entry for entry.
+    The products agree with B @ C to rounding, not bit for bit.
+    """
+    if base is None:
+        base = parity_base(op)
+    p = op.p
+    if _splits(op):
+        pairs = []
+        for (b0, c0, bc0), s in zip(base, (p * p, -p * p)):
+            bc = bc0
+            if s:
+                bc = np.subtract(c0, b0)
+                bc *= s
+                bc += bc0
+                bc[np.diag_indices_from(bc)] -= s * s
+            pairs.append((ParityBlock((b0,), s), ParityBlock((c0,), -s), bc))
+        return pairs
+    (b0, c0, bc0), (b1, c1, bc1) = base
+    m = b0.shape[0]
+    ps = np.full(m, p)
+    ps[m - m // 2:] = -p
+    bc = np.empty((2 * m, 2 * m))
+    bc[:m, :m], bc[m:, m:] = bc0, bc1
+    bc[np.diag_indices_from(bc)] -= p * p
+    np.multiply(ps[:, None], c1, out=bc[:m, m:])
+    bc[:m, m:] += b0 * ps
+    np.multiply(b1, -ps, out=bc[m:, :m])
+    bc[m:, :m] -= ps[:, None] * c0
+    shift = np.concatenate([ps, -ps])
+    return [(ParityBlock((b0, b1), shift), ParityBlock((c1, c0), -shift), bc)]
+
+
+def parity_transfer(coarse: ChebGrid, fine: ChebGrid) -> np.ndarray:
+    """Interpolation from coarse to fine in the mirror basis of parity_blocks.
+
+    P_J = M_f^T I M_c, with I the interpolation_matrix from coarse to
+    fine (same map) and M_c, M_f the real mirror bases of one component
+    (see _mirror_basis).  I commutes with x -> -x bit for bit, so P_J is
+    exactly block diagonal, even to even and odd to odd.  It carries a
+    vector of one component of a parity block pair from coarse to fine;
+    blockdiag(P_J, P_J) carries one of both components.
+    """
+    interp = interpolation_matrix(coarse, fine)
+    return _mirror_basis(_mirror_basis(interp).T).T
 
 
 def continuous_bands(model, omega: float, p: float) -> SpectralBands:

@@ -11,8 +11,11 @@ checked in the parity basis, where they equal the residuals on the
 
 A sweep point takes the two-grid route: its isolated values are found
 by the values-only solve on a coarse grid of even degree N_c = 2
-floor(N / 4), and each is refined at N by inverse iteration on the fine
-B C, whose iterate also gives the residual.  The drift of a value
+floor(N / 4), and each is refined at N by one shifted solve of the fine
+B C, from its coarse eigenvector interpolated to N, whose iterate also
+gives the residual.  A sweep takes the p = 0 block products of both
+grids once (operator.parity_base), and every point writes its own B C
+from them in O(N**2).  The drift of a value
 between the grids is the per-value resolution check of Boyd's rule
 (Chebyshev and Fourier Spectral Methods, ch. 7).  Guards send a point
 to the full solve at N instead, which finds every value the fine grid
@@ -33,6 +36,7 @@ import math
 # and benchmarks/selfcheck.py reads it
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,7 +45,7 @@ from .cheb import ChebGrid, build_grid
 from .eigen import (EigenSet, eigvals, inverse_vectors, root_pairs,
                     single_blas_thread)
 from .operator import (SpectralBands, assemble, continuous_bands,
-                       parity_blocks)
+                       parity_base, parity_products, parity_transfer)
 from .soliton import ModelKind
 
 __all__ = [
@@ -134,17 +138,18 @@ def isolated_eigs(eigs, bands: SpectralBands, margin: float | None = None):
     return values[keep]
 
 
-def _parity_solve(op):
-    """All eigenvalues of op, and per real block pair (B, C, B C, eig(B C)).
+def _parity_solve(op, base=None):
+    """All eigenvalues of op, and per real block pair (B, C, B C, eig(B C)),
+    B and C as ParityBlocks.
 
     One values-only real solve (dgeev) of each block product, at
     dimension N+1 where the blocks split and 2(N+1) elsewhere, in place
-    of a complex solve of the stability matrix at 4(N+1).
+    of a complex solve of the stability matrix at 4(N+1).  The products
+    come from parity_products, on base, the p = 0 products of op's model
+    and grid (parity_base), when the caller holds them.
     """
-    solves = []
-    for b, c in parity_blocks(op):
-        bc = b @ c
-        solves.append((b, c, bc, eigvals(bc).values))
+    solves = [(b, c, bc, eigvals(bc).values)
+              for b, c, bc in parity_products(op, base)]
     return root_pairs(np.concatenate([s[-1] for s in solves])), solves
 
 
@@ -199,14 +204,20 @@ def _parity_vectors(solves, values):
 
 def _block_scale(pairs) -> float:
     """||M||_F over all block pairs: the root of the summed ||B||_F^2 +
-    ||C||_F^2."""
-    return math.sqrt(sum(np.linalg.norm(b) ** 2 + np.linalg.norm(c) ** 2
+    ||C||_F^2 of their ParityBlocks."""
+    return math.sqrt(sum(b.frobenius ** 2 + c.frobenius ** 2
                          for b, c, *_ in pairs))
 
 
-def _pair_residuals(b, c, ys, zs, lams) -> np.ndarray:
-    """||M w - lam w|| per column w = [y; z] of one block pair's M."""
-    gaps = np.concatenate([b @ zs - ys * lams, c @ ys - zs * lams])
+def _pair_residuals(b, c, ys, zs, lams, signs=1.0) -> np.ndarray:
+    """||M w - lam w|| per column w = [y; z] of one block pair's M, or of
+    [[0, sign B], [C, 0]] with one sign of +-1 per column.
+
+    An eigenpair (1j r, [y; z]) of M is the eigenpair (r, [y; 1j z]) of
+    the sign -1 matrix, with the same residual, so an imaginary value
+    with a real y takes its residual in real arithmetic.
+    """
+    gaps = np.concatenate([(b @ zs) * signs - ys * lams, c @ ys - zs * lams])
     return np.linalg.norm(gaps, axis=0)
 
 
@@ -288,31 +299,63 @@ def _coarse_grid(grid: ChebGrid):
     return build_grid(n, grid.scale) if n >= _COARSE_FLOOR else None
 
 
+class _Level(NamedTuple):
+    """One grid of a sweep: the grid, the p = 0 block products of the
+    swept model on it (parity_base), and, on the coarse grid, the
+    parity_transfer to the fine one."""
+
+    grid: ChebGrid
+    base: tuple
+    transfer: np.ndarray | None = None
+
+
+def _sweep_level(model, omega, grid, fine=None) -> _Level:
+    """grid's _Level for a sweep of model at omega; pass fine for the
+    coarse grid, to which the transfer leads."""
+    base = parity_base(assemble(model, omega, 0.0, grid))
+    transfer = None if fine is None else parity_transfer(grid, fine)
+    return _Level(grid, base, transfer)
+
+
+def _transferred(transfer, xs):
+    """Columns xs of a coarse block pair's vectors, carried to the fine
+    grid by blockdiag(P_J, ..., P_J), one P_J = transfer per component."""
+    parts = xs.reshape(-1, transfer.shape[1], xs.shape[1])
+    return (transfer @ parts).reshape(-1, xs.shape[1])
+
+
 def _tracked(values, bands, margin, omega):
     # point branches stay within the p = 0 outer band edge, |Im| <= 1 + |omega|
     iso = isolated_eigs(values, bands, margin)
     return iso[np.abs(iso.imag) <= 1.0 + abs(omega)]
 
 
-def _full_point(model, omega, grid, p, bands, margin, guard):
-    """Every eigenvalue at N from one values-only parity solve; the kept
-    ones and their residuals.  guard names why the point came here."""
+def _full_point(model, omega, fine, p, bands, margin, guard):
+    """Every eigenvalue at N, on the _Level fine, from one values-only
+    parity solve; the kept ones and their residuals.  guard names why
+    the point came here."""
     logger.debug("p=%g: full solve (%s)", p, guard)
-    values, solves = _parity_solve(assemble(model, omega, p, grid))
+    values, solves = _parity_solve(assemble(model, omega, p, fine.grid),
+                                   fine.base)
     iso = _tracked(values, bands, margin, omega)
     return iso, _isolated_residuals(solves, iso)
 
 
-def _refined_point(model, omega, grid, coarse, p, bands, margin):
+def _refined_point(model, omega, fine, coarse, p, bands, margin):
     """The kept values of the coarse grid, refined at N, and their residuals.
 
-    Each kept mu_c = lambda_c**2 of a block pair takes one inverse
-    iteration on the fine B C - mu_c (inverse_vectors: two shifted
-    solves, as the full solve's residuals take, real when mu_c is), and
-    mu becomes the Rayleigh quotient of the unit iterate x, exactly real
-    when mu_c is.  mu_c and its conjugate share one refinement, and so
-    do the four values +-sqrt(mu), +-conj(sqrt(mu)), with one residual
-    from the lift of x.
+    fine and coarse are the sweep's _Levels.  Each conjugate class of kept
+    mu_c = lambda_c**2 of a block pair takes two shifted solves, one step
+    of inverse_vectors each, real when mu_c is: one of the coarse B C -
+    mu_c from the fixed start, which gives mu_c's coarse eigenvector, and
+    one of the fine B C - mu_c from that vector carried to N by the
+    coarse level's transfer.  mu becomes the Rayleigh quotient of the
+    unit fine iterate x, exactly real when mu_c is.  The four values
+    +-sqrt(mu), +-conj(sqrt(mu)) share the refinement, with one residual
+    from the lift of x.  Where every mu_c of a pair is real, x, the lift
+    and the residual stay real: lambda = sqrt(mu) is real or imaginary,
+    and sqrt(|mu|) is an eigenvalue of [[0, sign(mu) B], [C, 0]] with the
+    same residual.
 
     Raises _FullSolve when a guard fails, for the full solve to find
     every value at N:
@@ -327,36 +370,47 @@ def _refined_point(model, omega, grid, coarse, p, bands, margin):
       _CLASS_TOL (1 + |lambda|): the coarse grid does not resolve it,
       and may have missed others.
     """
-    values, solves = _parity_solve(assemble(model, omega, p, coarse))
+    values, solves = _parity_solve(assemble(model, omega, p, coarse.grid),
+                                   coarse.base)
     found = _tracked(values, bands, margin, omega)
     if np.any(np.abs(found) <= _NEAR_ORIGIN_RADIUS):
         raise _FullSolve("coarse value near the origin")
     if np.any(bands.distance(found) <= 2.0 * margin):
         raise _FullSolve("coarse value near a band")
-    fine = parity_blocks(assemble(model, omega, p, grid))
+    pairs = parity_products(assemble(model, omega, p, fine.grid), fine.base)
     lams = np.empty(found.size, dtype=complex)
     residuals = np.empty(found.size)
-    scale = _block_scale(fine)
-    for (b, c), (_, _, _, mu) in zip(fine, solves):
-        roots = np.sqrt(mu)
-        hit = (found[:, None] == roots) | (found[:, None] == -roots)
+    scale = _block_scale(pairs)
+    for (b, c, bc), (_, _, coarse_bc, mu) in zip(pairs, solves):
+        coarse_roots = np.sqrt(mu)
+        hit = ((found[:, None] == coarse_roots)
+               | (found[:, None] == -coarse_roots))
         rows, cols = np.nonzero(hit)
         if not rows.size:
             continue
         flip = mu[cols].imag < 0.0
         wanted, column = np.unique(np.where(flip, mu[cols].conj(), mu[cols]),
                                    return_inverse=True)
-        bc = b @ c
         try:
-            xs = inverse_vectors(bc, wanted)
+            xs = inverse_vectors(coarse_bc, wanted, steps=1)
+            xs = inverse_vectors(bc, wanted,
+                                 _transferred(coarse.transfer, xs), steps=1)
         except np.linalg.LinAlgError as exc:
             raise _FullSolve("non-finite refinement") from exc
         mus = np.einsum("ij,ij->j", xs.conj(), bc @ xs)
-        real = wanted.imag == 0.0
-        mus[real] = mus[real].real
-        tops = np.sqrt(mus)
-        ys, zs = _lift(c, xs, tops)
-        residuals[rows] = (_pair_residuals(b, c, ys, zs, tops) / scale)[column]
+        if np.isrealobj(mus):
+            # the lift and residual on [[0, sign(mu) B], [C, 0]]
+            signs = np.sign(mus)
+            roots = np.sqrt(np.abs(mus))
+            tops = np.where(signs > 0.0, roots, 1j * roots)
+        else:
+            real = wanted.imag == 0.0
+            mus[real] = mus[real].real
+            signs, roots = 1.0, np.sqrt(mus)
+            tops = roots
+        ys, zs = _lift(c, xs, roots)
+        gaps = _pair_residuals(b, c, ys, zs, roots, signs)
+        residuals[rows] = (gaps / scale)[column]
         refined = np.where(flip, tops[column].conj(), tops[column])
         # the sign of the coarse value's root, whichever branch sqrt took
         keep = np.abs(found[rows] - refined) <= np.abs(found[rows] + refined)
@@ -374,17 +428,18 @@ def _refined_point(model, omega, grid, coarse, p, bands, margin):
     return lams[order], residuals[order]
 
 
-def _solve_isolated(model, omega, grid, coarse, p0, p):
+def _solve_isolated(model, omega, fine, coarse, p0, p):
     """One sweep point: isolated eigenvalues, their residuals, the bands.
 
     Only values with |Im lambda| <= 1 + |omega|, the p = 0 outer band
     edge, are kept: point branches stay within the original gap scale,
     while under-resolved band modes far up the imaginary axis can pass
     the distance filter at moderate N and would otherwise spawn artifact
-    branches.  The values come from the two-grid route, _refined_point
-    on the coarse grid coarse, and otherwise from the full solve at N:
-    without a coarse grid, at the sweep's first point p0, where the gap
-    is closed, and wherever a guard of _refined_point fails.
+    branches.  fine and coarse are the sweep's _Levels (coarse is None
+    below the floor).  The values come from the two-grid route,
+    _refined_point, and otherwise from the full solve at N: without a
+    coarse grid, at the sweep's first point p0, where the gap is closed,
+    and wherever a guard of _refined_point fails.
     """
     bands = continuous_bands(model, omega, p)
     margin = default_margin(bands)
@@ -395,9 +450,9 @@ def _solve_isolated(model, omega, grid, coarse, p0, p):
             raise _FullSolve("first point")
         if bands.gap_width == 0.0:
             raise _FullSolve("gap closed")
-        iso, res = _refined_point(model, omega, grid, coarse, p, bands, margin)
+        iso, res = _refined_point(model, omega, fine, coarse, p, bands, margin)
     except _FullSolve as guard:
-        iso, res = _full_point(model, omega, grid, p, bands, margin,
+        iso, res = _full_point(model, omega, fine, p, bands, margin,
                                str(guard))
     return iso, res, bands, margin
 
@@ -481,12 +536,13 @@ def track_branches(model, omega: float, p_grid, grid: ChebGrid,
     matching pass itself is sequential and deterministic, so the branches
     do not depend on jobs.  Each point but the first takes the two-grid
     route of _refined_point where its guards allow: the values found on
-    the coarse grid of _coarse_grid, built once here and inherited by the
-    workers, refined at N; a guard sends the point to the full solve
-    (_full_point), whose candidates the refined ones equal to about
-    1e-12.  Branches are seeded at the first grid point
-    from the asymptotic predictions plus any remaining isolated
-    eigenvalues, and terminated with an 'absorbed' or 'lost' event when
+    the coarse grid of _coarse_grid, refined at N; a guard sends the
+    point to the full solve (_full_point), whose candidates the refined
+    ones equal to about 1e-12.  Both grids' _Levels, with the p = 0
+    block products and the transfer between the grids, are built once
+    here and inherited by the workers.  Branches are seeded at the first
+    grid point from the asymptotic predictions plus any remaining
+    isolated eigenvalues, and terminated with an 'absorbed' or 'lost' event when
     no candidate falls inside the match radius.
 
     At each step the pairs of branch and candidate inside the branch's
@@ -512,9 +568,11 @@ def track_branches(model, omega: float, p_grid, grid: ChebGrid,
     # pool's workers, forked on the one thread set here, are the only
     # parallelism
     with single_blas_thread():
+        fine, coarse = _sweep_level(model, omega, grid), _coarse_grid(grid)
+        if coarse is not None:
+            coarse = _sweep_level(model, omega, coarse, grid)
         solved = _map_forked(_solve_isolated,
-                             (model, omega, grid, _coarse_grid(grid), ps[0]),
-                             ps, jobs)
+                             (model, omega, fine, coarse, ps[0]), ps, jobs)
 
     pred = asymptotic_prediction(model, omega, with_corrections=False)
     first_step = ps[1] - ps[0]

@@ -12,6 +12,7 @@ bases back into its space.
 """
 
 import json
+import os
 from types import SimpleNamespace
 
 import numpy as np
@@ -210,22 +211,48 @@ def file_record(tmp_path):
                                                 decode)
 
 
+class SolvedMatrices:
+    """The distinct matrices np.linalg.solve saw, from a FileRecord of its
+    calls: one [pid, index, shape, dtype] line per call, index counting
+    the distinct matrices of the calling process.  Iterates over them in
+    order of first use per process, as namespaces with shape, dtype and
+    solves, the number of calls that solved them."""
+
+    def __init__(self, calls):
+        self._calls = calls
+
+    def __iter__(self):
+        matrices = {}
+        for pid, index, shape, dtype in self._calls:
+            key = (pid, index)
+            if key not in matrices:
+                matrices[key] = SimpleNamespace(
+                    shape=tuple(shape), dtype=np.dtype(dtype), solves=0)
+            matrices[key].solves += 1
+        return iter(list(matrices.values()))
+
+    def __len__(self):
+        return sum(1 for _ in self)
+
+
 @pytest.fixture
 def shifted_matrices(monkeypatch, file_record):
-    """The shape and dtype of every distinct matrix np.linalg.solve sees
-    while the test runs, in its own process or a forked pool worker, in
-    order of first use per process: the shifted matrices of
-    inverse_vectors, each solved once per inverse-iteration step."""
+    """The shape, dtype and solve count of every distinct matrix
+    np.linalg.solve sees while the test runs, in its own process or a
+    forked pool worker, in order of first use per process: the shifted
+    matrices of inverse_vectors, each solved once per inverse-iteration
+    step it takes (SolvedMatrices)."""
     seen = []  # per process: a forked worker keeps its own copy
-    record = file_record("shifted", lambda v: SimpleNamespace(
-        shape=tuple(v[0]), dtype=np.dtype(v[1])))
+    calls = file_record("shifted")
     solve = np.linalg.solve
 
     def recording(matrix, rhs):
-        if not any(m is matrix for m in seen):
+        index = next((k for k, m in enumerate(seen) if m is matrix), None)
+        if index is None:
+            index = len(seen)
             seen.append(matrix)
-            record.append([matrix.shape, matrix.dtype.str])
+        calls.append([os.getpid(), index, matrix.shape, matrix.dtype.str])
         return solve(matrix, rhs)
 
     monkeypatch.setattr(np.linalg, "solve", recording)
-    return record
+    return SolvedMatrices(calls)

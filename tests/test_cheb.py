@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from diracstab.cheb import build_grid, sample_on_grid
+from diracstab.cheb import build_grid, interpolation_matrix, sample_on_grid
 from diracstab.soliton import ModelKind, SolitonProfile, eval_profile, \
     eval_profile_derivative
 
@@ -122,3 +122,34 @@ class TestSampling:
 
         with pytest.raises(RuntimeError, match="broken vectorized path"):
             sample_on_grid(g, fails_on_arrays)
+
+
+class TestInterpolation:
+    @pytest.mark.parametrize("source,target", [(20, 40), (20, 41), (21, 30),
+                                               (80, 160)])
+    def test_reproduces_polynomials(self, source, target):
+        # T_k for every k up to the source degree, nested grids or not
+        coarse, fine = build_grid(source, 10.0), build_grid(target, 10.0)
+        interp = interpolation_matrix(coarse, fine)
+        assert interp.shape == (target + 1, source + 1)
+        k = np.arange(source + 1)
+        on_coarse = np.cos(k * np.arccos(coarse.nodes_z[:, None]))
+        on_fine = np.cos(k * np.arccos(fine.nodes_z[:, None]))
+        np.testing.assert_allclose(interp @ on_coarse, on_fine, rtol=0,
+                                   atol=1e-13)
+
+    @pytest.mark.parametrize("source,target", [(20, 40), (20, 41), (21, 30)])
+    def test_commutes_with_the_reflection(self, source, target):
+        interp = interpolation_matrix(build_grid(source, 10.0),
+                                      build_grid(target, 10.0))
+        assert np.array_equal(interp, interp[::-1, ::-1])
+
+    def test_unit_rows_at_shared_nodes(self):
+        interp = interpolation_matrix(build_grid(20, 10.0),
+                                      build_grid(40, 10.0))
+        # every other node of the fine grid is a coarse node
+        assert np.array_equal(interp[::2], np.eye(21))
+
+    def test_grids_must_share_the_map(self):
+        with pytest.raises(ValueError, match="different maps"):
+            interpolation_matrix(build_grid(20, 10.0), build_grid(40, 5.0))

@@ -194,8 +194,13 @@ class TestSweep:
             assert (outdir / "one" / name).read_bytes() == \
                    (outdir / "two" / name).read_bytes()
 
+    # N = 100 and 60 take the full solve at every point; gn at N = 160
+    # and mtm at N = 200 take the two-grid route at most of theirs, on
+    # the p = 0 products and the transfer that the workers inherit
     @pytest.mark.parametrize("model,omega,n", [("gn", "0.6667", "100"),
-                                               ("mtm", "0", "60")])
+                                               ("mtm", "0", "60"),
+                                               ("gn", "0.6667", "160"),
+                                               ("mtm", "0.5", "200")])
     def test_outputs_do_not_depend_on_jobs(self, outdir, capsys, monkeypatch,
                                            model, omega, n):
         # every solve runs on one BLAS thread, inline or in a forked

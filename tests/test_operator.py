@@ -24,12 +24,16 @@ import diracstab.operator as operator_module
 import diracstab.spectrum as spectrum
 from conftest import (REDUCTION_BLOCK, dense_reduced, lifted_residuals,
                       parity_basis, real_basis, stability_matrix)
-from diracstab.eigen import eigvals
+from diracstab.eigen import eigvals, inverse_vectors
 from diracstab.operator import (
     StabilityOperator,
+    _mirror_basis,
     assemble,
     continuous_bands,
+    parity_base,
     parity_blocks,
+    parity_products,
+    parity_transfer,
     symmetry_residual,
 )
 from diracstab.soliton import DomainError, ModelKind
@@ -469,6 +473,148 @@ class TestParity:
         assert np.max(half) <= 1e-13
         np.testing.assert_allclose(lifted_residuals(op, solves, es.values),
                                    half, rtol=0, atol=1e-14)
+
+
+class TestParityProducts:
+    """parity_products writes the blocks and their products from the p = 0
+    pairs and products, parity_base."""
+
+    @pytest.mark.parametrize("p", [0.3, 1.1])
+    @pytest.mark.parametrize("n", [20, 21])
+    def test_gn_blocks_equal_parity_blocks(self, grid_cache, p, n):
+        op = assemble("gn", 2.0 / 3.0, p, grid_cache(n, 10.0))
+        (b, c), = parity_blocks(op)
+        (got_b, got_c, _), = parity_products(op)
+        assert np.array_equal(got_b, b) and np.array_equal(got_c, c)
+
+    @pytest.mark.parametrize("model", ["mtm", "gn"])
+    @pytest.mark.parametrize("p", [0.3, 1.1])
+    @pytest.mark.parametrize("zero_potential", [False, True])
+    @pytest.mark.parametrize("n", [20, 21, 160])
+    def test_products_match_the_block_products(self, grid_cache, model, p,
+                                               zero_potential, n):
+        omega = 0.5 if model == "mtm" else 2.0 / 3.0
+        op = assemble(model, omega, p, grid_cache(n, 10.0),
+                      zero_potential=zero_potential)
+        pairs = parity_blocks(op)
+        products = parity_products(op)
+        assert len(products) == len(pairs)
+        for (b, c), (got_b, got_c, bc) in zip(pairs, products):
+            scale = np.linalg.norm(b) * np.linalg.norm(c)
+            np.testing.assert_allclose(got_b, b, rtol=0,
+                                       atol=1e-15 * np.abs(b).max())
+            np.testing.assert_allclose(got_c, c, rtol=0,
+                                       atol=1e-15 * np.abs(c).max())
+            np.testing.assert_allclose(bc, b @ c, rtol=0, atol=1e-14 * scale)
+
+    @pytest.mark.parametrize("model", ["mtm", "gn"])
+    def test_p0_products_are_the_block_products(self, grid_cache, model):
+        omega = 0.5 if model == "mtm" else 2.0 / 3.0
+        op = assemble(model, omega, 0.0, grid_cache(100, 10.0))
+        base = parity_base(op)
+        assert all(got[2] is bc for got, (_, _, bc)
+                   in zip(parity_products(op, base), base))
+        for (b, c), (got_b, got_c, bc) in zip(parity_blocks(op),
+                                               parity_products(op)):
+            assert np.array_equal(got_b, b) and np.array_equal(got_c, c)
+            assert np.array_equal(bc, b @ c)
+
+    @pytest.mark.parametrize("model", ["mtm", "gn"])
+    @pytest.mark.parametrize("p", [0.0, 0.3])
+    def test_blocks_act_as_written_out(self, grid_cache, model, p):
+        omega = 0.5 if model == "mtm" else 2.0 / 3.0
+        op = assemble(model, omega, p, grid_cache(21, 10.0))
+        rng = np.random.default_rng(3)
+        for b, c, _ in parity_products(op):
+            for block in (b, c):
+                dense = np.asarray(block)
+                assert block.shape == dense.shape
+                xs = (rng.standard_normal((dense.shape[0], 3))
+                      + 1j * rng.standard_normal((dense.shape[0], 3)))
+                atol = 1e-14 * np.abs(dense).max() * dense.shape[0]
+                for x in (xs, xs[:, 0], xs.real):
+                    np.testing.assert_allclose(block @ x, dense @ x, rtol=0,
+                                               atol=atol)
+                assert block.frobenius == pytest.approx(
+                    np.linalg.norm(dense), rel=1e-14)
+
+    def test_base_is_taken_at_p0_and_read_only(self, grid_cache):
+        grid = grid_cache(20, 10.0)
+        base = parity_base(assemble("gn", 2.0 / 3.0, 0.7, grid))
+        reference = parity_base(assemble("gn", 2.0 / 3.0, 0.0, grid))
+        assert len(base) == 2
+        for arrays, want in zip(base, reference):
+            for x, y in zip(arrays, want):
+                assert np.array_equal(x, y)
+                assert not x.flags.writeable
+
+    @pytest.mark.parametrize("model,p", [("mtm", 0.3), ("gn", 0.3)])
+    def test_given_base_gives_the_same_products(self, grid_cache, model, p):
+        omega = 0.5 if model == "mtm" else 2.0 / 3.0
+        grid = grid_cache(20, 10.0)
+        op = assemble(model, omega, p, grid)
+        base = parity_base(assemble(model, omega, 0.0, grid))
+        for got, want in zip(parity_products(op, base), parity_products(op)):
+            assert all(np.array_equal(x, y) for x, y in zip(got, want))
+
+
+class TestParityTransfer:
+    """parity_transfer carries a vector of one component of a block pair
+    from the coarse grid to the fine one, in the mirror basis."""
+
+    @pytest.mark.parametrize("coarse,fine", [(20, 40), (20, 41), (80, 160)])
+    def test_reproduces_chebyshev_polynomials(self, grid_cache, coarse,
+                                              fine):
+        # T_k is even or odd with k, so it checks both parity blocks
+        source, target = grid_cache(coarse, 10.0), grid_cache(fine, 10.0)
+        transfer = parity_transfer(source, target)
+        k = np.arange(coarse + 1)
+        on_coarse = np.cos(k * np.arccos(source.nodes_z[:, None]))
+        on_fine = np.cos(k * np.arccos(target.nodes_z[:, None]))
+        np.testing.assert_allclose(transfer @ _mirror_basis(on_coarse),
+                                   _mirror_basis(on_fine), rtol=0,
+                                   atol=1e-13)
+
+    @pytest.mark.parametrize("coarse,fine", [(20, 40), (20, 41), (80, 160),
+                                             (80, 163)])
+    def test_even_odd_blocks_vanish(self, grid_cache, coarse, fine):
+        transfer = parity_transfer(grid_cache(coarse, 10.0),
+                                   grid_cache(fine, 10.0))
+        # the even combinations come first: one per mirror pair, and the
+        # middle node of an even degree
+        evens_f, evens_c = fine // 2 + 1, coarse // 2 + 1
+        assert np.all(transfer[:evens_f, evens_c:] == 0.0)
+        assert np.all(transfer[evens_f:, :evens_c] == 0.0)
+        assert np.abs(transfer[:evens_f, :evens_c]).max() > 0.5
+        assert np.abs(transfer[evens_f:, evens_c:]).max() > 0.5
+
+    def test_transferred_eigenvector_has_the_fine_value(self, grid_cache):
+        # gn at p > 0: one 2(N+1)-square pair, blockdiag(P_J, P_J)
+        omega, p = 2.0 / 3.0, 0.3
+        bands = continuous_bands("gn", omega, p)
+        products = []
+        for n in (80, 160):
+            (_, _, bc), = parity_products(assemble("gn", omega, p,
+                                                   grid_cache(n, 10.0)))
+            products.append(bc)
+        coarse_bc, fine_bc = products
+        coarse_mu = eigvals(coarse_bc).values
+        fine_mu = eigvals(fine_bc).values
+        lam = spectrum.isolated_eigs(np.sqrt(coarse_mu + 0j), bands)
+        wanted = np.unique(lam[lam.real >= 0.0] ** 2)
+        # a real pair and an imaginary one: mu > 0 and mu < 0
+        assert wanted.size == 2 and np.all(wanted.imag == 0.0)
+        transfer = parity_transfer(grid_cache(80, 10.0),
+                                   grid_cache(160, 10.0))
+        coarse_xs = inverse_vectors(coarse_bc, wanted, steps=1)
+        xs = spectrum._transferred(transfer, coarse_xs)
+        np.testing.assert_allclose(xs, np.kron(np.eye(2), transfer)
+                                   @ coarse_xs, rtol=0, atol=1e-15)
+        xs /= np.linalg.norm(xs, axis=0)
+        quotients = np.einsum("ij,ij->j", xs, fine_bc @ xs)
+        for mu in quotients:
+            nearest = fine_mu[np.argmin(np.abs(fine_mu - mu))]
+            assert abs(mu - nearest) <= 1e-8
 
 
 class TestContinuousBands:

@@ -157,8 +157,9 @@ class TestParitySolve:
         # complex quartets shift the (N+1)-square B C by a complex mu
         n = 22
         # no coarse grid: the full solve, as below the floor
+        fine = spectrum._sweep_level("mtm", 0.25, grid_cache(n, 10.0))
         iso, residuals, _, _ = spectrum._solve_isolated(
-            "mtm", 0.25, grid_cache(n, 10.0), None, None, 0.95)
+            "mtm", 0.25, fine, None, None, 0.95)
         near = iso[np.abs(iso) <= spectrum._NEAR_ORIGIN_RADIUS]
         assert near.size == 2 and np.all(near.imag == 0.0)
         assert max(m.shape[0] for m in shifted_matrices) <= 2 * (n + 1)
@@ -462,6 +463,9 @@ class TestTracking:
 _GN_GRID = ("gn", 2.0 / 3.0, 160, np.arange(0.05, 1.0001, 0.05))
 _MTM_GRID = ("mtm", 0.0, 120, np.union1d(np.arange(0.05, 1.0001, 0.05),
                                          np.arange(0.31, 0.3901, 0.01)))
+# a split-pair sweep that takes the two-grid route: the mtm blocks carry
+# p**2 on their diagonals, and each component pair its own transfer
+_MTM_SPLIT_GRID = ("mtm", 0.5, 200, np.arange(0.1, 0.5001, 0.1))
 _TWO_GRID = "two-grid"
 
 
@@ -490,8 +494,9 @@ class TestTwoGrid:
     """Sweep points found on the coarse grid and refined at N, against the
     full solve at N, and the guards that send a point to the full solve."""
 
-    @pytest.mark.parametrize("model,omega,n,ps", [_GN_GRID, _MTM_GRID],
-                             ids=["gn", "mtm"])
+    @pytest.mark.parametrize("model,omega,n,ps",
+                             [_GN_GRID, _MTM_GRID, _MTM_SPLIT_GRID],
+                             ids=["gn", "mtm", "mtm-split"])
     def test_routes_agree(self, grid_cache, monkeypatch, routes, model,
                           omega, n, ps):
         grid = grid_cache(n, 10.0)
@@ -516,6 +521,67 @@ class TestTwoGrid:
             # the coarse grid resolves every gn value to the drift tolerance
             assert taken == {float(p): _TWO_GRID for p in ps[1:]} | {
                 float(ps[0]): "first point"}
+        if (model, omega, n) == _MTM_SPLIT_GRID[:3]:
+            # a real pair in one component pair, a quartet in the other
+            assert [taken[p] for p in ps] == [
+                "first point", _TWO_GRID, _TWO_GRID, _TWO_GRID,
+                "refined value drifts"]
+
+    @pytest.mark.parametrize("model,omega,n,p,classes", [
+        ("gn", 2.0 / 3.0, 160, 0.3, {(322, 322): 2, (162, 162): 2}),
+        ("mtm", 0.5, 200, 0.3, {(201, 201): 2, (101, 101): 2}),
+    ], ids=["gn", "mtm"])
+    def test_one_coarse_and_one_fine_solve_per_class(
+            self, grid_cache, shifted_matrices, model, omega, n, p, classes):
+        grid = grid_cache(n, 10.0)
+        fine = spectrum._sweep_level(model, omega, grid)
+        coarse = spectrum._sweep_level(model, omega,
+                                       spectrum._coarse_grid(grid), grid)
+        bands = continuous_bands(model, omega, p)
+        lams, _ = spectrum._refined_point(model, omega, fine, coarse, p,
+                                          bands, default_margin(bands))
+        # a conjugate class of mu = lambda**2: +-lambda and their conjugates
+        mus = lams ** 2
+        assert np.unique(np.where(mus.imag < 0.0, mus.conj(),
+                                  mus)).size == sum(classes.values()) // 2
+        matrices = list(shifted_matrices)
+        assert {shape: sum(m.shape == shape for m in matrices)
+                for shape in classes} == classes
+        assert len(matrices) == sum(classes.values())
+        assert all(m.solves == 1 for m in matrices)
+        # a real mu is refined in real arithmetic
+        real = np.count_nonzero(np.unique(mus[mus.imag >= 0.0]).imag == 0.0)
+        assert sum(m.dtype == np.float64 for m in matrices) == 2 * real
+
+    def test_real_residual_of_an_imaginary_value(self, grid_cache):
+        # (1j r, [y; z]) of M is (r, [y; 1j z]) of [[0, -B], [C, 0]]
+        op = assemble("gn", 2.0 / 3.0, 0.3, grid_cache(160, 10.0))
+        (b, c, bc, mu), = spectrum._parity_solve(op)[1]
+        iso = isolated_eigs(np.sqrt(mu + 0j), continuous_bands(
+            "gn", 2.0 / 3.0, 0.3))
+        wanted = np.unique(iso[iso.imag > 0.0] ** 2)
+        assert wanted.size == 1 and wanted.real < 0.0
+        xs = inverse_vectors(bc, wanted)
+        assert np.isrealobj(xs)
+        r = np.sqrt(-wanted.real)
+        # the identity holds for any real x; a perturbed eigenvector keeps
+        # the residuals above rounding
+        rng = np.random.default_rng(5)
+        for x, bound in ((xs, 1e-12), (xs + 1e-3 * rng.standard_normal(
+                xs.shape), None)):
+            ys, zs = spectrum._lift(c, x, 1j * r)
+            real_ys, real_zs = spectrum._lift(c, x, r)
+            assert np.isrealobj(real_zs)
+            np.testing.assert_allclose(real_zs, 1j * zs, rtol=1e-15)
+            gaps = spectrum._pair_residuals(b, c, ys, zs, 1j * r)
+            real_gaps = spectrum._pair_residuals(b, c, real_ys, real_zs, r,
+                                                 -1.0)
+            if bound is None:
+                assert gaps[0] > 1e-6
+                np.testing.assert_allclose(real_gaps, gaps, rtol=1e-12)
+            else:
+                scale = spectrum._block_scale([(b, c)])
+                assert max(gaps[0], real_gaps[0]) <= bound * scale
 
     def test_first_point_takes_full_solve(self, grid_cache, routes):
         track_branches("gn", 2.0 / 3.0, [0.2, 0.25, 0.3],
@@ -569,8 +635,8 @@ class TestTwoGrid:
             finally:
                 refining.pop()
 
-        def poisoned(matrix, values):
-            xs = vectors(matrix, values)
+        def poisoned(matrix, values, *args, **kwargs):
+            xs = vectors(matrix, values, *args, **kwargs)
             return xs * np.nan if refining else xs
 
         monkeypatch.setattr(spectrum, "_refined_point", flagged)
