@@ -10,13 +10,13 @@ line maps to exit code 3.
 A matrix of the form [[0, B], [C, 0]] is solved at half its dimension:
 eigvals of B C, then root_pairs.
 
-Eigenvectors for a few selected eigenvalues come from inverse_vectors
-(inverse iteration: solves of one shifted matrix per value, two by
-default, from a fixed start vector or from the caller's; real for a
-real value of a real matrix), not from a full solve with vectors; the
-caller takes their residuals in whatever basis it holds the matrix.
-single_blas_thread runs a block of solves on one BLAS thread each.  The
-module needs numpy alone.
+eigvals computes values only.  Eigenvectors for a few selected
+eigenvalues come from inverse_vectors (inverse iteration: one solve of
+a shifted matrix per value, from a fixed start vector or from the
+caller's, so that k steps are k chained calls; real for a real value of
+a real matrix); the caller takes their residuals in whatever basis it
+holds the matrix.  single_blas_thread runs a block of solves on one
+BLAS thread each.  The module needs numpy alone.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ import numpy as np
 logger = logging.getLogger(__name__)
 
 _EPS = np.finfo(float).eps
-_INVERSE_STEPS = 2
 # fractional parts of the golden and silver ratios: irrational steps for
 # the fixed inverse-iteration start vector
 _START_STEPS = ((5.0 ** 0.5 - 1.0) / 2.0, 2.0 ** 0.5 - 1.0)
@@ -52,21 +51,19 @@ class ConvergenceError(RuntimeError):
 
 @dataclass
 class EigenSet:
-    """Eigenvalues, optional eigenvectors, and solve diagnostics.
+    """Eigenvalues and solve diagnostics.
 
-    values are sorted by (imag, real); vectors, when present, are unit
-    columns aligned with values; residuals are ||A v - lambda v|| /
-    ||A||_F per pair (relative_residuals).  backend names the solver path:
-    "lapack" for a direct solve of the matrix, "lapack-parity" for the
-    +-sqrt pairs root_pairs takes from real solves of the parity-block
-    products B C, at half the dimension or, where the blocks split by
-    component, a quarter.  iterations is always 0: LAPACK does not report
-    its QR sweep count.
+    values are sorted by (imag, real).  vectors is always None: eigvals
+    computes no vectors, and benchmarks/tracing.py reads the field.
+    backend names the solver path: "lapack" for a direct solve of the
+    matrix, "lapack-parity" for the +-sqrt pairs root_pairs takes from
+    real solves of the parity-block products B C, at half the dimension
+    or, where the blocks split by component, a quarter.  iterations is
+    always 0: LAPACK does not report its QR sweep count.
     """
 
     values: np.ndarray
     vectors: np.ndarray | None = None
-    residuals: np.ndarray | None = None
     iterations: int = 0
     backend: str = "lapack"
 
@@ -81,38 +78,23 @@ def _as_square(matrix) -> np.ndarray:
     return a
 
 
-def relative_residuals(a: np.ndarray, values, vectors) -> np.ndarray:
-    """||a v - lambda v|| / ||a||_F for each value and unit column v."""
-    res = np.linalg.norm(a @ vectors - vectors * values[None, :], axis=0)
-    anorm = np.linalg.norm(a)
-    return res / (anorm if anorm != 0.0 else 1.0)
-
-
-def eigvals(matrix, want_vectors: bool = False) -> EigenSet:
+def eigvals(matrix) -> EigenSet:
     """All eigenvalues of a dense matrix, deterministically sorted.
 
     A real matrix is solved in real arithmetic (dgeev), so its real
     eigenvalues come back with imaginary part exactly 0.0 and the others
-    in exact conjugate pairs.  Values and vectors are complex either way.
+    in exact conjugate pairs.  The values are complex either way.
     Raises ConvergenceError if LAPACK fails to converge.
     """
     a = _as_square(matrix)
     try:
-        if want_vectors:
-            values, vectors = np.linalg.eig(a)
-        else:
-            values, vectors = np.linalg.eigvals(a), None
+        values = np.linalg.eigvals(a)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(
             f"eigensolve of a {a.shape[0]}x{a.shape[0]} matrix did not "
             f"converge: {exc}") from exc
     order = np.lexsort((values.real, values.imag))
-    values = values[order].astype(complex, copy=False)
-    residuals = None
-    if vectors is not None:
-        vectors = vectors[:, order].astype(complex, copy=False)
-        residuals = relative_residuals(a, values, vectors)
-    return EigenSet(values=values, vectors=vectors, residuals=residuals)
+    return EigenSet(values=values[order].astype(complex, copy=False))
 
 
 def root_pairs(squares: EigenSet) -> EigenSet:
@@ -132,14 +114,14 @@ def root_pairs(squares: EigenSet) -> EigenSet:
     return EigenSet(values=values, backend="lapack-parity")
 
 
-def inverse_vectors(matrix, values, starts=None,
-                    steps: int = _INVERSE_STEPS) -> np.ndarray:
+def inverse_vectors(matrix, values, starts=None) -> np.ndarray:
     """Unit eigenvectors for eigenvalues of matrix, one column per value.
 
-    Each value gets steps solves (two by default) of one copy of the
-    matrix shifted slightly off it: inverse iteration from the value's
-    column of starts, or from a fixed start vector when starts is None.
-    A real value of a real matrix is done in real arithmetic, from the
+    Each value gets one solve of a copy of the matrix shifted slightly
+    off it: one step of inverse iteration from the value's column of
+    starts, or from a fixed start vector when starts is None.  A second
+    step is a second call with the first one's vectors as starts.  A
+    real value of a real matrix is done in real arithmetic, from the
     real part of its start; when the matrix and every value are real,
     the vectors come back real.
     """
@@ -164,10 +146,8 @@ def inverse_vectors(matrix, values, starts=None,
             shift, v = shift.real, v.real
         shifted = a.astype(np.result_type(a, shift))
         shifted[np.diag_indices(n)] -= shift
-        for _ in range(steps):
-            v = np.linalg.solve(shifted, v)
-            v /= np.linalg.norm(v)
-        vectors[:, col] = v
+        v = np.linalg.solve(shifted, v)
+        vectors[:, col] = v / np.linalg.norm(v)
     return vectors
 
 

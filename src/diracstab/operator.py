@@ -412,26 +412,3 @@ def continuous_bands(model, omega: float, p: float) -> SpectralBands:
     return SpectralBands(model=model, omega=float(omega), p=p,
                          band_edges=edges, gap_closed=bool(closed))
 
-
-def symmetry_residual(eigs, model) -> float:
-    """Mismatch between the eigenvalue multiset and its symmetry reflections.
-
-    Real-axis and imaginary-axis reflections apply to the first model;
-    only the imaginary-axis reflection is guaranteed for the second.
-    Returns the largest distance from any reflected eigenvalue to the
-    nearest computed one.
-    """
-    model = ModelKind(model)
-    values = np.asarray(getattr(eigs, "values", eigs), dtype=complex).ravel()
-    if values.size == 0:
-        raise ValueError("empty eigenvalue set")
-    if model is ModelKind.MASSIVE_THIRRING:
-        maps = (np.conj(values), -values, -np.conj(values))
-    else:
-        maps = (-np.conj(values),)
-    worst = 0.0
-    for reflected in maps:
-        gaps = np.abs(reflected[:, None] - values[None, :]).min(axis=1)
-        worst = max(worst, float(gaps.max()))
-    return worst
-

@@ -13,10 +13,13 @@ A sweep point takes the two-grid route: its isolated values are found
 by the values-only solve on a coarse grid of even degree N_c = 2
 floor(N / 4), and each is refined at N by one shifted solve of the fine
 B C, from its coarse eigenvector interpolated to N, whose iterate also
-gives the residual.  A sweep takes the p = 0 block products of both
-grids once (operator.parity_base), and every point writes its own B C
-from them in O(N**2).  The drift of a value
-between the grids is the per-value resolution check of Boyd's rule
+gives the residual.  The full solve takes its residuals from the same
+routine, _refined_pair, with the fine grid as its own coarse one, but
+keeps its values; only values near the origin take vectors from M.  A
+sweep takes the p = 0 block products of both grids once
+(operator.parity_base), and every point writes its own B C from them in
+O(N**2).  The drift of a value between the grids is the per-value
+resolution check of Boyd's rule
 (Chebyshev and Fourier Spectral Methods, ch. 7).  Guards send a point
 to the full solve at N instead, which finds every value the fine grid
 has: N_c below _COARSE_FLOOR, the sweep's first point, a closed gap, a
@@ -171,37 +174,6 @@ def _lift(c, xs, lams):
     return xs / norms, zs / norms
 
 
-def _parity_vectors(solves, values):
-    """Unit eigenvectors [y; z] of M = [[0, B], [C, 0]] for values taken
-    from _parity_solve, in the real bases of each block pair (B, C).
-
-    Yields (pair, rows, ys, zs): the values at index rows are +-sqrt(mu)
-    for eigenvalues mu of pair's block product B C, and the columns of ys
-    and zs are the parts of their vectors on the rows of B and of C.
-    Away from the origin, one inverse iteration on B C - mu, real when mu
-    is, gives x for both signs of lam, and _lift makes [y; z].  Near the
-    origin C x / lam is ill-conditioned, so each value there takes its
-    vector from inverse iteration on the pair's own real M.
-    """
-    near = np.abs(values) <= _NEAR_ORIGIN_RADIUS
-    for pair, (b, c, bc, mu) in enumerate(solves):
-        roots = np.sqrt(mu)
-        # root_pairs made the values from these very roots, bit for bit
-        hit = (values[:, None] == roots) | (values[:, None] == -roots)
-        rows, cols = np.nonzero(hit & ~near[:, None])
-        if rows.size:
-            wanted, column = np.unique(cols, return_inverse=True)
-            xs = inverse_vectors(bc, mu[wanted])[:, column]
-            yield (pair, rows) + _lift(c, xs, values[rows])
-        rows = np.flatnonzero(hit.any(axis=1) & near)
-        if rows.size:
-            k = b.shape[0]
-            m = np.zeros((2 * k, 2 * k))
-            m[:k, k:], m[k:, :k] = b, c
-            ws = inverse_vectors(m, values[rows])
-            yield pair, rows, ws[:k], ws[k:]
-
-
 def _block_scale(pairs) -> float:
     """||M||_F over all block pairs: the root of the summed ||B||_F^2 +
     ||C||_F^2 of their ParityBlocks."""
@@ -221,19 +193,111 @@ def _pair_residuals(b, c, ys, zs, lams, signs=1.0) -> np.ndarray:
     return np.linalg.norm(gaps, axis=0)
 
 
+def _hits(values, mu):
+    """hit[i, j]: values[i] is +-sqrt(mu[j]), bit for bit, as root_pairs
+    made it from these very roots."""
+    roots = np.sqrt(mu)
+    return (values[:, None] == roots) | (values[:, None] == -roots)
+
+
+class _PairRefinement(NamedTuple):
+    """values[rows] refined to lams, with residuals ||M w - lam w||.
+
+    w comes from the unit vector [ys; zs] of the row's conjugate class,
+    column[row], on [[0, sign B], [C, 0]] with sign = signs[column]; for
+    sign -1 it is [ys; -1j zs] of M.  w is its conjugate where flip, and
+    [y; -z], for -lambda, where negated.
+    """
+
+    rows: np.ndarray
+    lams: np.ndarray
+    residuals: np.ndarray
+    ys: np.ndarray
+    zs: np.ndarray
+    signs: np.ndarray | float
+    column: np.ndarray
+    flip: np.ndarray
+    negated: np.ndarray
+
+
+def _refined_pair(b, c, bc, mu, values, start_bc, transfer=None):
+    """The values +-sqrt(mu) of eigenvalues mu of start_bc outside
+    _NEAR_ORIGIN_RADIUS, refined on the block pair (b, c, bc = B C), as a
+    _PairRefinement, or None when there are none.
+
+    Each conjugate class of those mu takes two shifted solves, one
+    inverse_vectors step each, real when mu is: one of start_bc - mu from
+    the fixed start, and one of bc - mu from that vector, carried to bc's
+    grid by transfer where start_bc is a coarser grid's.  mu becomes the
+    Rayleigh quotient of the unit iterate x, exactly real when the class's
+    mu is, and the four values +-sqrt(mu), +-conj(sqrt(mu)) share it and
+    the residual of the lift of x.  Where every mu of the pair is real,
+    x, the lift and the residual stay real: sqrt(|mu|) is an eigenvalue
+    of [[0, sign(mu) B], [C, 0]] with the residual of lambda = sqrt(mu).
+    """
+    near = np.abs(values) <= _NEAR_ORIGIN_RADIUS
+    rows, cols = np.nonzero(_hits(values, mu) & ~near[:, None])
+    if not rows.size:
+        return None
+    flip = mu[cols].imag < 0.0
+    wanted, column = np.unique(np.where(flip, mu[cols].conj(), mu[cols]),
+                               return_inverse=True)
+    xs = inverse_vectors(start_bc, wanted)
+    if transfer is not None:
+        xs = _transferred(transfer, xs)
+    xs = inverse_vectors(bc, wanted, xs)
+    mus = np.einsum("ij,ij->j", xs.conj(), bc @ xs)
+    if np.isrealobj(mus):
+        # the lift and residual on [[0, sign(mu) B], [C, 0]]
+        signs = np.sign(mus)
+        roots = np.sqrt(np.abs(mus))
+        tops = np.where(signs > 0.0, roots, 1j * roots)
+    else:
+        real = wanted.imag == 0.0
+        mus[real] = mus[real].real
+        signs, roots = 1.0, np.sqrt(mus)
+        tops = roots
+    ys, zs = _lift(c, xs, roots)
+    gaps = _pair_residuals(b, c, ys, zs, roots, signs)
+    refined = np.where(flip, tops[column].conj(), tops[column])
+    # the sign of the value's root, whichever branch sqrt took
+    negated = np.abs(values[rows] - refined) > np.abs(values[rows] + refined)
+    return _PairRefinement(rows, np.where(negated, -refined, refined),
+                           gaps[column], ys, zs, signs, column, flip, negated)
+
+
+def _origin_vectors(b, c, lams):
+    """The parts ys and zs of unit eigenvectors of M = [[0, B], [C, 0]]
+    for lams near the origin: two inverse_vectors steps on M itself."""
+    k = b.shape[0]
+    m = np.zeros((2 * k, 2 * k))
+    m[:k, k:], m[k:, :k] = b, c
+    ws = inverse_vectors(m, lams, inverse_vectors(m, lams))
+    return ws[:k], ws[k:]
+
+
 def _isolated_residuals(solves, values) -> np.ndarray:
     """||M w - lam w|| / ||M||_F for values taken from _parity_solve.
 
-    w is the unit eigenvector of _parity_vectors, and ||M||_F is
+    w and lam come from _refined_pair on each pair's own B C; the caller
+    keeps the solve's values.  Near the origin, where C x / lambda is
+    ill-conditioned, w comes from _origin_vectors.  ||M||_F is
     _block_scale's.  The change of basis to the parity blocks is
     unitary, so this is the residual on the stability matrix A of w
     carried back into A's space.
     """
     residuals = np.empty(values.size)
     scale = _block_scale(solves)
-    for pair, rows, ys, zs in _parity_vectors(solves, values):
-        b, c = solves[pair][:2]
-        residuals[rows] = _pair_residuals(b, c, ys, zs, values[rows]) / scale
+    near = np.abs(values) <= _NEAR_ORIGIN_RADIUS
+    for b, c, bc, mu in solves:
+        refined = _refined_pair(b, c, bc, mu, values, bc)
+        if refined is not None:
+            residuals[refined.rows] = refined.residuals / scale
+        rows = np.flatnonzero(near & _hits(values, mu).any(axis=1))
+        if rows.size:
+            ys, zs = _origin_vectors(b, c, values[rows])
+            gaps = _pair_residuals(b, c, ys, zs, values[rows])
+            residuals[rows] = gaps / scale
     return residuals
 
 
@@ -344,18 +408,12 @@ def _full_point(model, omega, fine, p, bands, margin, guard):
 def _refined_point(model, omega, fine, coarse, p, bands, margin):
     """The kept values of the coarse grid, refined at N, and their residuals.
 
-    fine and coarse are the sweep's _Levels.  Each conjugate class of kept
-    mu_c = lambda_c**2 of a block pair takes two shifted solves, one step
-    of inverse_vectors each, real when mu_c is: one of the coarse B C -
-    mu_c from the fixed start, which gives mu_c's coarse eigenvector, and
-    one of the fine B C - mu_c from that vector carried to N by the
-    coarse level's transfer.  mu becomes the Rayleigh quotient of the
-    unit fine iterate x, exactly real when mu_c is.  The four values
-    +-sqrt(mu), +-conj(sqrt(mu)) share the refinement, with one residual
-    from the lift of x.  Where every mu_c of a pair is real, x, the lift
-    and the residual stay real: lambda = sqrt(mu) is real or imaginary,
-    and sqrt(|mu|) is an eigenvalue of [[0, sign(mu) B], [C, 0]] with the
-    same residual.
+    fine and coarse are the sweep's _Levels.  Each block pair's kept
+    values are refined by _refined_pair from the coarse B C and its
+    eigenvalues mu_c: one shifted solve of the coarse B C per conjugate
+    class gives mu_c's coarse eigenvector, and one of the fine B C from
+    that vector, carried to N by the coarse level's transfer, refines
+    it.
 
     Raises _FullSolve when a guard fails, for the full solve to find
     every value at N:
@@ -382,39 +440,14 @@ def _refined_point(model, omega, fine, coarse, p, bands, margin):
     residuals = np.empty(found.size)
     scale = _block_scale(pairs)
     for (b, c, bc), (_, _, coarse_bc, mu) in zip(pairs, solves):
-        coarse_roots = np.sqrt(mu)
-        hit = ((found[:, None] == coarse_roots)
-               | (found[:, None] == -coarse_roots))
-        rows, cols = np.nonzero(hit)
-        if not rows.size:
-            continue
-        flip = mu[cols].imag < 0.0
-        wanted, column = np.unique(np.where(flip, mu[cols].conj(), mu[cols]),
-                                   return_inverse=True)
         try:
-            xs = inverse_vectors(coarse_bc, wanted, steps=1)
-            xs = inverse_vectors(bc, wanted,
-                                 _transferred(coarse.transfer, xs), steps=1)
+            refined = _refined_pair(b, c, bc, mu, found, coarse_bc,
+                                    coarse.transfer)
         except np.linalg.LinAlgError as exc:
             raise _FullSolve("non-finite refinement") from exc
-        mus = np.einsum("ij,ij->j", xs.conj(), bc @ xs)
-        if np.isrealobj(mus):
-            # the lift and residual on [[0, sign(mu) B], [C, 0]]
-            signs = np.sign(mus)
-            roots = np.sqrt(np.abs(mus))
-            tops = np.where(signs > 0.0, roots, 1j * roots)
-        else:
-            real = wanted.imag == 0.0
-            mus[real] = mus[real].real
-            signs, roots = 1.0, np.sqrt(mus)
-            tops = roots
-        ys, zs = _lift(c, xs, roots)
-        gaps = _pair_residuals(b, c, ys, zs, roots, signs)
-        residuals[rows] = (gaps / scale)[column]
-        refined = np.where(flip, tops[column].conj(), tops[column])
-        # the sign of the coarse value's root, whichever branch sqrt took
-        keep = np.abs(found[rows] - refined) <= np.abs(found[rows] + refined)
-        lams[rows] = np.where(keep, refined, -refined)
+        if refined is not None:
+            lams[refined.rows] = refined.lams
+            residuals[refined.rows] = refined.residuals / scale
     if not (np.all(np.isfinite(lams)) and np.all(np.isfinite(residuals))):
         raise _FullSolve("non-finite refinement")
     tol = _CLASS_TOL * (1.0 + np.abs(lams))

@@ -8,7 +8,9 @@ The library solves through the real parity blocks alone and never writes
 the 4(N+1)-square stability matrix.  stability_matrix writes it here, as
 the oracle: the block form's blocks laid out whole and reduced by a dense
 product.  parity_basis and real_basis carry vectors of the parity blocks'
-bases back into its space.
+bases back into its space, and lifted_vectors the library's eigenvectors.
+relative_residuals and symmetry_residual, checks that only the tests
+take, live here too.
 """
 
 import json
@@ -20,7 +22,6 @@ import pytest
 
 import diracstab.spectrum as spectrum
 from diracstab.cheb import build_grid
-from diracstab.eigen import relative_residuals
 from diracstab.operator import assemble
 from diracstab.soliton import ModelKind
 from diracstab.spectrum import parity_eigvals
@@ -126,18 +127,80 @@ def lift(m, pair, ys, zs):
     return parity_basis(m) @ both
 
 
+def lifted_vectors(op, solves, values):
+    """The unit eigenvectors of values in A's space, one column per value,
+    and the value each is an eigenvector for.
+
+    Away from the origin they are spectrum._refined_pair's, on each block
+    pair's own B C as the full solve takes them, for the refined value: a
+    class vector [y; z'] of [[0, sign B], [C, 0]] is [y; -1j z'] of M
+    where the sign is -1, a flipped member takes its conjugate and the
+    -lambda member [y; -z].  Near the origin they are
+    spectrum._origin_vectors', for the value itself.
+    """
+    m = op.grid.n + 1
+    vectors = np.full((4 * m, values.size), np.nan, dtype=complex)
+    lams = np.full(values.size, np.nan, dtype=complex)
+    near = np.abs(values) <= spectrum._NEAR_ORIGIN_RADIUS
+    for pair, (b, c, bc, mu) in enumerate(solves):
+        refined = spectrum._refined_pair(b, c, bc, mu, values, bc)
+        if refined is not None:
+            column = refined.column
+            signs = np.broadcast_to(refined.signs, column.max() + 1)
+            phases = np.where(signs < 0.0, -1j, 1.0)
+            ys = refined.ys[:, column]
+            zs = phases[column] * refined.zs[:, column]
+            ys = np.where(refined.flip, ys.conj(), ys)
+            zs = np.where(refined.flip, zs.conj(), zs)
+            zs = np.where(refined.negated, -zs, zs)
+            vectors[:, refined.rows] = lift(m, pair, ys, zs)
+            lams[refined.rows] = refined.lams
+        rows = np.flatnonzero(near & spectrum._hits(values, mu).any(axis=1))
+        if rows.size:
+            vectors[:, rows] = lift(
+                m, pair, *spectrum._origin_vectors(b, c, values[rows]))
+            lams[rows] = values[rows]
+    return lams, vectors
+
+
+def relative_residuals(a, values, vectors):
+    """||a v - lambda v|| / ||a||_F for each value and unit column v."""
+    res = np.linalg.norm(a @ vectors - vectors * values[None, :], axis=0)
+    anorm = np.linalg.norm(a)
+    return res / (anorm if anorm != 0.0 else 1.0)
+
+
 def lifted_residuals(op, solves, values):
     """||A v - lambda v|| / ||A||_F on the dense oracle A, for the
-    parity-basis eigenvectors of values (spectrum._parity_vectors) lifted
-    into A's space."""
-    a = stability_matrix(op)
-    residuals = np.full(values.size, np.nan)
-    for pair, rows, ys, zs in spectrum._parity_vectors(solves, values):
-        vectors = lift(op.grid.n + 1, pair, ys, zs)
-        np.testing.assert_allclose(np.linalg.norm(vectors, axis=0), 1.0,
-                                   rtol=0, atol=1e-14)
-        residuals[rows] = relative_residuals(a, values[rows], vectors)
-    return residuals
+    parity-basis eigenvectors of values lifted into A's space, and the
+    values they belong to (lifted_vectors)."""
+    lams, vectors = lifted_vectors(op, solves, values)
+    np.testing.assert_allclose(np.linalg.norm(vectors, axis=0), 1.0,
+                               rtol=0, atol=1e-14)
+    return relative_residuals(stability_matrix(op), lams, vectors)
+
+
+def symmetry_residual(eigs, model) -> float:
+    """Mismatch between the eigenvalue multiset and its symmetry reflections.
+
+    Real-axis and imaginary-axis reflections apply to the first model;
+    only the imaginary-axis reflection is guaranteed for the second.
+    Returns the largest distance from any reflected eigenvalue to the
+    nearest computed one.
+    """
+    model = ModelKind(model)
+    values = np.asarray(getattr(eigs, "values", eigs), dtype=complex).ravel()
+    if values.size == 0:
+        raise ValueError("empty eigenvalue set")
+    if model is ModelKind.MASSIVE_THIRRING:
+        maps = (np.conj(values), -values, -np.conj(values))
+    else:
+        maps = (-np.conj(values),)
+    worst = 0.0
+    for reflected in maps:
+        gaps = np.abs(reflected[:, None] - values[None, :]).min(axis=1)
+        worst = max(worst, float(gaps.max()))
+    return worst
 
 
 class GridCache:
@@ -240,8 +303,8 @@ def shifted_matrices(monkeypatch, file_record):
     """The shape, dtype and solve count of every distinct matrix
     np.linalg.solve sees while the test runs, in its own process or a
     forked pool worker, in order of first use per process: the shifted
-    matrices of inverse_vectors, each solved once per inverse-iteration
-    step it takes (SolvedMatrices)."""
+    matrices of inverse_vectors, one per value and call, each solved once
+    (SolvedMatrices)."""
     seen = []  # per process: a forked worker keeps its own copy
     calls = file_record("shifted")
     solve = np.linalg.solve

@@ -226,10 +226,10 @@ class TestSweep:
         parent = os.getpid()
         solve = spectrum.eigvals
 
-        def failing(matrix, want_vectors=False):
+        def failing(matrix):
             if os.getpid() != parent:
                 raise ConvergenceError("LAPACK eigensolve did not converge")
-            return solve(matrix, want_vectors=want_vectors)
+            return solve(matrix)
 
         monkeypatch.setattr(spectrum, "eigvals", failing)
         rc = cli.main(["sweep", "--model", "gn", "--omega", "0.6667",
@@ -413,9 +413,9 @@ class TestSolveDimension:
         dims = file_record("dims", tuple)
 
         def recording(solve):
-            def wrapped(matrix, want_vectors=False):
+            def wrapped(matrix):
                 dims.append(np.shape(matrix))
-                return solve(matrix, want_vectors=want_vectors)
+                return solve(matrix)
             return wrapped
 
         monkeypatch.setattr(cli, "eigvals", recording(cli.eigvals))

@@ -8,10 +8,9 @@ import numpy as np
 import pytest
 
 import diracstab.spectrum as spectrum
-from conftest import lift, lifted_residuals, stability_matrix
+from conftest import lifted_residuals, lifted_vectors, stability_matrix
 from diracstab.cheb import build_grid
-from diracstab.eigen import (EigenSet, blas_threads, eigvals, inverse_vectors,
-                             relative_residuals)
+from diracstab.eigen import EigenSet, blas_threads, eigvals, inverse_vectors
 from diracstab.operator import assemble, continuous_bands
 from diracstab.spectrum import (
     CLASS_QUARTET,
@@ -121,11 +120,12 @@ class TestParitySolve:
         assert iso.size == 4
         assert np.all(np.abs(iso) > spectrum._NEAR_ORIGIN_RADIUS)
         assert np.max(spectrum._isolated_residuals(solves, iso)) <= 1e-12
-        full = inverse_vectors(stability_matrix(op), iso)
-        for pair, rows, ys, zs in spectrum._parity_vectors(solves, iso):
-            for u, j in zip(lift(op.grid.n + 1, pair, ys, zs).T, rows):
-                assert np.linalg.norm(u) == pytest.approx(1.0, abs=1e-14)
-                assert abs(np.vdot(u, full[:, j])) >= 1.0 - 1e-10
+        # two steps of inverse iteration on the 4(N+1)-square A
+        a = stability_matrix(op)
+        full = inverse_vectors(a, iso, inverse_vectors(a, iso))
+        for u, w in zip(lifted_vectors(op, solves, iso)[1].T, full.T):
+            assert np.linalg.norm(u) == pytest.approx(1.0, abs=1e-14)
+            assert abs(np.vdot(u, w)) >= 1.0 - 1e-10
 
     def test_parity_residuals_equal_full_matrix_residuals(self, grid_cache):
         op = assemble("gn", 2.0 / 3.0, 0.3, grid_cache(160, 10.0))
@@ -136,6 +136,24 @@ class TestParitySolve:
         np.testing.assert_allclose(lifted_residuals(op, solves, iso), half,
                                    rtol=0, atol=1e-14)
 
+    def test_full_point_refines_a_quartet_with_two_solves(
+            self, grid_cache, shifted_matrices):
+        # the full route refines as the two-grid route does, with the fine
+        # grid as its own coarse one: a conjugate class of mu = lambda**2
+        # takes one shifted solve of B C from the fixed start and one from
+        # that iterate, and its four values share the residual
+        fine = spectrum._sweep_level("mtm", 0.5, grid_cache(20, 10.0))
+        bands = continuous_bands("mtm", 0.5, 0.3)
+        iso, residuals = spectrum._full_point("mtm", 0.5, fine, 0.3, bands,
+                                              default_margin(bands),
+                                              "first point")
+        mus = iso ** 2
+        assert iso.size == 4 and np.all(iso.real != 0.0)
+        assert np.unique(np.where(mus.imag < 0.0, mus.conj(), mus)).size == 1
+        assert [(m.shape, m.dtype, m.solves) for m in shifted_matrices] == \
+            [((21, 21), np.complex128, 1)] * 2
+        assert np.all(residuals == residuals[0]) and residuals[0] <= 1e-13
+
     def test_near_origin_values_use_their_pair_matrix(self, grid_cache,
                                                       shifted_matrices):
         # the kernel cluster at p = 0 sits inside the near-origin radius
@@ -144,9 +162,10 @@ class TestParitySolve:
         near = es.values[np.abs(es.values) <= spectrum._NEAR_ORIGIN_RADIUS]
         assert near.size > 0
         half = spectrum._isolated_residuals(solves, near)
-        # one shifted M = [[0, B], [C, 0]] per value, at 2(N+1) where the
-        # blocks split, in place of the 4(N+1)-square A
-        assert [m.shape for m in shifted_matrices] == [(122, 122)] * near.size
+        # two one-step shifted M = [[0, B], [C, 0]] per value, at 2(N+1)
+        # where the blocks split, in place of the 4(N+1)-square A
+        assert [m.shape for m in shifted_matrices] == \
+            [(122, 122)] * (2 * near.size)
         assert np.max(half) <= 1e-12
         np.testing.assert_allclose(lifted_residuals(op, solves, near), half,
                                    rtol=0, atol=1e-14)
@@ -163,11 +182,11 @@ class TestParitySolve:
         near = iso[np.abs(iso) <= spectrum._NEAR_ORIGIN_RADIUS]
         assert near.size == 2 and np.all(near.imag == 0.0)
         assert max(m.shape[0] for m in shifted_matrices) <= 2 * (n + 1)
-        # one real shifted M of order 2(N+1) per near-origin value, in
-        # place of the complex 4(N+1)-square A
+        # two one-step real shifted M of order 2(N+1) per near-origin
+        # value, in place of the complex 4(N+1)-square A
         pair_solves = [m for m in shifted_matrices
                        if m.shape[0] == 2 * (n + 1)]
-        assert len(pair_solves) == near.size
+        assert len(pair_solves) == 2 * near.size
         assert all(m.dtype == np.float64 for m in pair_solves)
         assert np.max(residuals) <= 1e-13
 
@@ -234,9 +253,10 @@ class TestTracking:
         asked = file_record("asked")
         solve = spectrum.eigvals
 
-        def recording(matrix, want_vectors=False):
-            asked.append(want_vectors)
-            return solve(matrix, want_vectors=want_vectors)
+        def recording(matrix):
+            es = solve(matrix)
+            asked.append(es.vectors is not None)
+            return es
 
         monkeypatch.setattr(spectrum, "eigvals", recording)
         branches = track_branches("mtm", 0.0, [0.2, 0.25, 0.3],
@@ -258,9 +278,9 @@ class TestTracking:
         seen = file_record("threads")
         solve = spectrum.eigvals
 
-        def recording(matrix, want_vectors=False):
+        def recording(matrix):
             seen.append(blas_threads())
-            return solve(matrix, want_vectors=want_vectors)
+            return solve(matrix)
 
         monkeypatch.setattr(spectrum, "eigvals", recording)
         track_branches("mtm", 0.0, [0.2, 0.25], grid_cache(30, 10.0), jobs=2)
@@ -275,9 +295,9 @@ class TestTracking:
         seen = []
         solve = spectrum.eigvals
 
-        def recording(matrix, want_vectors=False):
+        def recording(matrix):
             seen.append(blas_threads())
-            return solve(matrix, want_vectors=want_vectors)
+            return solve(matrix)
 
         monkeypatch.setattr(spectrum, "eigvals", recording)
         track_branches("gn", 2.0 / 3.0, [0.2, 0.25], grid_cache(30, 10.0),
@@ -314,10 +334,19 @@ class TestTracking:
                                           model, omega, block):
         branches = track_branches(model, omega, [0.2, 0.25, 0.3],
                                   grid_cache(60, 10.0), jobs=2)
-        # a +-pair shares one shifted matrix
+        # +-lambda and their conjugates share one conjugate class of mu =
+        # lambda**2, which costs two one-step shifted matrices
         shapes = {m.shape for m in shifted_matrices}
         assert shifted_matrices and shapes == {(block, block)}
-        assert len(shifted_matrices) < sum(len(br.points) for br in branches)
+        classes = 0
+        for p in (0.2, 0.25, 0.3):
+            mus = np.array([pt.lam for br in branches for pt in br.points
+                            if pt.p == p]) ** 2
+            classes += np.unique(np.where(mus.imag < 0.0, mus.conj(),
+                                          mus)).size
+        assert classes < sum(len(br.points) for br in branches)
+        assert len(shifted_matrices) == 2 * classes
+        assert all(m.solves == 1 for m in shifted_matrices)
 
     def test_more_jobs_than_points(self, grid_cache, monkeypatch,
                                    file_record):
@@ -561,7 +590,8 @@ class TestTwoGrid:
             "gn", 2.0 / 3.0, 0.3))
         wanted = np.unique(iso[iso.imag > 0.0] ** 2)
         assert wanted.size == 1 and wanted.real < 0.0
-        xs = inverse_vectors(bc, wanted)
+        # two steps of inverse iteration
+        xs = inverse_vectors(bc, wanted, inverse_vectors(bc, wanted))
         assert np.isrealobj(xs)
         r = np.sqrt(-wanted.real)
         # the identity holds for any real x; a perturbed eigenvector keeps
