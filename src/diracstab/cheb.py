@@ -50,7 +50,7 @@ class ChebGrid:
 
 
 def build_grid(n: int, scale: float = 10.0) -> ChebGrid:
-    """Build the mapped grid; n >= 2 (even n recommended), scale > 0."""
+    """Build the mapped grid; n >= 2 (even n recommended), finite scale > 0."""
     try:
         n = operator.index(n)
     except TypeError:
@@ -58,8 +58,8 @@ def build_grid(n: int, scale: float = 10.0) -> ChebGrid:
             f"polynomial degree n must be an integer, got {n!r}") from None
     if n < 2:
         raise ValueError(f"polynomial degree n must be >= 2, got {n}")
-    if scale <= 0:
-        raise ValueError(f"map scale must be positive, got {scale}")
+    if not 0.0 < scale < np.inf:
+        raise ValueError(f"map scale must be positive and finite, got {scale}")
 
     j = np.arange(n + 1)
     # sin form of cos(j pi / n): bitwise-exact node antisymmetry z_j = -z_{n-j}

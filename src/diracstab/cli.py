@@ -74,6 +74,8 @@ def _parse_range(text: str) -> list:
     if len(parts) != 3:
         raise ValueError(f"range must be start:stop:step, got {text!r}")
     start, stop, step = (float(t) for t in parts)
+    if not np.isfinite([start, stop, step]).all():
+        raise ValueError(f"range {text!r} must be finite")
     if step <= 0.0 or stop < start:
         raise ValueError(f"empty or invalid range {text!r}")
     count = int(np.floor((stop - start) / step + 1e-9)) + 1

@@ -15,15 +15,16 @@ the grid (x -> -x).  In the eigenbasis of S, A is [[0, B], [C, 0]], so
 its eigenvalues are +-sqrt(eig(B C)).  B and C have a second, exact
 antiunitary symmetry, T conj(B) T = B with T = kron(diag(1, -1), J), so
 a unitary change of basis built from mirror pairs of grid nodes makes
-them real.  parity_blocks writes those real blocks, split by component
-where B C is block diagonal, in closed form from the model's blocks: the
+them real.  parity_blocks writes the real p = 0 blocks, one (N+1)-square
+pair per parity component, in closed form from the model's blocks: the
 differentiation matrix is centro-antisymmetric, so in the mirror basis
-each (N+1)-square block is one transform of it plus four diagonals.
+each block is one transform of it plus four diagonals.
 
-Outside the transverse term the blocks do not depend on p, so
-parity_products gives B and C at any p as ParityBlocks, the p = 0 blocks
-plus a diagonal, and writes B C from the p = 0 pairs and their products
-(parity_base) in O(N**2); a sweep takes the (N+1)-square products once.
+p enters only through the transverse term, a diagonal, and only
+parity_products adds it: it gives B and C at any p as ParityBlocks, the
+p = 0 blocks plus that diagonal, and writes B C from the p = 0 pairs and
+their products (parity_base) in O(N**2); a sweep takes the (N+1)-square
+products once.
 parity_transfer carries a vector of the blocks' bases from a coarse grid
 to a fine one.
 
@@ -35,7 +36,7 @@ layout, which the parity basis refers to: all grid samples of component
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -118,31 +119,25 @@ def assemble(model, omega: float, p: float, grid: ChebGrid,
              zero_potential: bool = False) -> StabilityOperator:
     """The stability operator at transverse wavenumber p.
 
-    Samples the soliton once and writes no matrix; parity_blocks writes
-    the blocks the solves need.  zero_potential is a test hook that drops the
-    soliton terms, leaving the constant-coefficient operator whose
-    spectrum is purely the continuous bands.
+    Samples the soliton once and writes no matrix; parity_products writes
+    the blocks the solves need.  p must be finite.  zero_potential is a
+    test hook that drops the soliton terms, leaving the
+    constant-coefficient operator whose spectrum is purely the continuous
+    bands.
     """
     model = ModelKind(model)
+    p = float(p)
+    if not np.isfinite(p):
+        raise ValueError(f"transverse wavenumber p must be finite, got {p}")
     if not isinstance(grid, ChebGrid):
         raise ValueError("grid must be a ChebGrid instance")
     # omega admissibility is enforced by profile construction; the zero
     # potential hook still validates it for consistent error behavior
     SolitonProfile.create(model, omega)
     return StabilityOperator(
-        model=model, omega=float(omega), p=float(p), grid=grid,
+        model=model, omega=float(omega), p=p, grid=grid,
         potential=_potential_terms(model, omega, grid, zero_potential),
         potential_zeroed=bool(zero_potential))
-
-
-def _splits(op: StabilityOperator) -> bool:
-    """True when B C is block diagonal in the two parity components.
-
-    Without the transverse term, and for mtm with it (its p**2 sits on the
-    diagonal), the reduction pairs components {0, 1} only with {2, 3}, so
-    B and C have zero diagonal component blocks.
-    """
-    return op.model is ModelKind.MASSIVE_THIRRING or op.p == 0.0
 
 
 def _mirror_basis(x: np.ndarray) -> np.ndarray:
@@ -164,42 +159,36 @@ def _mirror_basis(x: np.ndarray) -> np.ndarray:
 
 
 def _component_blocks(op: StabilityOperator) -> dict:
-    """The model blocks that meet in each parity component block (R, J).
+    """The model blocks that meet in the parity component blocks (R, J)
+    of B and C at p = 0, (0, 1) and (1, 0); the diagonal ones are zero.
 
     That block of B and of C is taken from rows 2R, 2R + 1 and columns
     2J, 2J + 1 of A's 4 x 4 blocks, whose rows are rows 2 - 2R, 3 - 2R of
     the operator's blocks times -1j and +1j.  Maps (R, J) to
-    (diagonal, upper, lower): where J != R the two diagonal blocks are
+    (diagonal, upper, lower): the two diagonal blocks are
     -1j D + diag(diagonal) and 1j D + diag(diagonal), with D the scaled
-    differentiation matrix, and where J == R they are zero; upper and
-    lower are the complex diagonals of the two off-diagonal blocks.  Only
-    the blocks parity_blocks returns are listed.
+    differentiation matrix, and upper and lower are the complex
+    diagonals of the two off-diagonal blocks.
     """
     abs2, sq, csq = op.potential
-    omega, p = op.omega, op.p
+    omega = op.omega
     if op.model is ModelKind.MASSIVE_THIRRING:
-        p2 = p ** 2
         return {
-            (0, 1): (np.full(abs2.shape, omega + p2), 1.0 - sq, 1.0 - csq),
-            (1, 0): ((omega + 2.0 * abs2) + p2, -1.0 + sq, -1.0 + csq),
+            (0, 1): (np.full(abs2.shape, omega), 1.0 - sq, 1.0 - csq),
+            (1, 0): (omega + 2.0 * abs2, -1.0 + sq, -1.0 + csq),
         }
     cross = 1.0 - sq - csq
-    blocks = {
+    return {
         (0, 1): (np.full(abs2.shape, omega), cross, cross),
         (1, 0): (omega + 2.0 * abs2,
                  -1.0 + sq + 3.0 * csq, -1.0 + csq + 3.0 * sq),
     }
-    if not _splits(op):
-        # the transverse term t = 1j p I, -t in rows 2, 3 and t in rows 0, 1
-        t = np.full(abs2.shape, 1j * p)
-        blocks[0, 0] = (np.zeros(abs2.shape), -t, -t)
-        blocks[1, 1] = (np.zeros(abs2.shape), t, t)
-    return blocks
 
 
 def parity_blocks(op: StabilityOperator) -> list:
-    """Real parity blocks of op's stability matrix A, a list of (B, C)
-    pairs, written without A.
+    """Real parity blocks of the stability matrix A of op's model, omega
+    and grid at p = 0, whatever op.p is: a list of two (B, C) pairs,
+    written without A.  parity_products adds p.
 
     B and C are W^-1 B W and W^-1 C W for the off-diagonal blocks of A
     in the eigenbasis of S: the basis vectors are (e_k +- e_sk) / sqrt(2),
@@ -211,9 +200,13 @@ def parity_blocks(op: StabilityOperator) -> list:
     W = blockdiag(W_J, 1j W_J) with W_J = [E, 1j O], E and O the even and
     odd mirror combinations of one component (see _mirror_basis).  W is
     unitary, and T conj(B) T = B, T = kron(diag(1, -1), J), pairs every
-    entry with the conjugate of its mirror, so B and C are real.  The
-    eigenvalues of A are +-sqrt(mu) for the eigenvalues mu of the real
-    products B @ C, over all pairs.
+    entry with the conjugate of its mirror, so B and C are real.  At
+    p = 0 the reduction pairs components {0, 1} only with {2, 3}, so B
+    and C have zero diagonal component blocks and B C is block diagonal:
+    pair k has the B that maps parity component 1 - k of the -1
+    eigenspace into component k of the +1 eigenspace, and the C that maps
+    it back.  The eigenvalues of A are +-sqrt(mu) for the eigenvalues mu
+    of the real products B @ C, over both pairs.
 
     The scaled differentiation matrix D is centro-antisymmetric,
     D[n-i, n-j] = -D[i, j], so E^T D E and O^T D O vanish and each
@@ -225,27 +218,14 @@ def parity_blocks(op: StabilityOperator) -> list:
       t (d_k + d_(n-k)) / 2 +- Re(1j**(t+1) (g_k + g_(n-k))) / 4
         on the even-even diagonal, with -+ on the odd-odd one, and
       +-Re(1j**t (g_k - g_(n-k))) / 4 on both even-odd diagonals.
-    Where B C is block diagonal in the two parity components (mtm at
-    every p, gn at p = 0), there is one (N+1)-square pair per component:
-    pair k has the B that maps parity component 1 - k of the -1
-    eigenspace into component k of the +1 eigenspace, and the C that maps
-    it back.  Otherwise there is one 2(N+1)-square pair.  The solves
-    take these blocks, and their products, from parity_products.
     """
     m = op.grid.n + 1
     h = m // 2
     e = m - h
+    pairs = np.empty((2, 2, m, m))
     # (B or C, row component, column component) -> its block of the output
-    if _splits(op):
-        pairs = np.empty((2, 2, m, m))
-        slots = {(0, 0, 1): pairs[0, 0], (1, 1, 0): pairs[0, 1],
-                 (0, 1, 0): pairs[1, 0], (1, 0, 1): pairs[1, 1]}
-        result = [tuple(pair) for pair in pairs]
-    else:
-        full = np.empty((2, 2, m, 2, m))
-        slots = {(k, r, j): full[k, r, :, j]
-                 for k in (0, 1) for r in (0, 1) for j in (0, 1)}
-        result = [tuple(full.reshape(2, 2 * m, 2 * m))]
+    slots = {(0, 0, 1): pairs[0, 0], (1, 1, 0): pairs[0, 1],
+             (0, 1, 0): pairs[1, 0], (1, 0, 1): pairs[1, 1]}
     mdm = _mirror_basis(_mirror_basis(op.grid.d_scaled).T).T  # M^T D M
     evens, odds = np.arange(e), np.arange(h)
     for (r, j), (d, upper, lower) in _component_blocks(op).items():
@@ -264,7 +244,7 @@ def parity_blocks(op: StabilityOperator) -> list:
             out[e + odds, e + odds] += d_sum[:h] - sign * g_sum[:h]
             out[odds, e + odds] += sign * g_diff
             out[e + odds, odds] += sign * g_diff
-    return result
+    return [tuple(pair) for pair in pairs]
 
 
 @dataclass(frozen=True, eq=False)
@@ -320,12 +300,11 @@ class ParityBlock:
 
 
 def parity_base(op: StabilityOperator) -> tuple:
-    """The p = 0 block pairs of op's model, omega and grid, with their
-    products: a tuple of read-only (B, C, B @ C), one per pair of
-    parity_blocks at p = 0, whatever op.p is.  parity_products builds the
-    pairs and products at any p from these."""
-    base = tuple((b, c, b @ c)
-                 for b, c in parity_blocks(replace(op, p=0.0)))
+    """The p = 0 block pairs of op's model, omega and grid, whatever op.p
+    is, with their products: a tuple of read-only (B, C, B @ C), one per
+    pair of parity_blocks.  parity_products builds the pairs and products
+    at any p from these."""
+    base = tuple((b, c, b @ c) for b, c in parity_blocks(op))
     for arrays in base:
         for x in arrays:
             x.setflags(write=False)
@@ -333,28 +312,29 @@ def parity_base(op: StabilityOperator) -> tuple:
 
 
 def parity_products(op: StabilityOperator, base: tuple | None = None) -> list:
-    """(B, C, B @ C) for each block pair of parity_blocks(op), from the p = 0
-    pairs and products: B and C as ParityBlocks, B C written out.
+    """(B, C, B @ C) for each real parity block pair of op's stability
+    matrix at op.p, from the p = 0 pairs and products: B and C as
+    ParityBlocks, B C written out.  This is the one place where p enters
+    the blocks.
 
     base is parity_base of op's model, omega and grid, taken here when not
-    given; at p = 0 its products are returned as they are.  Outside the
-    transverse term the blocks do not depend on p, so a pair costs
-    O(N**2) on top of its base.  With (B0, C0, B0 C0), (B1, C1, B1 C1)
-    the base pairs:
+    given; at p = 0 its products are returned as they are.  The transverse
+    term is a diagonal, so a pair costs O(N**2) on top of its base.  With
+    (B0, C0, B0 C0), (B1, C1, B1 C1) the base pairs (see parity_blocks):
     - mtm: p**2 sits on the diagonal of every block, B = B0 + s I and
       C = C0 - s I with s = p**2 for pair 0 (s = -p**2 for pair 1, from
-      B1, C1), so B C = B0 C0 + s (C0 - B0) - s**2 I;
-    - gn at p > 0: B = [[p S, B0], [B1, -p S]] and
+      B1, C1), so B C = B0 C0 + s (C0 - B0) - s**2 I, and B C stays block
+      diagonal: two (N+1)-square pairs;
+    - gn at p > 0: one 2(N+1)-square pair, B = [[p S, B0], [B1, -p S]] and
       C = [[-p S, C1], [C0, p S]], S the +1 on the even and -1 on the odd
       rows of a component, so B C = [[B0 C0 - p**2 I, p (S C1 + B0 S)],
-      [-p (B1 S + S C0), B1 C1 - p**2 I]].  Written out, the blocks
-      equal parity_blocks(op)'s entry for entry.
+      [-p (B1 S + S C0), B1 C1 - p**2 I]].
     The products agree with B @ C to rounding, not bit for bit.
     """
     if base is None:
         base = parity_base(op)
     p = op.p
-    if _splits(op):
+    if op.model is ModelKind.MASSIVE_THIRRING or p == 0.0:
         pairs = []
         for (b0, c0, bc0), s in zip(base, (p * p, -p * p)):
             bc = bc0

@@ -35,6 +35,9 @@ class TestNodes:
             build_grid(8, 0.0)
         with pytest.raises(ValueError):
             build_grid(8, -2.0)
+        for scale in (np.inf, np.nan):
+            with pytest.raises(ValueError, match="positive and finite"):
+                build_grid(8, scale)
 
     def test_degree_must_be_an_integer(self):
         with pytest.raises(ValueError, match="integer, got 20.0"):

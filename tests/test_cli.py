@@ -111,6 +111,14 @@ class TestAsymptotics:
         assert doc["version"] == __version__
         assert len(doc["rows"]) == 3
 
+    @pytest.mark.parametrize("omega_range", ["0.1:inf:0.1", "0.1:0.5:inf"])
+    def test_non_finite_range(self, outdir, capsys, omega_range):
+        rc = cli.main(["asymptotics", "--model", "gn",
+                       "--omega-range", omega_range])
+        assert rc == 2
+        assert f"range {omega_range!r} must be finite" in \
+            capsys.readouterr().err
+
 
 class TestSpectrum:
     def test_isolated_rows_near_prediction(self, outdir, capsys):
@@ -131,6 +139,16 @@ class TestSpectrum:
         assert rc == 0
         header, _, _ = read_csv(produced_file(capsys, outdir))
         assert "gap_closed=True" in header
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--scale", "inf"), ("--scale", "nan"), ("--p", "nan"), ("--p", "inf"),
+    ])
+    def test_non_finite_input(self, outdir, capsys, flag, value):
+        rc = cli.main(["spectrum", "--model", "gn", "--omega", "0.6667",
+                       "--p", "0.3", "--n", "20", flag, value])
+        assert rc == 2
+        assert "finite, got" in capsys.readouterr().err
+        assert not list(outdir.iterdir())
 
     def test_byte_reproducible(self, outdir, capsys, monkeypatch):
         args = ["spectrum", "--model", "gn", "--omega", "0.5", "--p", "0.1",
@@ -243,6 +261,10 @@ class TestSweep:
         assert cli.main(base + ["--p-range", "0.5:0.1:0.1"]) == 2
         assert cli.main(base + ["--p-range", "0.1:0.1:0.1"]) == 2
         assert cli.main(base + ["--p-range", "0.1:0.5"]) == 2
+        for p_range in ("0.1:inf:0.1", "0.1:0.5:inf", "nan:0.5:0.1"):
+            assert cli.main(base + ["--p-range", p_range]) == 2
+            assert f"range {p_range!r} must be finite" in \
+                capsys.readouterr().err
 
 
 class TestValidate:

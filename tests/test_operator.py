@@ -7,12 +7,12 @@ block form comes from is built here, by full_system.  They are the
 oracles: both must have the same spectrum, and an explicit orthogonal
 change of variables must carry one into the other.
 
-The library writes its real parity blocks in closed form from the
-model's blocks.  They must equal, to rounding, the blocks taken from the
-dense matrix through the parity eigenbasis (mirror_blocks) and either
-the dense mirror basis (conftest.real_basis) or the complex chain through
-the mirror basis (times_mirror_basis, real_form), kept here as a second
-reference.
+The library writes its real p = 0 parity blocks in closed form from the
+model's blocks, and parity_products adds p.  Written out, its blocks must
+equal, to rounding, the blocks taken from the dense matrix through the
+parity eigenbasis (mirror_blocks) and either the dense mirror basis
+(conftest.real_basis) or the complex chain through the mirror basis
+(times_mirror_basis, real_form), kept here as a second reference.
 """
 
 import tracemalloc
@@ -209,6 +209,9 @@ class TestAssembly:
             assemble("gn", -0.5, 0.1, grid)
         with pytest.raises(ValueError):
             assemble("mtm", 0.5, 0.1, np.eye(4))
+        for p in (np.inf, -np.inf, np.nan):
+            with pytest.raises(ValueError, match="must be finite"):
+                assemble("gn", 0.5, p, grid)
 
     # form is "block" alone, the form the library's operator takes; the
     # ids name it as TestParity's do
@@ -296,8 +299,15 @@ def real_form(blocks, phase):
     return (phase * np.swapaxes(both, -1, -2)).real
 
 
+def written_out_blocks(op):
+    """The (B, C) pairs of parity_products(op), written out."""
+    return [(np.asarray(b), np.asarray(c)) for b, c, _ in parity_products(op)]
+
+
 def reference_parity_blocks(op):
-    """parity_blocks(op) by the complex chain from the dense oracle."""
+    """The blocks of parity_products(op) at op.p, written out, by the
+    complex chain from the dense oracle: two (N+1)-square pairs where B C
+    is block diagonal, one 2(N+1)-square pair for gn at p > 0."""
     m = op.grid.n + 1
     b, c = (x.reshape(2, m, 2, m).swapaxes(1, 2)
             for x in mirror_blocks(stability_matrix(op)))
@@ -382,7 +392,7 @@ class TestParity:
         omega = 0.5 if model == "mtm" else 2.0 / 3.0
         op = assemble(model, omega, p, grid_cache(n, 10.0),
                       zero_potential=zero_potential)
-        pairs = parity_blocks(op)
+        pairs = written_out_blocks(op)
         reference = reference_parity_blocks(op)
         assert len(pairs) == len(reference)
         scale = max(np.max(np.abs(y)) for pair in reference for y in pair)
@@ -403,7 +413,7 @@ class TestParity:
         op = assemble(model, 0.5, p, grid_cache(100, 10.0))
         tracemalloc.start()
         try:
-            parity_blocks(op)
+            written_out_blocks(op)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -424,7 +434,7 @@ class TestParity:
                  for x in mirror_blocks(stability_matrix(op))]
         scale = max(np.max(np.abs(x)) for x in dense)
         assert max(np.max(np.abs(x.imag)) for x in dense) <= 1e-15 * scale
-        pairs = parity_blocks(op)
+        pairs = written_out_blocks(op)
         if len(pairs) == 1:
             expected = [(dense[0].real, dense[1].real)]
         else:
@@ -449,7 +459,7 @@ class TestParity:
         product = component_blocks(b @ c, m)
         off_diagonal = max(np.abs(product[0, 1]).max(),
                            np.abs(product[1, 0]).max())
-        pairs = parity_blocks(op)
+        pairs = written_out_blocks(op)
         if splits:
             assert off_diagonal == 0.0
             assert [x.shape for pair in pairs for x in pair] == [(m, m)] * 4
@@ -479,14 +489,6 @@ class TestParityProducts:
     """parity_products writes the blocks and their products from the p = 0
     pairs and products, parity_base."""
 
-    @pytest.mark.parametrize("p", [0.3, 1.1])
-    @pytest.mark.parametrize("n", [20, 21])
-    def test_gn_blocks_equal_parity_blocks(self, grid_cache, p, n):
-        op = assemble("gn", 2.0 / 3.0, p, grid_cache(n, 10.0))
-        (b, c), = parity_blocks(op)
-        (got_b, got_c, _), = parity_products(op)
-        assert np.array_equal(got_b, b) and np.array_equal(got_c, c)
-
     @pytest.mark.parametrize("model", ["mtm", "gn"])
     @pytest.mark.parametrize("p", [0.3, 1.1])
     @pytest.mark.parametrize("zero_potential", [False, True])
@@ -496,15 +498,9 @@ class TestParityProducts:
         omega = 0.5 if model == "mtm" else 2.0 / 3.0
         op = assemble(model, omega, p, grid_cache(n, 10.0),
                       zero_potential=zero_potential)
-        pairs = parity_blocks(op)
-        products = parity_products(op)
-        assert len(products) == len(pairs)
-        for (b, c), (got_b, got_c, bc) in zip(pairs, products):
+        for got_b, got_c, bc in parity_products(op):
+            b, c = np.asarray(got_b), np.asarray(got_c)
             scale = np.linalg.norm(b) * np.linalg.norm(c)
-            np.testing.assert_allclose(got_b, b, rtol=0,
-                                       atol=1e-15 * np.abs(b).max())
-            np.testing.assert_allclose(got_c, c, rtol=0,
-                                       atol=1e-15 * np.abs(c).max())
             np.testing.assert_allclose(bc, b @ c, rtol=0, atol=1e-14 * scale)
 
     @pytest.mark.parametrize("model", ["mtm", "gn"])
@@ -538,10 +534,15 @@ class TestParityProducts:
                 assert block.frobenius == pytest.approx(
                     np.linalg.norm(dense), rel=1e-14)
 
-    def test_base_is_taken_at_p0_and_read_only(self, grid_cache):
+    @pytest.mark.parametrize("model", ["mtm", "gn"])
+    def test_base_is_taken_at_p0_and_read_only(self, grid_cache, model):
+        omega = 0.5 if model == "mtm" else 2.0 / 3.0
         grid = grid_cache(20, 10.0)
-        base = parity_base(assemble("gn", 2.0 / 3.0, 0.7, grid))
-        reference = parity_base(assemble("gn", 2.0 / 3.0, 0.0, grid))
+        op, op0 = (assemble(model, omega, p, grid) for p in (0.7, 0.0))
+        for pair, want in zip(parity_blocks(op), parity_blocks(op0)):
+            for x, y in zip(pair, want):
+                assert np.array_equal(x, y)
+        base, reference = parity_base(op), parity_base(op0)
         assert len(base) == 2
         for arrays, want in zip(base, reference):
             for x, y in zip(arrays, want):
