@@ -10,7 +10,7 @@ predictions the numerics are validated against.
 __version__ = "0.1.0"
 
 from .soliton import ModelKind, SolitonProfile, DomainError
-from .cheb import ChebGrid, build_grid, sample_on_grid
+from .cheb import ChebGrid, build_grid
 from .operator import StabilityOperator, SpectralBands, assemble, continuous_bands
 from .eigen import EigenSet, eigvals
 from .analytics import AsymptoticPrediction, asymptotic_prediction
@@ -22,7 +22,6 @@ __all__ = [
     "DomainError",
     "ChebGrid",
     "build_grid",
-    "sample_on_grid",
     "StabilityOperator",
     "SpectralBands",
     "assemble",

@@ -127,20 +127,3 @@ def interpolation_matrix(source: ChebGrid, target: ChebGrid) -> np.ndarray:
     # with its mirror, a commutative sum, so that the symmetry is exact
     return 0.5 * (terms + terms[::-1, ::-1])
 
-
-def sample_on_grid(grid: ChebGrid, f) -> np.ndarray:
-    """Sample a function of x at the grid nodes, endpoints included.
-
-    f must accept the infinite endpoint values and return the limit there
-    (soliton-derived quantities return 0).  A vectorized call is attempted
-    first; scalar evaluation is the fallback when f rejects the array
-    (TypeError or ValueError) or returns the wrong shape.  Any other error
-    from f propagates.
-    """
-    try:
-        vals = np.asarray(f(grid.nodes_x))
-        if vals.shape != grid.nodes_x.shape:
-            raise ValueError
-    except (TypeError, ValueError):
-        vals = np.asarray([f(xv) for xv in grid.nodes_x])
-    return vals

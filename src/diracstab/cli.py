@@ -9,11 +9,15 @@ Config precedence: command-line flags > JSON config file (--config, keys
 named like the long flags with underscores) > built-in defaults.
 
 sweep --jobs K and validate solve on forked worker processes through
-spectrum._map_forked, each worker on one BLAS thread.  validate takes one
-worker per cpu in the process's affinity mask, with no flag for it, and
-formats every line itself, so its output does not depend on the count.
+spectrum._map_forked, each worker on one BLAS thread, and never on more
+workers than the process has usable cpus (its affinity mask): sweep on
+min(K, wavenumbers, cpus), validate on min(cells, cpus), with no flag for
+it.  Every output is formatted in the command's process, so none depends
+on the worker count.
 
-Exit codes: 0 success; 2 domain or configuration error; 3 numerical
+Exit codes: 0 success; 2 domain or configuration error (among them a
+non-finite value, a negative spectrum --margin, a soliton --x-max that
+is not positive, or soliton --points below 1); 3 numerical
 non-convergence; 4 validation failure.
 """
 
@@ -172,6 +176,11 @@ def cmd_soliton(args) -> int:
     defaults = {"model": None, "omega": None, "x_max": 20.0, "points": 801,
                 "allow_limit": False, "out": None, "format": "csv"}
     cfg = _merged(args, defaults)
+    if not 0.0 < cfg["x_max"] < np.inf:
+        raise ValueError(f"--x-max must be positive and finite, "
+                         f"got {cfg['x_max']}")
+    if cfg["points"] < 1:
+        raise ValueError(f"--points must be at least 1, got {cfg['points']}")
     model = _model_of(cfg)
     omega = float(_require(cfg, "omega"))
     xs = np.linspace(-cfg["x_max"], cfg["x_max"], int(cfg["points"]))
@@ -298,21 +307,6 @@ def _p0_metric(model: ModelKind, omega: float, grid) -> float:
     return spurious_metric(parity_eigvals(op), im_cutoff=10.0)
 
 
-def _p0_cell(cells, index: int) -> float:
-    # the pool sends a worker the index alone; the cells and their grids
-    # reach it through the fork
-    return _p0_metric(*cells[index])
-
-
-def _usable_cpus() -> int:
-    """The cpus this process may run on: its affinity mask, where the
-    platform has one."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
 def cmd_validate(args) -> int:
     defaults = {"model": None, "n_values": "100,300", "scale": None,
                 "out": None}
@@ -337,12 +331,13 @@ def cmd_validate(args) -> int:
             grid = build_grid(n, scale)
             cells += [(model, om, grid)
                       for om in _VALIDATE_OMEGAS[model.value]]
-    # one worker per usable cpu, each on one BLAS thread, as in a sweep: a
-    # second BLAS thread adds cpu time to these solves and saves no wall
-    # time, and the (mtm, +0.5, 500) cell passes on one thread only
+    # one worker per cell up to the usable cpus, each on one BLAS thread,
+    # as in a sweep: a second BLAS thread adds cpu time to these solves and
+    # saves no wall time, and the (mtm, +0.5, 500) cell passes on one
+    # thread only
     with single_blas_thread():
-        metrics = _map_forked(_p0_cell, (cells,), range(len(cells)),
-                              _usable_cpus())
+        metrics = _map_forked(lambda cell: _p0_metric(*cell), cells,
+                              len(cells))
     lines = []
     all_ok = True
     for (model, om, grid), metric in zip(cells, metrics):

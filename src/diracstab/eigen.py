@@ -183,12 +183,6 @@ def _openblas_controls() -> list:
     return controls
 
 
-def blas_threads() -> int | None:
-    """Largest thread count of the loaded OpenBLAS libraries, None if none."""
-    counts = [getter() for _, getter in _openblas_controls()]
-    return max(counts) if counts else None
-
-
 @contextmanager
 def single_blas_thread():
     """Run every loaded OpenBLAS on one thread in the block.

@@ -93,7 +93,6 @@ class StabilityOperator:
     p: float
     grid: ChebGrid
     potential: tuple = field(repr=False, compare=False)
-    potential_zeroed: bool = False
 
     @property
     def dim(self) -> int:
@@ -101,29 +100,22 @@ class StabilityOperator:
         return 4 * (self.grid.n + 1)
 
 
-def _potential_terms(model: ModelKind, omega: float, grid: ChebGrid,
-                     zero_potential: bool):
+def _potential_terms(model: ModelKind, omega: float, grid: ChebGrid):
     """|u|^2, u^2 and conj(u)^2 at the grid nodes, as read-only vectors."""
-    if zero_potential:
-        u = np.zeros(grid.n + 1, dtype=complex)
-    else:
-        profile = SolitonProfile.create(model, omega)
-        u = eval_profile(profile, grid.nodes_x)
+    u = eval_profile(SolitonProfile.create(model, omega), grid.nodes_x)
     terms = np.abs(u) ** 2, u ** 2, np.conj(u) ** 2
     for term in terms:
         term.setflags(write=False)
     return terms
 
 
-def assemble(model, omega: float, p: float, grid: ChebGrid,
-             zero_potential: bool = False) -> StabilityOperator:
+def assemble(model, omega: float, p: float,
+             grid: ChebGrid) -> StabilityOperator:
     """The stability operator at transverse wavenumber p.
 
     Samples the soliton once and writes no matrix; parity_products writes
-    the blocks the solves need.  p must be finite.  zero_potential is a
-    test hook that drops the soliton terms, leaving the
-    constant-coefficient operator whose spectrum is purely the continuous
-    bands.
+    the blocks the solves need.  p must be finite, and omega admissible
+    for the model's soliton family.
     """
     model = ModelKind(model)
     p = float(p)
@@ -131,13 +123,9 @@ def assemble(model, omega: float, p: float, grid: ChebGrid,
         raise ValueError(f"transverse wavenumber p must be finite, got {p}")
     if not isinstance(grid, ChebGrid):
         raise ValueError("grid must be a ChebGrid instance")
-    # omega admissibility is enforced by profile construction; the zero
-    # potential hook still validates it for consistent error behavior
-    SolitonProfile.create(model, omega)
     return StabilityOperator(
         model=model, omega=float(omega), p=p, grid=grid,
-        potential=_potential_terms(model, omega, grid, zero_potential),
-        potential_zeroed=bool(zero_potential))
+        potential=_potential_terms(model, omega, grid))
 
 
 def _mirror_basis(x: np.ndarray) -> np.ndarray:

@@ -27,14 +27,17 @@ coarse value near the origin or a band, and a refinement that is not
 finite, coalesces or drifts (see _refined_point).  spectrum, slope_fit
 and validate keep the full solve.
 _map_forked runs independent solves inline or on a pool of forked worker
-processes: a sweep's points when track_branches is given jobs > 1, and
-the p = 0 cells of the command line's validate.
+processes, at most one per usable cpu (_usable_cpus): a sweep's points
+when track_branches is given jobs > 1, and the p = 0 cells of the
+command line's validate.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
+import os
 # unused here: benchmarks/tracing.py patches spectrum.ThreadPoolExecutor,
 # and benchmarks/selfcheck.py reads it
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401
@@ -130,11 +133,14 @@ def isolated_eigs(eigs, bands: SpectralBands, margin: float | None = None):
     """Eigenvalues farther than margin from every continuous-spectrum band.
 
     Boundary-row artifacts sit on the band edges, so the distance filter
-    removes them together with the discrete band samples.
+    removes them together with the discrete band samples.  A margin that
+    is negative or not finite raises ValueError.
     """
     values = np.asarray(getattr(eigs, "values", eigs), dtype=complex).ravel()
     if margin is None:
         margin = default_margin(bands)
+    if not 0.0 <= margin < np.inf:
+        raise ValueError(f"margin must be finite and non-negative, got {margin}")
     if values.size == 0:
         return np.array([], dtype=complex)
     keep = bands.distance(values) > margin
@@ -301,10 +307,6 @@ def _isolated_residuals(solves, values) -> np.ndarray:
     return residuals
 
 
-def _solve_values(model, omega, p, grid):
-    return parity_eigvals(assemble(model, omega, p, grid))
-
-
 def slope_fit(model, omega: float, p_samples, grid: ChebGrid) -> dict:
     """Estimate the small-p eigenvalue slopes from a sequence of solves.
 
@@ -322,7 +324,7 @@ def slope_fit(model, omega: float, p_samples, grid: ChebGrid) -> dict:
     pred = asymptotic_prediction(model, omega, with_corrections=False)
     ratios_r, ratios_i = [], []
     for p in ps:
-        values = _solve_values(model, omega, p, grid).values
+        values = parity_eigvals(assemble(model, omega, p, grid)).values
         seed_r = p * pred.lambda_r
         seed_i = 1j * p * pred.lambda_i
         picks = []
@@ -490,18 +492,18 @@ def _solve_isolated(model, omega, fine, coarse, p0, p):
     return iso, res, bands, margin
 
 
-# (fn, shared) of the open pool, in one of its workers
+# (fn, items) of the open pool, in one of its workers
 _worker_task = ()
 
 
-def _start_worker(fn, shared):
+def _start_worker(fn, items):
     global _worker_task
-    _worker_task = (fn, shared)
+    _worker_task = (fn, items)
 
 
-def _run_in_worker(item):
-    fn, shared = _worker_task
-    return fn(*shared, item)
+def _run_in_worker(index):
+    fn, items = _worker_task
+    return fn(items[index])
 
 
 def _fork_context():
@@ -512,26 +514,38 @@ def _fork_context():
     return multiprocessing.get_context("fork")
 
 
-def _map_forked(fn, shared: tuple, items, jobs: int) -> list:
-    """[fn(*shared, item) for item in items], in item order.
+def _usable_cpus() -> int:
+    """The cpus this process may run on: its affinity mask, where the
+    platform has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
-    Runs inline at jobs == 1, for a single item, or where the platform
-    cannot fork; otherwise on a pool of min(jobs, len(items)) forked
-    worker processes.  The workers inherit fn and shared through the
-    fork, so neither is pickled; only the items and the results are.  A
-    fork copies the calling thread alone, and each worker keeps the
-    caller's BLAS thread counts.  An exception raised by fn in a worker
-    is raised here.
+
+def _map_forked(fn, items, jobs: int) -> list:
+    """[fn(item) for item in items], in item order.
+
+    Runs on a pool of min(jobs, len(items), _usable_cpus()) forked worker
+    processes, or inline where that is 1 or the platform cannot fork.  A
+    fork pool starts all its workers at once, so the cap keeps a large
+    jobs from forking more processes than can run.  The workers inherit
+    fn and items through the fork, so neither is pickled; a worker
+    receives only the index of each item and returns its result.  A fork
+    copies the calling thread alone, and each worker keeps the caller's
+    BLAS thread counts.  An exception raised by fn in a worker is raised
+    here.
     """
     items = list(items)
-    context = _fork_context() if jobs > 1 and len(items) > 1 else None
+    workers = min(jobs, len(items), _usable_cpus())
+    context = _fork_context() if workers > 1 else None
     if context is None:
-        return [fn(*shared, item) for item in items]
+        return [fn(item) for item in items]
     from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=min(jobs, len(items)),
-                             mp_context=context, initializer=_start_worker,
-                             initargs=(fn, shared)) as pool:
-        return list(pool.map(_run_in_worker, items))
+    with ProcessPoolExecutor(max_workers=workers, mp_context=context,
+                             initializer=_start_worker,
+                             initargs=(fn, items)) as pool:
+        return list(pool.map(_run_in_worker, range(len(items))))
 
 
 def _match_radius(branch: TrackedBranch, step: float) -> float:
@@ -560,8 +574,9 @@ def track_branches(model, omega: float, p_grid, grid: ChebGrid,
 
     Each grid point is solved on one BLAS thread, through _map_forked:
     inline at jobs == 1, and at jobs > 1 on a pool of min(jobs,
-    len(p_grid)) forked worker processes, which inherit the model and
-    grid and receive only p (inline where the platform cannot fork).
+    len(p_grid), usable cpus) forked worker processes, which inherit the
+    model, the grids and p_grid and receive only the index of p (inline
+    where that is one worker or the platform cannot fork).
     Forked workers overlap their solves at every matrix order, where
     threads do not: numpy keeps the GIL through most of an eigvals call
     below about order 500.  A fork copies the calling thread alone, so a
@@ -604,8 +619,9 @@ def track_branches(model, omega: float, p_grid, grid: ChebGrid,
         fine, coarse = _sweep_level(model, omega, grid), _coarse_grid(grid)
         if coarse is not None:
             coarse = _sweep_level(model, omega, coarse, grid)
-        solved = _map_forked(_solve_isolated,
-                             (model, omega, fine, coarse, ps[0]), ps, jobs)
+        solved = _map_forked(
+            functools.partial(_solve_isolated, model, omega, fine, coarse,
+                              ps[0]), ps, jobs)
 
     pred = asymptotic_prediction(model, omega, with_corrections=False)
     first_step = ps[1] - ps[0]

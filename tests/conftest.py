@@ -10,9 +10,11 @@ the oracle: the block form's blocks laid out whole and reduced by a dense
 product.  parity_basis and real_basis carry vectors of the parity blocks'
 bases back into its space, and lifted_vectors the library's eigenvectors.
 relative_residuals and symmetry_residual, checks that only the tests
-take, live here too.
+take, live here too, with free_operator, the operator without its
+soliton, and blas_threads, which reads the OpenBLAS thread counts.
 """
 
+import dataclasses
 import json
 import os
 from types import SimpleNamespace
@@ -22,6 +24,7 @@ import pytest
 
 import diracstab.spectrum as spectrum
 from diracstab.cheb import build_grid
+from diracstab.eigen import _openblas_controls
 from diracstab.operator import assemble
 from diracstab.soliton import ModelKind
 from diracstab.spectrum import parity_eigvals
@@ -34,6 +37,26 @@ REDUCTION_BLOCK = np.array([
     [1.0, 0.0, 0.0, 0.0],
     [0.0, -1.0, 0.0, 0.0],
 ])
+
+
+def free_operator(model, omega, p, grid):
+    """assemble's operator with the soliton potential replaced by zeros:
+    the constant-coefficient operator, whose spectrum is purely the
+    continuous bands.  The zeros are read-only and have the dtypes of
+    |u|^2, u^2 and conj(u)^2: float64, complex128 and complex128."""
+    m = grid.n + 1
+    zeros = (np.zeros(m), np.zeros(m, dtype=complex),
+             np.zeros(m, dtype=complex))
+    for term in zeros:
+        term.setflags(write=False)
+    return dataclasses.replace(assemble(model, omega, p, grid),
+                               potential=zeros)
+
+
+def blas_threads():
+    """Largest thread count of the loaded OpenBLAS libraries, None if none."""
+    counts = [getter() for _, getter in _openblas_controls()]
+    return max(counts) if counts else None
 
 
 def dense_reduced(front, m, *parts):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from conftest import relative_residuals, symmetry_residual
+from conftest import free_operator, relative_residuals, symmetry_residual
 from diracstab.analytics import asymptotic_prediction, gn_norms, mtm_norms
 from diracstab.cheb import build_grid
 from diracstab.eigen import eigvals
@@ -230,7 +230,7 @@ def test_criterion_09_zero_potential_bands(grid_cache):
     for model_value, omega, ps in (("mtm", 0.5, (0.0, 0.3)),
                                    ("gn", 2.0 / 3.0, (0.0, 0.4))):
         for p in ps:
-            op = assemble(model_value, omega, p, grid, zero_potential=True)
+            op = free_operator(model_value, omega, p, grid)
             es = parity_eigvals(op)
             bands = continuous_bands(model_value, omega, p)
             worst_dist = max(worst_dist, float(np.max(bands.distance(es.values))))

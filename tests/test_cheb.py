@@ -1,11 +1,9 @@
-"""Mapped Chebyshev grid: nodes, differentiation matrices, sampling."""
-
-import math
+"""Mapped Chebyshev grid: nodes, differentiation matrices, interpolation."""
 
 import numpy as np
 import pytest
 
-from diracstab.cheb import build_grid, interpolation_matrix, sample_on_grid
+from diracstab.cheb import build_grid, interpolation_matrix
 from diracstab.soliton import ModelKind, SolitonProfile, eval_profile, \
     eval_profile_derivative
 
@@ -87,44 +85,6 @@ class TestDifferentiation:
         du = eval_profile_derivative(prof, g.nodes_x)
         err = np.abs(g.d_scaled @ u - du)[1:-1]
         assert float(err.max()) <= 1e-12
-
-
-class TestSampling:
-    def test_constant(self):
-        g = build_grid(8, 10.0)
-        vals = sample_on_grid(g, lambda x: np.ones_like(np.asarray(x, float)))
-        assert np.array_equal(vals, np.ones(9))
-
-    def test_profile_endpoints_exactly_zero(self):
-        g = build_grid(16, 10.0)
-        prof = SolitonProfile.create(ModelKind.MASSIVE_THIRRING, 0.0)
-        vals = sample_on_grid(g, lambda x: eval_profile(prof, x))
-        assert vals[0] == 0.0 and vals[-1] == 0.0
-
-    def test_profile_interior_nonzero_at_production_size(self):
-        g = build_grid(300, 10.0)
-        prof = SolitonProfile.create(ModelKind.MASSIVE_THIRRING, 0.5)
-        vals = sample_on_grid(g, lambda x: eval_profile(prof, x))
-        assert np.all(np.abs(vals[1:-1]) > 0.0)
-
-    def test_scalar_only_function_fallback(self):
-        g = build_grid(10, 1.0)
-        vals = sample_on_grid(g, math.tanh)  # rejects arrays, accepts inf
-        assert vals[0] == 1.0 and vals[-1] == -1.0
-        assert vals[5] == math.tanh(g.nodes_x[5])
-
-    def test_genuine_error_from_vectorized_call_propagates(self):
-        # only a rejected array argument falls back to scalar calls; any
-        # other failure of the vectorized call is the caller's to see
-        g = build_grid(6, 1.0)
-
-        def fails_on_arrays(x):
-            if np.ndim(x):
-                raise RuntimeError("broken vectorized path")
-            return 0.0
-
-        with pytest.raises(RuntimeError, match="broken vectorized path"):
-            sample_on_grid(g, fails_on_arrays)
 
 
 class TestInterpolation:

@@ -14,7 +14,8 @@ import diracstab
 import diracstab.cli as cli
 import diracstab.spectrum as spectrum
 from diracstab import __version__
-from diracstab.eigen import ConvergenceError, blas_threads
+from conftest import blas_threads
+from diracstab.eigen import ConvergenceError
 
 
 @pytest.fixture(autouse=True)
@@ -45,9 +46,9 @@ def produced_file(capsys, outdir, index=0):
 
 
 def use_workers(monkeypatch, count):
-    # validate runs one worker per usable cpu: a count of 1 pins the
-    # inline path, and 2 the forked pool, on any runner
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: count)
+    # the pool runs at most one worker per usable cpu: a count of 1 pins
+    # the inline path, and 2 the forked pool, on any runner
+    monkeypatch.setattr(spectrum, "_usable_cpus", lambda: count)
 
 
 class TestSoliton:
@@ -79,6 +80,35 @@ class TestSoliton:
     def test_missing_model(self, capsys):
         assert cli.main(["soliton", "--omega", "0.5"]) == 2
         assert "--model" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--x-max", "inf"), ("--x-max", "nan"), ("--x-max", "0"),
+        ("--x-max", "-5"), ("--points", "0"), ("--points", "-3"),
+    ])
+    def test_rejects_bad_sampling(self, outdir, capsys, flag, value):
+        rc = cli.main(["soliton", "--model", "gn", "--omega", "0.5",
+                       f"{flag}={value}"])
+        assert rc == 2
+        assert f"{flag} must be" in capsys.readouterr().err
+        assert not list(outdir.iterdir())
+
+    def test_rejects_infinite_x_max_in_config(self, outdir, capsys,
+                                              tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"x_max": Infinity}')
+        rc = cli.main(["soliton", "--model", "gn", "--omega", "0.5",
+                       "--config", str(cfg)])
+        assert rc == 2
+        assert "--x-max must be positive and finite" in \
+            capsys.readouterr().err
+        assert [p.name for p in outdir.iterdir()] == ["cfg.json"]
+
+    def test_single_point(self, outdir, capsys):
+        rc = cli.main(["soliton", "--model", "gn", "--omega", "0.5",
+                       "--x-max", "3", "--points", "1"])
+        assert rc == 0
+        _, _, rows = read_csv(produced_file(capsys, outdir))
+        assert len(rows) == 1 and rows[0][0] == -3.0
 
 
 class TestAsymptotics:
@@ -149,6 +179,23 @@ class TestSpectrum:
         assert rc == 2
         assert "finite, got" in capsys.readouterr().err
         assert not list(outdir.iterdir())
+
+    @pytest.mark.parametrize("margin", ["nan", "inf", "-1"])
+    def test_rejects_invalid_margin(self, outdir, capsys, margin):
+        rc = cli.main(["spectrum", "--model", "gn", "--omega", "0.6",
+                       "--p", "0.3", "--n", "20", f"--margin={margin}"])
+        assert rc == 2
+        assert "margin must be finite and non-negative" in \
+            capsys.readouterr().err
+        assert not list(outdir.iterdir())
+
+    def test_zero_margin_is_accepted(self, outdir, capsys):
+        # isolated means off the bands; the default margin flags 6 values
+        rc = cli.main(["spectrum", "--model", "gn", "--omega", "0.6",
+                       "--p", "0.3", "--n", "20", "--margin", "0"])
+        assert rc == 0
+        _, _, rows = read_csv(produced_file(capsys, outdir))
+        assert sum(r[2] for r in rows) >= 6
 
     def test_byte_reproducible(self, outdir, capsys, monkeypatch):
         args = ["spectrum", "--model", "gn", "--omega", "0.5", "--p", "0.1",
@@ -250,6 +297,7 @@ class TestSweep:
             return solve(matrix)
 
         monkeypatch.setattr(spectrum, "eigvals", failing)
+        use_workers(monkeypatch, 2)
         rc = cli.main(["sweep", "--model", "gn", "--omega", "0.6667",
                        "--p-range", "0.1:0.3:0.1", "--n", "20", "--jobs", "2"])
         assert rc == 3
@@ -575,8 +623,10 @@ def test_sweep_pool_forks_no_threaded_process(tmp_path):
     # leaves no worker waiting.
     script = textwrap.dedent("""
         import os, sys, warnings
-        from diracstab import cli
+        from diracstab import cli, spectrum
 
+        # two workers on any runner
+        spectrum._usable_cpus = lambda: 2
         fork, counts = os.fork, []
 
         def counted_fork():

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from diracstab.analytics import asymptotic_prediction, kernel_vectors
-from diracstab.cheb import build_grid, sample_on_grid
 from conftest import relative_residuals, stability_matrix
 from diracstab.eigen import (ConvergenceError, EigenSet, eigvals,
                              inverse_vectors, root_pairs)

@@ -22,9 +22,9 @@ import pytest
 
 import diracstab.operator as operator_module
 import diracstab.spectrum as spectrum
-from conftest import (REDUCTION_BLOCK, dense_reduced, lifted_residuals,
-                      parity_basis, real_basis, stability_matrix,
-                      symmetry_residual)
+from conftest import (REDUCTION_BLOCK, dense_reduced, free_operator,
+                      lifted_residuals, parity_basis, real_basis,
+                      stability_matrix, symmetry_residual)
 from diracstab.eigen import eigvals, inverse_vectors
 from diracstab.operator import (
     StabilityOperator,
@@ -63,7 +63,7 @@ def matching_distance(a, b):
     return max(d.min(axis=1).max(), d.min(axis=0).max())
 
 
-def full_system(model, omega, p, grid, zero_potential=False):
+def full_system(model, omega, p, grid):
     """The reduced matrix of the four-component system: derivative and
     frequency part d, transverse term e and soliton potential w, reduced
     by SIGMA_DIAG."""
@@ -71,8 +71,7 @@ def full_system(model, omega, p, grid, zero_potential=False):
     m = grid.n + 1
     eye = np.eye(m, dtype=complex)
     deriv = -1j * grid.d_scaled.astype(complex)
-    abs2, sq, csq = operator_module._potential_terms(model, omega, grid,
-                                                     zero_potential)
+    abs2, sq, csq = operator_module._potential_terms(model, omega, grid)
     d_abs2, d_sq, d_csq = np.diag(abs2).astype(complex), np.diag(sq), np.diag(csq)
     diag_omega = omega * eye
     d_part = [
@@ -183,7 +182,6 @@ class TestAssembly:
         op = assemble("mtm", 0.5, 0.3, grid)
         assert isinstance(op, StabilityOperator)
         assert op.dim == 4 * (grid.n + 1)
-        assert not op.potential_zeroed
         for term in op.potential:
             assert term.shape == (grid.n + 1,)
             with pytest.raises(ValueError):
@@ -369,29 +367,28 @@ class TestParity:
 
     @pytest.mark.parametrize("model", ["mtm", "gn"])
     @pytest.mark.parametrize("p", [0.0, 0.3, 1.1])
-    @pytest.mark.parametrize("zero_potential", [False, True])
+    @pytest.mark.parametrize("free", [False, True])
     @pytest.mark.parametrize("n", [20, 21])
-    def test_antiunitary_symmetry(self, grid_cache, model, p, zero_potential,
-                                  n):
+    def test_antiunitary_symmetry(self, grid_cache, model, p, free, n):
         # T conj(X) T = X, T = kron(diag(1, -1), J), holds bit for bit
         omega = 0.5 if model == "mtm" else 2.0 / 3.0
-        op = assemble(model, omega, p, grid_cache(n, 10.0),
-                      zero_potential=zero_potential)
+        op = (free_operator if free else assemble)(
+            model, omega, p, grid_cache(n, 10.0))
         t = np.kron(np.diag([1.0, -1.0]), np.eye(n + 1)[::-1])
         for x in mirror_blocks(stability_matrix(op)):
             assert np.array_equal(t @ x.conj() @ t, x)
 
     @pytest.mark.parametrize("model", ["mtm", "gn"])
     @pytest.mark.parametrize("p", [0.0, 0.3, 1.1])
-    @pytest.mark.parametrize("zero_potential", [False, True])
+    @pytest.mark.parametrize("free", [False, True])
     @pytest.mark.parametrize("n", [20, 21])
     def test_blocks_equal_the_complex_chain(self, grid_cache, model, p,
-                                            zero_potential, n):
+                                            free, n):
         # the closed form sums in another order than the chain, so the
         # two agree to rounding, not bit for bit
         omega = 0.5 if model == "mtm" else 2.0 / 3.0
-        op = assemble(model, omega, p, grid_cache(n, 10.0),
-                      zero_potential=zero_potential)
+        op = (free_operator if free else assemble)(
+            model, omega, p, grid_cache(n, 10.0))
         pairs = written_out_blocks(op)
         reference = reference_parity_blocks(op)
         assert len(pairs) == len(reference)
@@ -491,13 +488,13 @@ class TestParityProducts:
 
     @pytest.mark.parametrize("model", ["mtm", "gn"])
     @pytest.mark.parametrize("p", [0.3, 1.1])
-    @pytest.mark.parametrize("zero_potential", [False, True])
+    @pytest.mark.parametrize("free", [False, True])
     @pytest.mark.parametrize("n", [20, 21, 160])
     def test_products_match_the_block_products(self, grid_cache, model, p,
-                                               zero_potential, n):
+                                               free, n):
         omega = 0.5 if model == "mtm" else 2.0 / 3.0
-        op = assemble(model, omega, p, grid_cache(n, 10.0),
-                      zero_potential=zero_potential)
+        op = (free_operator if free else assemble)(
+            model, omega, p, grid_cache(n, 10.0))
         for got_b, got_c, bc in parity_products(op):
             b, c = np.asarray(got_b), np.asarray(got_c)
             scale = np.linalg.norm(b) * np.linalg.norm(c)
@@ -651,9 +648,7 @@ class TestContinuousBands:
 
     def test_zero_potential_spectrum_sits_on_bands(self, grid_cache):
         for model, omega, p in [("mtm", 0.5, 0.3), ("gn", 2.0 / 3.0, 0.4)]:
-            op = assemble(model, omega, p, grid_cache(80, 10.0),
-                          zero_potential=True)
-            assert op.potential_zeroed
+            op = free_operator(model, omega, p, grid_cache(80, 10.0))
             es = eigvals(stability_matrix(op))
             bands = continuous_bands(model, omega, p)
             assert np.max(bands.distance(es.values)) <= 1e-8

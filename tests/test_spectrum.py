@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 import diracstab.spectrum as spectrum
-from conftest import lifted_residuals, lifted_vectors, stability_matrix
+from conftest import (blas_threads, free_operator, lifted_residuals,
+                      lifted_vectors, stability_matrix)
 from diracstab.cheb import build_grid
-from diracstab.eigen import EigenSet, blas_threads, eigvals, inverse_vectors
+from diracstab.eigen import EigenSet, eigvals, inverse_vectors
 from diracstab.operator import assemble, continuous_bands
 from diracstab.spectrum import (
     CLASS_QUARTET,
@@ -48,9 +49,14 @@ class TestIsolation:
         assert default_margin(continuous_bands("mtm", 0.0, 0.0)) == pytest.approx(0.1)
         assert default_margin(continuous_bands("mtm", 0.0, 1.0)) == pytest.approx(1e-3)
 
+    @pytest.mark.parametrize("margin", [np.nan, np.inf, -np.inf, -1.0])
+    def test_rejects_invalid_margin(self, margin):
+        bands = continuous_bands("mtm", 0.0, 0.2)
+        with pytest.raises(ValueError, match="margin must be finite"):
+            isolated_eigs(np.array([0.3 + 0.0j]), bands, margin)
+
     def test_free_operator_has_no_isolated_eigenvalues(self, grid_cache):
-        op = assemble("mtm", 0.5, 0.3, grid_cache(80, 10.0),
-                      zero_potential=True)
+        op = free_operator("mtm", 0.5, 0.3, grid_cache(80, 10.0))
         es = eigvals(stability_matrix(op))
         iso = isolated_eigs(es, continuous_bands("mtm", 0.5, 0.3))
         assert iso.size == 0
@@ -215,12 +221,27 @@ class TestSlopeFit:
             slope_fit("mtm", 0.0, [0.0, 0.05, 0.1], grid)
 
     def test_branch_not_found_names_wavenumber(self, grid_cache, monkeypatch):
-        def bogus(model, omega, p, grid):
+        def bogus(op):
             return EigenSet(values=np.array([10.0 + 10.0j]))
 
-        monkeypatch.setattr(spectrum, "_solve_values", bogus)
+        monkeypatch.setattr(spectrum, "parity_eigvals", bogus)
         with pytest.raises(BranchNotFound, match="p=0.02"):
             slope_fit("mtm", 0.0, [0.02, 0.03, 0.04], grid_cache(30, 10.0))
+
+
+def started_workers(monkeypatch, file_record):
+    """The pid of each pool worker that starts while the test runs, one
+    entry per start; the workers are forked processes, so they record
+    through a FileRecord."""
+    workers = file_record("workers")
+    start = spectrum._start_worker
+
+    def recording(*args):
+        workers.append(os.getpid())
+        start(*args)
+
+    monkeypatch.setattr(spectrum, "_start_worker", recording)
+    return workers
 
 
 @pytest.fixture(scope="module")
@@ -350,52 +371,56 @@ class TestTracking:
 
     def test_more_jobs_than_points(self, grid_cache, monkeypatch,
                                    file_record):
-        workers = file_record("workers")
-        start = spectrum._start_worker
-
-        def recording(*args):
-            workers.append(os.getpid())
-            start(*args)
-
-        monkeypatch.setattr(spectrum, "_start_worker", recording)
+        workers = started_workers(monkeypatch, file_record)
+        # more cpus than points, on any runner
+        monkeypatch.setattr(spectrum, "_usable_cpus", lambda: 8)
         ps, grid = [0.2, 0.25], grid_cache(30, 10.0)
         pooled = track_branches("mtm", 0.0, ps, grid, jobs=8)
         # one worker process per point, not per job
-        assert len(set(workers)) == len(ps)
+        assert len(workers) == len(set(workers)) == len(ps)
         assert pooled == track_branches("mtm", 0.0, ps, grid, jobs=1)
 
     def test_runs_inline_without_fork(self, grid_cache, monkeypatch,
                                       file_record):
-        workers = file_record("workers")
+        workers = started_workers(monkeypatch, file_record)
+        monkeypatch.setattr(spectrum, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(multiprocessing, "get_all_start_methods",
                             lambda: ["spawn"])
-        monkeypatch.setattr(spectrum, "_start_worker",
-                            lambda *args: workers.append(os.getpid()))
         ps, grid = [0.2, 0.25], grid_cache(30, 10.0)
         inline = track_branches("mtm", 0.0, ps, grid, jobs=2)
         assert len(workers) == 0
         assert inline == track_branches("mtm", 0.0, ps, grid, jobs=1)
 
     def test_map_forked_keeps_item_order(self, monkeypatch, file_record):
-        workers = file_record("workers")
-        start = spectrum._start_worker
-
-        def recording(*args):
-            workers.append(os.getpid())
-            start(*args)
-
-        monkeypatch.setattr(spectrum, "_start_worker", recording)
+        workers = started_workers(monkeypatch, file_record)
+        monkeypatch.setattr(spectrum, "_usable_cpus", lambda: 4)
         # a lambda cannot be pickled: fn reaches the workers by the fork
-        ratio = lambda base, k: (base // k, os.getpid())  # noqa: E731
+        ratio = lambda k: (100 // k, os.getpid())  # noqa: E731
         items = [7, 3, 9, 1, 5]
-        pooled = spectrum._map_forked(ratio, (100,), items, 2)
+        pooled = spectrum._map_forked(ratio, items, 2)
         assert [q for q, _ in pooled] == [100 // k for k in items]
         assert len(set(workers)) == 2
         assert {pid for _, pid in pooled} <= set(workers)
         # one job, or one item, runs inline
         parent = [(100 // k, os.getpid()) for k in items]
-        assert spectrum._map_forked(ratio, (100,), items, 1) == parent
-        assert spectrum._map_forked(ratio, (100,), items[:1], 4) == parent[:1]
+        assert spectrum._map_forked(ratio, items, 1) == parent
+        assert spectrum._map_forked(ratio, items[:1], 4) == parent[:1]
+        assert len(workers) == 2
+
+    def test_map_forked_caps_workers_at_usable_cpus(self, monkeypatch,
+                                                    file_record):
+        # a fork pool starts every worker at once: jobs=64 must not fork 64
+        workers = started_workers(monkeypatch, file_record)
+        monkeypatch.setattr(spectrum, "_usable_cpus", lambda: 2)
+        pid = lambda k: (k, os.getpid())  # noqa: E731
+        pooled = spectrum._map_forked(pid, range(5), 64)
+        assert [k for k, _ in pooled] == list(range(5))
+        assert len(workers) == len(set(workers)) == 2
+        assert {p for _, p in pooled} <= set(workers)
+        # one usable cpu runs inline
+        monkeypatch.setattr(spectrum, "_usable_cpus", lambda: 1)
+        assert spectrum._map_forked(pid, range(5), 64) == \
+            [(k, os.getpid()) for k in range(5)]
         assert len(workers) == 2
 
     def test_pool_leaves_no_processes(self, grid_cache):
