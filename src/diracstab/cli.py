@@ -38,9 +38,9 @@ from .eigen import ConvergenceError, eigvals, single_blas_thread  # noqa: F401
 from .operator import assemble, continuous_bands
 from .soliton import (DomainError, ModelKind, SolitonProfile,
                       algebraic_profile_mtm, eval_profile)
-from .spectrum import (BranchNotFound, _map_forked, default_margin,
-                       isolated_eigs, parity_eigvals, spurious_metric,
-                       summarize_sweep, track_branches)
+from .spectrum import (BranchNotFound, _checked_margin, _map_forked,
+                       default_margin, isolated_eigs, parity_eigvals,
+                       spurious_metric, summarize_sweep, track_branches)
 
 OUTDIR_ENV = "DIRACSTAB_OUTDIR"
 
@@ -232,10 +232,11 @@ def cmd_spectrum(args) -> int:
     _fill_grid_defaults(cfg, model)
     grid = build_grid(int(cfg["n"]), float(cfg["scale"]))
     op = assemble(model, omega, float(cfg["p"]), grid)
-    es = parity_eigvals(op)
     bands = continuous_bands(model, omega, float(cfg["p"]))
-    margin = (float(cfg["margin"]) if cfg["margin"] is not None
-              else default_margin(bands))
+    # an explicit margin is checked before the solve
+    margin = (default_margin(bands) if cfg["margin"] is None
+              else _checked_margin(float(cfg["margin"])))
+    es = parity_eigvals(op)
     iso = set(complex(v) for v in isolated_eigs(es, bands, margin))
     cfg["model"] = model.value
     cfg["omega"] = omega

@@ -21,10 +21,9 @@ differentiation matrix is centro-antisymmetric, so in the mirror basis
 each block is one transform of it plus four diagonals.
 
 p enters only through the transverse term, a diagonal, and only
-parity_products adds it: it gives B and C at any p as ParityBlocks, the
-p = 0 blocks plus that diagonal, and writes B C from the p = 0 pairs and
-their products (parity_base) in O(N**2); a sweep takes the (N+1)-square
-products once.
+parity_products adds it: it writes B, C and B C at any p from the p = 0
+pairs and their products (parity_base) in O(N**2); a sweep takes the
+(N+1)-square products once.
 parity_transfer carries a vector of the blocks' bases from a coarse grid
 to a fine one.
 
@@ -235,58 +234,6 @@ def parity_blocks(op: StabilityOperator) -> list:
     return [tuple(pair) for pair in pairs]
 
 
-@dataclass(frozen=True, eq=False)
-class ParityBlock:
-    """One block, B or C, of a parity block pair at some p: its p = 0
-    matrix plus the diagonal p adds, kept apart so that no block is
-    written per p.
-
-    parts is (X,) for a pair that splits, X the (N+1)-square p = 0 block,
-    or (U, L) for gn's 2(N+1)-square pair, whose p = 0 matrix
-    [[0, U], [L, 0]] has zero diagonal blocks.  shift is the diagonal:
-    a scalar, or one entry per row.  The block acts on vectors through @,
-    np.asarray writes it out, and frobenius is its Frobenius norm.
-    """
-
-    parts: tuple
-    shift: float | np.ndarray = 0.0
-
-    @property
-    def shape(self) -> tuple:
-        n = sum(part.shape[0] for part in self.parts)
-        return n, n
-
-    def __matmul__(self, x):
-        if len(self.parts) == 1:
-            out = self.parts[0] @ x
-        else:
-            upper, lower = self.parts
-            m = upper.shape[0]
-            out = np.concatenate([upper @ x[m:], lower @ x[:m]])
-        if np.any(self.shift):
-            out += np.reshape(self.shift, (-1,) + (1,) * (x.ndim - 1)) * x
-        return out
-
-    def __array__(self, dtype=None, copy=None):
-        if len(self.parts) == 1:
-            dense = np.array(self.parts[0], dtype=dtype)
-        else:
-            upper, lower = self.parts
-            m = upper.shape[0]
-            dense = np.zeros((2 * m, 2 * m), dtype=dtype or upper.dtype)
-            dense[:m, m:], dense[m:, :m] = upper, lower
-        dense[np.diag_indices_from(dense)] += self.shift
-        return dense
-
-    @property
-    def frobenius(self) -> float:
-        shift = np.broadcast_to(self.shift, self.shape[:1])
-        squares = sum(np.linalg.norm(part) ** 2 for part in self.parts)
-        if len(self.parts) == 1:
-            squares += 2.0 * np.dot(np.diagonal(self.parts[0]), shift)
-        return float(np.sqrt(squares + np.dot(shift, shift)))
-
-
 def parity_base(op: StabilityOperator) -> tuple:
     """The p = 0 block pairs of op's model, omega and grid, whatever op.p
     is, with their products: a tuple of read-only (B, C, B @ C), one per
@@ -301,14 +248,14 @@ def parity_base(op: StabilityOperator) -> tuple:
 
 def parity_products(op: StabilityOperator, base: tuple | None = None) -> list:
     """(B, C, B @ C) for each real parity block pair of op's stability
-    matrix at op.p, from the p = 0 pairs and products: B and C as
-    ParityBlocks, B C written out.  This is the one place where p enters
-    the blocks.
+    matrix at op.p, from the p = 0 pairs and products, all float64
+    arrays.  This is the one place where p enters the blocks.
 
     base is parity_base of op's model, omega and grid, taken here when not
-    given; at p = 0 its products are returned as they are.  The transverse
-    term is a diagonal, so a pair costs O(N**2) on top of its base.  With
-    (B0, C0, B0 C0), (B1, C1, B1 C1) the base pairs (see parity_blocks):
+    given; at p = 0 its read-only arrays are returned as they are.  The
+    transverse term is a diagonal, so a pair costs O(N**2) on top of its
+    base.  With (B0, C0, B0 C0), (B1, C1, B1 C1) the base pairs (see
+    parity_blocks):
     - mtm: p**2 sits on the diagonal of every block, B = B0 + s I and
       C = C0 - s I with s = p**2 for pair 0 (s = -p**2 for pair 1, from
       B1, C1), so B C = B0 C0 + s (C0 - B0) - s**2 I, and B C stays block
@@ -325,13 +272,18 @@ def parity_products(op: StabilityOperator, base: tuple | None = None) -> list:
     if op.model is ModelKind.MASSIVE_THIRRING or p == 0.0:
         pairs = []
         for (b0, c0, bc0), s in zip(base, (p * p, -p * p)):
-            bc = bc0
-            if s:
-                bc = np.subtract(c0, b0)
-                bc *= s
-                bc += bc0
-                bc[np.diag_indices_from(bc)] -= s * s
-            pairs.append((ParityBlock((b0,), s), ParityBlock((c0,), -s), bc))
+            if not s:
+                pairs.append((b0, c0, bc0))
+                continue
+            diagonal = np.diag_indices_from(bc0)
+            b, c = b0.copy(), c0.copy()
+            b[diagonal] += s
+            c[diagonal] -= s
+            bc = np.subtract(c0, b0)
+            bc *= s
+            bc += bc0
+            bc[diagonal] -= s * s
+            pairs.append((b, c, bc))
         return pairs
     (b0, c0, bc0), (b1, c1, bc1) = base
     m = b0.shape[0]
@@ -345,7 +297,16 @@ def parity_products(op: StabilityOperator, base: tuple | None = None) -> list:
     np.multiply(b1, -ps, out=bc[m:, :m])
     bc[m:, :m] -= ps[:, None] * c0
     shift = np.concatenate([ps, -ps])
-    return [(ParityBlock((b0, b1), shift), ParityBlock((c1, c0), -shift), bc)]
+    return [(_joined(b0, b1, shift), _joined(c1, c0, -shift), bc)]
+
+
+def _joined(upper, lower, diagonal) -> np.ndarray:
+    """[[0, upper], [lower, 0]] + diag(diagonal), written out."""
+    m = upper.shape[0]
+    out = np.zeros((2 * m, 2 * m))
+    out[:m, m:], out[m:, :m] = upper, lower
+    out[np.diag_indices_from(out)] = diagonal
+    return out
 
 
 def parity_transfer(coarse: ChebGrid, fine: ChebGrid) -> np.ndarray:

@@ -14,18 +14,19 @@ by the values-only solve on a coarse grid of even degree N_c = 2
 floor(N / 4), and each is refined at N by one shifted solve of the fine
 B C, from its coarse eigenvector interpolated to N, whose iterate also
 gives the residual.  The full solve takes its residuals from the same
-routine, _refined_pair, with the fine grid as its own coarse one, but
-keeps its values; only values near the origin take vectors from M.  A
-sweep takes the p = 0 block products of both grids once
-(operator.parity_base), and every point writes its own B C from them in
-O(N**2).  The drift of a value between the grids is the per-value
-resolution check of Boyd's rule
-(Chebyshev and Fourier Spectral Methods, ch. 7).  Guards send a point
-to the full solve at N instead, which finds every value the fine grid
-has: N_c below _COARSE_FLOOR, the sweep's first point, a closed gap, a
-coarse value near the origin or a band, and a refinement that is not
-finite, coalesces or drifts (see _refined_point).  spectrum, slope_fit
-and validate keep the full solve.
+routine, _refined_values, with the fine grid as its own coarse one, but
+keeps its values; only values near the origin take vectors from M.  Both
+lift the iterate to an eigenvector of M in complex arithmetic, while
+each shifted solve stays real for a real mu = lambda**2.  A sweep takes
+the p = 0 block products of both grids once (operator.parity_base), and
+every point writes its own B, C and B C from them in O(N**2).  The drift
+of a value between the grids is the per-value resolution check of
+Boyd's rule (Chebyshev and Fourier Spectral Methods, ch. 7).  Guards
+send a point to the full solve at N instead, which finds every value the
+fine grid has: N_c below _COARSE_FLOOR, the sweep's first point, a
+closed gap, a coarse value near the origin or a band, and a refinement
+that is not finite, coalesces or drifts (see _refined_point).
+spectrum, slope_fit and validate keep the full solve.
 _map_forked runs independent solves inline or on a pool of forked worker
 processes, at most one per usable cpu (_usable_cpus): a sweep's points
 when track_branches is given jobs > 1, and the p = 0 cells of the
@@ -129,6 +130,13 @@ def default_margin(bands: SpectralBands) -> float:
     return max(_MARGIN_FRACTION * bands.gap_width, _MARGIN_FLOOR)
 
 
+def _checked_margin(margin: float) -> float:
+    """margin, which must be finite and non-negative, else ValueError."""
+    if not 0.0 <= margin < np.inf:
+        raise ValueError(f"margin must be finite and non-negative, got {margin}")
+    return margin
+
+
 def isolated_eigs(eigs, bands: SpectralBands, margin: float | None = None):
     """Eigenvalues farther than margin from every continuous-spectrum band.
 
@@ -137,10 +145,8 @@ def isolated_eigs(eigs, bands: SpectralBands, margin: float | None = None):
     is negative or not finite raises ValueError.
     """
     values = np.asarray(getattr(eigs, "values", eigs), dtype=complex).ravel()
-    if margin is None:
-        margin = default_margin(bands)
-    if not 0.0 <= margin < np.inf:
-        raise ValueError(f"margin must be finite and non-negative, got {margin}")
+    margin = _checked_margin(default_margin(bands) if margin is None
+                             else margin)
     if values.size == 0:
         return np.array([], dtype=complex)
     keep = bands.distance(values) > margin
@@ -148,8 +154,7 @@ def isolated_eigs(eigs, bands: SpectralBands, margin: float | None = None):
 
 
 def _parity_solve(op, base=None):
-    """All eigenvalues of op, and per real block pair (B, C, B C, eig(B C)),
-    B and C as ParityBlocks.
+    """All eigenvalues of op, and per real block pair (B, C, B C, eig(B C)).
 
     One values-only real solve (dgeev) of each block product, at
     dimension N+1 where the blocks split and 2(N+1) elsewhere, in place
@@ -182,20 +187,14 @@ def _lift(c, xs, lams):
 
 def _block_scale(pairs) -> float:
     """||M||_F over all block pairs: the root of the summed ||B||_F^2 +
-    ||C||_F^2 of their ParityBlocks."""
-    return math.sqrt(sum(b.frobenius ** 2 + c.frobenius ** 2
+    ||C||_F^2."""
+    return math.sqrt(sum(np.linalg.norm(b) ** 2 + np.linalg.norm(c) ** 2
                          for b, c, *_ in pairs))
 
 
-def _pair_residuals(b, c, ys, zs, lams, signs=1.0) -> np.ndarray:
-    """||M w - lam w|| per column w = [y; z] of one block pair's M, or of
-    [[0, sign B], [C, 0]] with one sign of +-1 per column.
-
-    An eigenpair (1j r, [y; z]) of M is the eigenpair (r, [y; 1j z]) of
-    the sign -1 matrix, with the same residual, so an imaginary value
-    with a real y takes its residual in real arithmetic.
-    """
-    gaps = np.concatenate([(b @ zs) * signs - ys * lams, c @ ys - zs * lams])
+def _pair_residuals(b, c, ys, zs, lams) -> np.ndarray:
+    """||M w - lam w|| per column w = [y; z] of one block pair's M."""
+    gaps = np.concatenate([b @ zs - ys * lams, c @ ys - zs * lams])
     return np.linalg.norm(gaps, axis=0)
 
 
@@ -209,10 +208,9 @@ def _hits(values, mu):
 class _PairRefinement(NamedTuple):
     """values[rows] refined to lams, with residuals ||M w - lam w||.
 
-    w comes from the unit vector [ys; zs] of the row's conjugate class,
-    column[row], on [[0, sign B], [C, 0]] with sign = signs[column]; for
-    sign -1 it is [ys; -1j zs] of M.  w is its conjugate where flip, and
-    [y; -z], for -lambda, where negated.
+    w is the unit eigenvector [ys; zs] of M of the row's conjugate class,
+    column[row], its conjugate where flip, and [y; -z], for -lambda,
+    where negated.
     """
 
     rows: np.ndarray
@@ -220,7 +218,6 @@ class _PairRefinement(NamedTuple):
     residuals: np.ndarray
     ys: np.ndarray
     zs: np.ndarray
-    signs: np.ndarray | float
     column: np.ndarray
     flip: np.ndarray
     negated: np.ndarray
@@ -236,10 +233,9 @@ def _refined_pair(b, c, bc, mu, values, start_bc, transfer=None):
     the fixed start, and one of bc - mu from that vector, carried to bc's
     grid by transfer where start_bc is a coarser grid's.  mu becomes the
     Rayleigh quotient of the unit iterate x, exactly real when the class's
-    mu is, and the four values +-sqrt(mu), +-conj(sqrt(mu)) share it and
-    the residual of the lift of x.  Where every mu of the pair is real,
-    x, the lift and the residual stay real: sqrt(|mu|) is an eigenvalue
-    of [[0, sign(mu) B], [C, 0]] with the residual of lambda = sqrt(mu).
+    mu is, so that its root is exactly real or exactly imaginary, and the
+    four values +-sqrt(mu), +-conj(sqrt(mu)) share it and the residual of
+    the lift of x.
     """
     near = np.abs(values) <= _NEAR_ORIGIN_RADIUS
     rows, cols = np.nonzero(_hits(values, mu) & ~near[:, None])
@@ -252,24 +248,17 @@ def _refined_pair(b, c, bc, mu, values, start_bc, transfer=None):
     if transfer is not None:
         xs = _transferred(transfer, xs)
     xs = inverse_vectors(bc, wanted, xs)
-    mus = np.einsum("ij,ij->j", xs.conj(), bc @ xs)
-    if np.isrealobj(mus):
-        # the lift and residual on [[0, sign(mu) B], [C, 0]]
-        signs = np.sign(mus)
-        roots = np.sqrt(np.abs(mus))
-        tops = np.where(signs > 0.0, roots, 1j * roots)
-    else:
-        real = wanted.imag == 0.0
-        mus[real] = mus[real].real
-        signs, roots = 1.0, np.sqrt(mus)
-        tops = roots
+    mus = np.einsum("ij,ij->j", xs.conj(), bc @ xs).astype(complex)
+    real = wanted.imag == 0.0
+    mus[real] = mus[real].real
+    roots = np.sqrt(mus)
     ys, zs = _lift(c, xs, roots)
-    gaps = _pair_residuals(b, c, ys, zs, roots, signs)
-    refined = np.where(flip, tops[column].conj(), tops[column])
+    gaps = _pair_residuals(b, c, ys, zs, roots)
+    refined = np.where(flip, roots[column].conj(), roots[column])
     # the sign of the value's root, whichever branch sqrt took
     negated = np.abs(values[rows] - refined) > np.abs(values[rows] + refined)
     return _PairRefinement(rows, np.where(negated, -refined, refined),
-                           gaps[column], ys, zs, signs, column, flip, negated)
+                           gaps[column], ys, zs, column, flip, negated)
 
 
 def _origin_vectors(b, c, lams):
@@ -282,29 +271,36 @@ def _origin_vectors(b, c, lams):
     return ws[:k], ws[k:]
 
 
-def _isolated_residuals(solves, values) -> np.ndarray:
-    """||M w - lam w|| / ||M||_F for values taken from _parity_solve.
+def _refined_values(pairs, solves, values, transfer=None):
+    """values refined on the block pairs, and their residuals
+    ||M w - lam w|| / ||M||_F, as (lams, residuals).
 
-    w and lam come from _refined_pair on each pair's own B C; the caller
-    keeps the solve's values.  Near the origin, where C x / lambda is
-    ill-conditioned, w comes from _origin_vectors.  ||M||_F is
-    _block_scale's.  The change of basis to the parity blocks is
-    unitary, so this is the residual on the stability matrix A of w
-    carried back into A's space.
+    pairs are one grid's (B, C, B C, ...) and solves the (B, C, B C,
+    eig(B C)) of _parity_solve, pair for pair, on the same grid or, with
+    transfer, on the coarser one that transfer leads from; values are
+    roots of the solves' eigenvalues.  Each value is refined by
+    _refined_pair from its solve's B C.  A value within
+    _NEAR_ORIGIN_RADIUS of 0, where C x / lambda is ill-conditioned, is
+    kept, and its w comes from _origin_vectors; this needs the solves on
+    the pairs' own grid.  ||M||_F is _block_scale's.  The change of basis
+    to the parity blocks is unitary, so this is the residual on the
+    stability matrix A of w carried back into A's space.
     """
+    lams = values.astype(complex)
     residuals = np.empty(values.size)
-    scale = _block_scale(solves)
+    scale = _block_scale(pairs)
     near = np.abs(values) <= _NEAR_ORIGIN_RADIUS
-    for b, c, bc, mu in solves:
-        refined = _refined_pair(b, c, bc, mu, values, bc)
+    for (b, c, bc, *_), (_, _, start_bc, mu) in zip(pairs, solves):
+        refined = _refined_pair(b, c, bc, mu, values, start_bc, transfer)
         if refined is not None:
+            lams[refined.rows] = refined.lams
             residuals[refined.rows] = refined.residuals / scale
         rows = np.flatnonzero(near & _hits(values, mu).any(axis=1))
         if rows.size:
             ys, zs = _origin_vectors(b, c, values[rows])
             gaps = _pair_residuals(b, c, ys, zs, values[rows])
             residuals[rows] = gaps / scale
-    return residuals
+    return lams, residuals
 
 
 def slope_fit(model, omega: float, p_samples, grid: ChebGrid) -> dict:
@@ -404,18 +400,17 @@ def _full_point(model, omega, fine, p, bands, margin, guard):
     values, solves = _parity_solve(assemble(model, omega, p, fine.grid),
                                    fine.base)
     iso = _tracked(values, bands, margin, omega)
-    return iso, _isolated_residuals(solves, iso)
+    return iso, _refined_values(solves, solves, iso)[1]
 
 
 def _refined_point(model, omega, fine, coarse, p, bands, margin):
     """The kept values of the coarse grid, refined at N, and their residuals.
 
-    fine and coarse are the sweep's _Levels.  Each block pair's kept
-    values are refined by _refined_pair from the coarse B C and its
-    eigenvalues mu_c: one shifted solve of the coarse B C per conjugate
-    class gives mu_c's coarse eigenvector, and one of the fine B C from
-    that vector, carried to N by the coarse level's transfer, refines
-    it.
+    fine and coarse are the sweep's _Levels.  _refined_values refines
+    the kept values from the coarse B C and its eigenvalues mu_c: one
+    shifted solve of the coarse B C per conjugate class gives mu_c's
+    coarse eigenvector, and one of the fine B C from that vector, carried
+    to N by the coarse level's transfer, refines it.
 
     Raises _FullSolve when a guard fails, for the full solve to find
     every value at N:
@@ -438,18 +433,11 @@ def _refined_point(model, omega, fine, coarse, p, bands, margin):
     if np.any(bands.distance(found) <= 2.0 * margin):
         raise _FullSolve("coarse value near a band")
     pairs = parity_products(assemble(model, omega, p, fine.grid), fine.base)
-    lams = np.empty(found.size, dtype=complex)
-    residuals = np.empty(found.size)
-    scale = _block_scale(pairs)
-    for (b, c, bc), (_, _, coarse_bc, mu) in zip(pairs, solves):
-        try:
-            refined = _refined_pair(b, c, bc, mu, found, coarse_bc,
-                                    coarse.transfer)
-        except np.linalg.LinAlgError as exc:
-            raise _FullSolve("non-finite refinement") from exc
-        if refined is not None:
-            lams[refined.rows] = refined.lams
-            residuals[refined.rows] = refined.residuals / scale
+    try:
+        lams, residuals = _refined_values(pairs, solves, found,
+                                          coarse.transfer)
+    except np.linalg.LinAlgError as exc:
+        raise _FullSolve("non-finite refinement") from exc
     if not (np.all(np.isfinite(lams)) and np.all(np.isfinite(residuals))):
         raise _FullSolve("non-finite refinement")
     tol = _CLASS_TOL * (1.0 + np.abs(lams))
@@ -554,7 +542,7 @@ def _match_radius(branch: TrackedBranch, step: float) -> float:
     tail = branch.points[-3:]
     rates = [abs(b.lam - a.lam) / (b.p - a.p) for a, b in zip(tail, tail[1:])]
     if not rates:
-        return max(3.0 * step, 0.05 * step)
+        return 3.0 * step
     # the median of one or two rates, without np.median's numpy.ma import
     return max(3.0 * (sum(rates) / len(rates)) * step, 0.05 * step)
 
@@ -564,8 +552,7 @@ def _velocity(branch: TrackedBranch) -> complex:
     if len(pts) < 2:
         return 0.0 + 0.0j
     a, b = pts[-2], pts[-1]
-    dp = b.p - a.p
-    return (b.lam - a.lam) / dp if dp > 0 else 0.0 + 0.0j
+    return (b.lam - a.lam) / (b.p - a.p)
 
 
 def track_branches(model, omega: float, p_grid, grid: ChebGrid,

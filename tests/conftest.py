@@ -150,29 +150,29 @@ def lift(m, pair, ys, zs):
     return parity_basis(m) @ both
 
 
-def lifted_vectors(op, solves, values):
+def lifted_vectors(op, pairs, values, solves=None, transfer=None):
     """The unit eigenvectors of values in A's space, one column per value,
     and the value each is an eigenvector for.
 
-    Away from the origin they are spectrum._refined_pair's, on each block
-    pair's own B C as the full solve takes them, for the refined value: a
-    class vector [y; z'] of [[0, sign B], [C, 0]] is [y; -1j z'] of M
-    where the sign is -1, a flipped member takes its conjugate and the
-    -lambda member [y; -z].  Near the origin they are
-    spectrum._origin_vectors', for the value itself.
+    pairs are op's (B, C, B C, ...) and solves the start (B, C, B C,
+    eig(B C)), the pairs themselves when not given, on op's grid or, with
+    transfer, on a coarser one, as spectrum._refined_values takes them.
+    Away from the origin the vectors are spectrum._refined_pair's, for
+    the refined value: a flipped member takes the conjugate of its class
+    vector [y; z] and the -lambda member [y; -z].  Near the origin they
+    are spectrum._origin_vectors', for the value itself.
     """
     m = op.grid.n + 1
     vectors = np.full((4 * m, values.size), np.nan, dtype=complex)
     lams = np.full(values.size, np.nan, dtype=complex)
     near = np.abs(values) <= spectrum._NEAR_ORIGIN_RADIUS
-    for pair, (b, c, bc, mu) in enumerate(solves):
-        refined = spectrum._refined_pair(b, c, bc, mu, values, bc)
+    for pair, ((b, c, bc, *_), (_, _, start_bc, mu)) in enumerate(
+            zip(pairs, pairs if solves is None else solves)):
+        refined = spectrum._refined_pair(b, c, bc, mu, values, start_bc,
+                                         transfer)
         if refined is not None:
-            column = refined.column
-            signs = np.broadcast_to(refined.signs, column.max() + 1)
-            phases = np.where(signs < 0.0, -1j, 1.0)
-            ys = refined.ys[:, column]
-            zs = phases[column] * refined.zs[:, column]
+            ys = refined.ys[:, refined.column]
+            zs = refined.zs[:, refined.column]
             ys = np.where(refined.flip, ys.conj(), ys)
             zs = np.where(refined.flip, zs.conj(), zs)
             zs = np.where(refined.negated, -zs, zs)
@@ -193,11 +193,11 @@ def relative_residuals(a, values, vectors):
     return res / (anorm if anorm != 0.0 else 1.0)
 
 
-def lifted_residuals(op, solves, values):
+def lifted_residuals(op, pairs, values, solves=None, transfer=None):
     """||A v - lambda v|| / ||A||_F on the dense oracle A, for the
     parity-basis eigenvectors of values lifted into A's space, and the
-    values they belong to (lifted_vectors)."""
-    lams, vectors = lifted_vectors(op, solves, values)
+    values they belong to (lifted_vectors, which takes the arguments)."""
+    lams, vectors = lifted_vectors(op, pairs, values, solves, transfer)
     np.testing.assert_allclose(np.linalg.norm(vectors, axis=0), 1.0,
                                rtol=0, atol=1e-14)
     return relative_residuals(stability_matrix(op), lams, vectors)

@@ -189,6 +189,24 @@ class TestSpectrum:
             capsys.readouterr().err
         assert not list(outdir.iterdir())
 
+    def test_margin_is_checked_before_the_solve(self, outdir, capsys,
+                                                monkeypatch):
+        class Solved(Exception):
+            pass
+
+        def solve(op):
+            raise Solved
+
+        monkeypatch.setattr(cli, "parity_eigvals", solve)
+        # the default N=400 solve is never reached
+        args = ["spectrum", "--model", "gn", "--omega", "0.6", "--p", "0.3"]
+        assert cli.main(args + ["--margin", "nan"]) == 2
+        assert "margin must be finite and non-negative" in \
+            capsys.readouterr().err
+        assert not list(outdir.iterdir())
+        with pytest.raises(Solved):
+            cli.main(args + ["--margin", "0"])
+
     def test_zero_margin_is_accepted(self, outdir, capsys):
         # isolated means off the bands; the default margin flags 6 values
         rc = cli.main(["spectrum", "--model", "gn", "--omega", "0.6",

@@ -12,7 +12,7 @@ from conftest import (blas_threads, free_operator, lifted_residuals,
                       lifted_vectors, stability_matrix)
 from diracstab.cheb import build_grid
 from diracstab.eigen import EigenSet, eigvals, inverse_vectors
-from diracstab.operator import assemble, continuous_bands
+from diracstab.operator import assemble, continuous_bands, parity_products
 from diracstab.spectrum import (
     CLASS_QUARTET,
     CLASS_REAL,
@@ -125,7 +125,8 @@ class TestParitySolve:
         iso = isolated_eigs(es, bands)
         assert iso.size == 4
         assert np.all(np.abs(iso) > spectrum._NEAR_ORIGIN_RADIUS)
-        assert np.max(spectrum._isolated_residuals(solves, iso)) <= 1e-12
+        _, residuals = spectrum._refined_values(solves, solves, iso)
+        assert np.max(residuals) <= 1e-12
         # two steps of inverse iteration on the 4(N+1)-square A
         a = stability_matrix(op)
         full = inverse_vectors(a, iso, inverse_vectors(a, iso))
@@ -137,7 +138,7 @@ class TestParitySolve:
         op = assemble("gn", 2.0 / 3.0, 0.3, grid_cache(160, 10.0))
         es, solves = spectrum._parity_solve(op)
         iso = isolated_eigs(es, continuous_bands("gn", 2.0 / 3.0, 0.3))
-        half = spectrum._isolated_residuals(solves, iso)
+        half = spectrum._refined_values(solves, solves, iso)[1]
         assert np.max(half) <= 1e-12
         np.testing.assert_allclose(lifted_residuals(op, solves, iso), half,
                                    rtol=0, atol=1e-14)
@@ -167,7 +168,7 @@ class TestParitySolve:
         es, solves = spectrum._parity_solve(op)
         near = es.values[np.abs(es.values) <= spectrum._NEAR_ORIGIN_RADIUS]
         assert near.size > 0
-        half = spectrum._isolated_residuals(solves, near)
+        half = spectrum._refined_values(solves, solves, near)[1]
         # two one-step shifted M = [[0, B], [C, 0]] per value, at 2(N+1)
         # where the blocks split, in place of the 4(N+1)-square A
         assert [m.shape for m in shifted_matrices] == \
@@ -204,7 +205,7 @@ class TestParitySolve:
         assert len(solves) == 1
         near = es.values[np.abs(es.values) <= spectrum._NEAR_ORIGIN_RADIUS]
         assert near.size > 0
-        half = spectrum._isolated_residuals(solves, near)
+        half = spectrum._refined_values(solves, solves, near)[1]
         assert np.max(half) <= 1e-12
         np.testing.assert_allclose(lifted_residuals(op, solves, near), half,
                                    rtol=0, atol=1e-14)
@@ -607,36 +608,31 @@ class TestTwoGrid:
         real = np.count_nonzero(np.unique(mus[mus.imag >= 0.0]).imag == 0.0)
         assert sum(m.dtype == np.float64 for m in matrices) == 2 * real
 
-    def test_real_residual_of_an_imaginary_value(self, grid_cache):
-        # (1j r, [y; z]) of M is (r, [y; 1j z]) of [[0, -B], [C, 0]]
-        op = assemble("gn", 2.0 / 3.0, 0.3, grid_cache(160, 10.0))
-        (b, c, bc, mu), = spectrum._parity_solve(op)[1]
-        iso = isolated_eigs(np.sqrt(mu + 0j), continuous_bands(
-            "gn", 2.0 / 3.0, 0.3))
-        wanted = np.unique(iso[iso.imag > 0.0] ** 2)
-        assert wanted.size == 1 and wanted.real < 0.0
-        # two steps of inverse iteration
-        xs = inverse_vectors(bc, wanted, inverse_vectors(bc, wanted))
-        assert np.isrealobj(xs)
-        r = np.sqrt(-wanted.real)
-        # the identity holds for any real x; a perturbed eigenvector keeps
-        # the residuals above rounding
-        rng = np.random.default_rng(5)
-        for x, bound in ((xs, 1e-12), (xs + 1e-3 * rng.standard_normal(
-                xs.shape), None)):
-            ys, zs = spectrum._lift(c, x, 1j * r)
-            real_ys, real_zs = spectrum._lift(c, x, r)
-            assert np.isrealobj(real_zs)
-            np.testing.assert_allclose(real_zs, 1j * zs, rtol=1e-15)
-            gaps = spectrum._pair_residuals(b, c, ys, zs, 1j * r)
-            real_gaps = spectrum._pair_residuals(b, c, real_ys, real_zs, r,
-                                                 -1.0)
-            if bound is None:
-                assert gaps[0] > 1e-6
-                np.testing.assert_allclose(real_gaps, gaps, rtol=1e-12)
-            else:
-                scale = spectrum._block_scale([(b, c)])
-                assert max(gaps[0], real_gaps[0]) <= bound * scale
+    @pytest.mark.parametrize("model,omega,n,count", [
+        ("gn", 2.0 / 3.0, 160, 4), ("mtm", 0.5, 200, 6),
+    ], ids=["gn", "mtm"])
+    def test_refined_residuals_equal_full_matrix_residuals(
+            self, grid_cache, model, omega, n, count):
+        # the two-grid route's residuals, from the coarse solves carried to
+        # N, are those of its vectors on the dense oracle at N: a real and
+        # an imaginary pair for gn, a real pair and a quartet for mtm
+        p = 0.3
+        grid = grid_cache(n, 10.0)
+        coarse = spectrum._sweep_level(model, omega,
+                                       spectrum._coarse_grid(grid), grid)
+        values, solves = spectrum._parity_solve(
+            assemble(model, omega, p, coarse.grid), coarse.base)
+        found = isolated_eigs(values, continuous_bands(model, omega, p))
+        assert found.size == count
+        assert np.all(np.abs(found) > spectrum._NEAR_ORIGIN_RADIUS)
+        op = assemble(model, omega, p, grid)
+        pairs = parity_products(op)
+        _, residuals = spectrum._refined_values(pairs, solves, found,
+                                                coarse.transfer)
+        assert np.max(residuals) <= 1e-12
+        np.testing.assert_allclose(
+            lifted_residuals(op, pairs, found, solves, coarse.transfer),
+            residuals, rtol=0, atol=1e-14)
 
     def test_first_point_takes_full_solve(self, grid_cache, routes):
         track_branches("gn", 2.0 / 3.0, [0.2, 0.25, 0.3],
