@@ -9,23 +9,28 @@ eigenvectors of M = [[0, B], [C, 0]] for each block pair, taken and
 checked in the parity basis, where they equal the residuals on the
 4(N+1)-square stability matrix; that matrix is never written.
 
-A sweep point takes the two-grid route: its isolated values are found
-by the values-only solve on a coarse grid of even degree N_c = 2
-floor(N / 4), and each is refined at N by one shifted solve of the fine
-B C, from its coarse eigenvector interpolated to N, whose iterate also
-gives the residual.  The full solve takes its residuals from the same
-routine, _refined_values, with the fine grid as its own coarse one, but
-keeps its values; only values near the origin take vectors from M.  Both
-lift the iterate to an eigenvector of M in complex arithmetic, while
-each shifted solve stays real for a real mu = lambda**2.  A sweep takes
-the p = 0 block products of both grids once (operator.parity_base), and
-every point writes its own B, C and B C from them in O(N**2).  The drift
-of a value between the grids is the per-value resolution check of
-Boyd's rule (Chebyshev and Fourier Spectral Methods, ch. 7).  Guards
-send a point to the full solve at N instead, which finds every value the
-fine grid has: N_c below _COARSE_FLOOR, the sweep's first point, a
-closed gap, a coarse value near the origin or a band, and a refinement
-that is not finite, coalesces or drifts (see _refined_point).
+A sweep point selects, refines and checks conjugate classes of mu =
+lambda**2, each an eigenvalue mu of a real B C with Im mu >= 0
+(_classes), and _members alone expands a class into its values
++-sqrt(mu) and, where mu is not real, their conjugates.  It takes the
+two-grid route: its isolated classes are found by the values-only solve
+on a coarse grid of even degree N_c = 2 floor(N / 4), and each is
+refined at N by one shifted solve of the fine B C, from its coarse
+eigenvector interpolated to N, whose iterate also gives the residual.
+The full solve takes its residuals from the same routine,
+_refined_values, with the fine grid as its own coarse one, but keeps its
+values; only classes near the origin take vectors from M.  Both lift the
+iterate to an eigenvector of M, while each shifted solve stays real for
+a real mu, and B and C act on the lift's complex vectors in real
+arithmetic.  A sweep takes the p = 0 block products of both grids once
+(operator.parity_base), and every point writes its own B, C and B C from
+them in O(N**2).  The drift of a value between the grids is the
+per-value resolution check of Boyd's rule (Chebyshev and Fourier
+Spectral Methods, ch. 7).  Guards send a point to the full solve at N
+instead, which finds every value the fine grid has: N_c below
+_COARSE_FLOOR, the sweep's first point, a closed gap, a coarse value
+near the origin or a band, and a refinement that is not finite,
+coalesces or drifts (see _refined_point).
 spectrum, slope_fit and validate keep the full solve.
 _map_forked runs independent solves inline or on a pool of forked worker
 processes, at most one per usable cpu (_usable_cpus): a sweep's points
@@ -154,7 +159,7 @@ def isolated_eigs(eigs, bands: SpectralBands, margin: float | None = None):
 
 
 def _parity_solve(op, base=None):
-    """All eigenvalues of op, and per real block pair (B, C, B C, eig(B C)).
+    """Per real block pair of op, (B, C, B C, eig(B C)).
 
     One values-only real solve (dgeev) of each block product, at
     dimension N+1 where the blocks split and 2(N+1) elsewhere, in place
@@ -162,9 +167,8 @@ def _parity_solve(op, base=None):
     come from parity_products, on base, the p = 0 products of op's model
     and grid (parity_base), when the caller holds them.
     """
-    solves = [(b, c, bc, eigvals(bc).values)
-              for b, c, bc in parity_products(op, base)]
-    return root_pairs(np.concatenate([s[-1] for s in solves])), solves
+    return [(b, c, bc, eigvals(bc).values)
+            for b, c, bc in parity_products(op, base)]
 
 
 def parity_eigvals(op) -> EigenSet:
@@ -173,14 +177,21 @@ def parity_eigvals(op) -> EigenSet:
     The values come in exact +-pairs, and every real mu = lambda**2 gives
     a pair that is exactly real or exactly imaginary.
     """
-    return _parity_solve(op)[0]
+    return root_pairs(np.concatenate([mu for *_, mu in _parity_solve(op)]))
+
+
+def _real_product(a, xs):
+    """a @ xs for a real a, in real arithmetic: a complex xs enters as
+    its float64 view, where numpy would cast all of a to complex."""
+    xs = np.ascontiguousarray(xs)
+    return a @ xs if xs.dtype == float else (a @ xs.view(float)).view(complex)
 
 
 def _lift(c, xs, lams):
     """Unit eigenvectors [y; z] of M = [[0, B], [C, 0]] for lams, from
     eigenvectors x of B C for lams**2: [x; C x / lam] scaled to unit
     norm, returned as the parts ys and zs on the rows of B and of C."""
-    zs = (c @ xs) / lams
+    zs = _real_product(c, xs) / lams
     norms = np.hypot(np.linalg.norm(xs, axis=0), np.linalg.norm(zs, axis=0))
     return xs / norms, zs / norms
 
@@ -194,71 +205,20 @@ def _block_scale(pairs) -> float:
 
 def _pair_residuals(b, c, ys, zs, lams) -> np.ndarray:
     """||M w - lam w|| per column w = [y; z] of one block pair's M."""
-    gaps = np.concatenate([b @ zs - ys * lams, c @ ys - zs * lams])
+    gaps = np.concatenate([_real_product(b, zs) - ys * lams,
+                           _real_product(c, ys) - zs * lams])
     return np.linalg.norm(gaps, axis=0)
 
 
-def _hits(values, mu):
-    """hit[i, j]: values[i] is +-sqrt(mu[j]), bit for bit, as root_pairs
-    made it from these very roots."""
-    roots = np.sqrt(mu)
-    return (values[:, None] == roots) | (values[:, None] == -roots)
-
-
-class _PairRefinement(NamedTuple):
-    """values[rows] refined to lams, with residuals ||M w - lam w||.
-
-    w is the unit eigenvector [ys; zs] of M of the row's conjugate class,
-    column[row], its conjugate where flip, and [y; -z], for -lambda,
-    where negated.
-    """
-
-    rows: np.ndarray
-    lams: np.ndarray
-    residuals: np.ndarray
-    ys: np.ndarray
-    zs: np.ndarray
-    column: np.ndarray
-    flip: np.ndarray
-    negated: np.ndarray
-
-
-def _refined_pair(b, c, bc, mu, values, start_bc, transfer=None):
-    """The values +-sqrt(mu) of eigenvalues mu of start_bc outside
-    _NEAR_ORIGIN_RADIUS, refined on the block pair (b, c, bc = B C), as a
-    _PairRefinement, or None when there are none.
-
-    Each conjugate class of those mu takes two shifted solves, one
-    inverse_vectors step each, real when mu is: one of start_bc - mu from
-    the fixed start, and one of bc - mu from that vector, carried to bc's
-    grid by transfer where start_bc is a coarser grid's.  mu becomes the
-    Rayleigh quotient of the unit iterate x, exactly real when the class's
-    mu is, so that its root is exactly real or exactly imaginary, and the
-    four values +-sqrt(mu), +-conj(sqrt(mu)) share it and the residual of
-    the lift of x.
-    """
-    near = np.abs(values) <= _NEAR_ORIGIN_RADIUS
-    rows, cols = np.nonzero(_hits(values, mu) & ~near[:, None])
-    if not rows.size:
-        return None
-    flip = mu[cols].imag < 0.0
-    wanted, column = np.unique(np.where(flip, mu[cols].conj(), mu[cols]),
-                               return_inverse=True)
-    xs = inverse_vectors(start_bc, wanted)
-    if transfer is not None:
-        xs = _transferred(transfer, xs)
-    xs = inverse_vectors(bc, wanted, xs)
-    mus = np.einsum("ij,ij->j", xs.conj(), bc @ xs).astype(complex)
-    real = wanted.imag == 0.0
-    mus[real] = mus[real].real
-    roots = np.sqrt(mus)
-    ys, zs = _lift(c, xs, roots)
-    gaps = _pair_residuals(b, c, ys, zs, roots)
-    refined = np.where(flip, roots[column].conj(), roots[column])
-    # the sign of the value's root, whichever branch sqrt took
-    negated = np.abs(values[rows] - refined) > np.abs(values[rows] + refined)
-    return _PairRefinement(rows, np.where(negated, -refined, refined),
-                           gaps[column], ys, zs, column, flip, negated)
+def _members(roots, real):
+    """The values of the conjugate classes of mu = lambda**2 with roots
+    sqrt(mu), and each value's class: +-r, then +-conj(r) where mu is
+    not real."""
+    both = np.flatnonzero(~real)
+    classes = np.concatenate([np.arange(roots.size)] * 2 + [both] * 2)
+    values = np.concatenate([roots, -roots, roots[both].conj(),
+                             -roots[both].conj()])
+    return values, classes
 
 
 def _origin_vectors(b, c, lams):
@@ -271,36 +231,53 @@ def _origin_vectors(b, c, lams):
     return ws[:k], ws[k:]
 
 
-def _refined_values(pairs, solves, values, transfer=None):
-    """values refined on the block pairs, and their residuals
-    ||M w - lam w|| / ||M||_F, as (lams, residuals).
+def _refined_values(pairs, solves, kept, transfer=None):
+    """The values of the conjugate classes kept, refined on the block
+    pairs, with residuals ||M w - lam w|| / ||M||_F, as (values, lams,
+    residuals): values[i] refines to lams[i].
 
     pairs are one grid's (B, C, B C, ...) and solves the (B, C, B C,
     eig(B C)) of _parity_solve, pair for pair, on the same grid or, with
-    transfer, on the coarser one that transfer leads from; values are
-    roots of the solves' eigenvalues.  Each value is refined by
-    _refined_pair from its solve's B C.  A value within
-    _NEAR_ORIGIN_RADIUS of 0, where C x / lambda is ill-conditioned, is
-    kept, and its w comes from _origin_vectors; this needs the solves on
-    the pairs' own grid.  ||M||_F is _block_scale's.  The change of basis
-    to the parity blocks is unitary, so this is the residual on the
-    stability matrix A of w carried back into A's space.
+    transfer, on the coarser one that transfer leads from; kept holds
+    each solve's classes (_classes).  A class outside _NEAR_ORIGIN_RADIUS
+    takes two shifted solves, one inverse_vectors step each, real when mu
+    is: of the solve's B C - mu from the fixed start, and of the pair's
+    from that vector, carried by transfer.  mu becomes the Rayleigh
+    quotient of the unit iterate x, exactly real when the class's mu is,
+    and _members expands the class's roots before and after alike, so
+    that each value's sign and conjugation are those of the value it
+    refines to; they share the residual of the lift of x.  A class within
+    _NEAR_ORIGIN_RADIUS of 0, where C x / lambda is ill-conditioned,
+    keeps its values, and each takes its w from _origin_vectors; this
+    needs the solves on the pairs' own grid.  ||M||_F is _block_scale's.
+    The change of basis to the parity blocks is unitary, so this is the
+    residual on the stability matrix A of w carried back into A's space.
     """
-    lams = values.astype(complex)
-    residuals = np.empty(values.size)
     scale = _block_scale(pairs)
-    near = np.abs(values) <= _NEAR_ORIGIN_RADIUS
-    for (b, c, bc, *_), (_, _, start_bc, mu) in zip(pairs, solves):
-        refined = _refined_pair(b, c, bc, mu, values, start_bc, transfer)
-        if refined is not None:
-            lams[refined.rows] = refined.lams
-            residuals[refined.rows] = refined.residuals / scale
-        rows = np.flatnonzero(near & _hits(values, mu).any(axis=1))
-        if rows.size:
-            ys, zs = _origin_vectors(b, c, values[rows])
-            gaps = _pair_residuals(b, c, ys, zs, values[rows])
-            residuals[rows] = gaps / scale
-    return lams, residuals
+    parts = [(np.empty(0, dtype=complex),) * 2 + (np.empty(0),)]
+    for (b, c, bc, *_), (_, _, start_bc, _), mu in zip(pairs, solves, kept):
+        roots = np.sqrt(mu)
+        real = mu.imag == 0.0
+        near = np.abs(roots) <= _NEAR_ORIGIN_RADIUS
+        if not np.all(near):
+            wanted, real_far = mu[~near], real[~near]
+            xs = inverse_vectors(start_bc, wanted)
+            if transfer is not None:
+                xs = _transferred(transfer, xs)
+            xs = inverse_vectors(bc, wanted, xs)
+            mus = np.einsum("ij,ij->j", xs.conj(), bc @ xs).astype(complex)
+            mus[real_far] = mus[real_far].real
+            refined = np.sqrt(mus)
+            gaps = _pair_residuals(b, c, *_lift(c, xs, refined), refined)
+            values, classes = _members(roots[~near], real_far)
+            parts.append((values, _members(refined, real_far)[0],
+                          gaps[classes] / scale))
+        if np.any(near):
+            values = _members(roots[near], real[near])[0]
+            ys, zs = _origin_vectors(b, c, values)
+            parts.append((values, values,
+                          _pair_residuals(b, c, ys, zs, values) / scale))
+    return tuple(np.concatenate(part) for part in zip(*parts))
 
 
 def slope_fit(model, omega: float, p_samples, grid: ChebGrid) -> dict:
@@ -387,30 +364,45 @@ def _transferred(transfer, xs):
 
 
 def _tracked(values, bands, margin, omega):
-    # point branches stay within the p = 0 outer band edge, |Im| <= 1 + |omega|
-    iso = isolated_eigs(values, bands, margin)
-    return iso[np.abs(iso.imag) <= 1.0 + abs(omega)]
+    """Which values a sweep tracks: the isolated ones (isolated_eigs)
+    within the p = 0 outer band edge, |Im| <= 1 + |omega|."""
+    return ((bands.distance(values) > margin)
+            & (np.abs(values.imag) <= 1.0 + abs(omega)))
+
+
+def _classes(solves, bands, margin, omega):
+    """Per block pair of solves, the eigenvalues mu of its B C with
+    Im mu >= 0, one per conjugate class, ascending, whose roots sqrt(mu)
+    are _tracked.  Band distance and |Im| are exactly symmetric under
+    lambda -> -lambda and lambda -> conj(lambda), so every value of a
+    class is tracked or none."""
+    kept = []
+    for *_, mu in solves:
+        mu = np.sort(mu[mu.imag >= 0.0])
+        kept.append(mu[_tracked(np.sqrt(mu), bands, margin, omega)])
+    return kept
 
 
 def _full_point(model, omega, fine, p, bands, margin, guard):
     """Every eigenvalue at N, on the _Level fine, from one values-only
-    parity solve; the kept ones and their residuals.  guard names why
-    the point came here."""
+    parity solve; the kept ones, sorted like root_pairs, and their
+    residuals.  guard names why the point came here."""
     logger.debug("p=%g: full solve (%s)", p, guard)
-    values, solves = _parity_solve(assemble(model, omega, p, fine.grid),
-                                   fine.base)
-    iso = _tracked(values, bands, margin, omega)
-    return iso, _refined_values(solves, solves, iso)[1]
+    solves = _parity_solve(assemble(model, omega, p, fine.grid), fine.base)
+    values, _, residuals = _refined_values(
+        solves, solves, _classes(solves, bands, margin, omega))
+    order = np.lexsort((values.real, values.imag))
+    return values[order], residuals[order]
 
 
 def _refined_point(model, omega, fine, coarse, p, bands, margin):
     """The kept values of the coarse grid, refined at N, and their residuals.
 
     fine and coarse are the sweep's _Levels.  _refined_values refines
-    the kept values from the coarse B C and its eigenvalues mu_c: one
-    shifted solve of the coarse B C per conjugate class gives mu_c's
-    coarse eigenvector, and one of the fine B C from that vector, carried
-    to N by the coarse level's transfer, refines it.
+    the kept conjugate classes of the coarse B C's eigenvalues mu_c: one
+    shifted solve of the coarse B C per class gives mu_c's coarse
+    eigenvector, and one of the fine B C from that vector, carried to N
+    by the coarse level's transfer, refines it.
 
     Raises _FullSolve when a guard fails, for the full solve to find
     every value at N:
@@ -425,17 +417,19 @@ def _refined_point(model, omega, fine, coarse, p, bands, margin):
       _CLASS_TOL (1 + |lambda|): the coarse grid does not resolve it,
       and may have missed others.
     """
-    values, solves = _parity_solve(assemble(model, omega, p, coarse.grid),
-                                   coarse.base)
-    found = _tracked(values, bands, margin, omega)
-    if np.any(np.abs(found) <= _NEAR_ORIGIN_RADIUS):
+    solves = _parity_solve(assemble(model, omega, p, coarse.grid),
+                           coarse.base)
+    kept = _classes(solves, bands, margin, omega)
+    # one root per class: both tests below are symmetric in its values
+    roots = np.sqrt(np.concatenate(kept))
+    if np.any(np.abs(roots) <= _NEAR_ORIGIN_RADIUS):
         raise _FullSolve("coarse value near the origin")
-    if np.any(bands.distance(found) <= 2.0 * margin):
+    if np.any(bands.distance(roots) <= 2.0 * margin):
         raise _FullSolve("coarse value near a band")
     pairs = parity_products(assemble(model, omega, p, fine.grid), fine.base)
     try:
-        lams, residuals = _refined_values(pairs, solves, found,
-                                          coarse.transfer)
+        found, lams, residuals = _refined_values(pairs, solves, kept,
+                                                 coarse.transfer)
     except np.linalg.LinAlgError as exc:
         raise _FullSolve("non-finite refinement") from exc
     if not (np.all(np.isfinite(lams)) and np.all(np.isfinite(residuals))):

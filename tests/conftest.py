@@ -8,7 +8,8 @@ The library solves through the real parity blocks alone and never writes
 the 4(N+1)-square stability matrix.  stability_matrix writes it here, as
 the oracle: the block form's blocks laid out whole and reduced by a dense
 product.  parity_basis and real_basis carry vectors of the parity blocks'
-bases back into its space, and lifted_vectors the library's eigenvectors.
+bases back into its space, and lifted_vectors builds the eigenvectors
+of the kept conjugate classes of mu = lambda**2 (conjugate_classes).
 relative_residuals and symmetry_residual, checks that only the tests
 take, live here too, with free_operator, the operator without its
 soliton, and blas_threads, which reads the OpenBLAS thread counts.
@@ -24,7 +25,7 @@ import pytest
 
 import diracstab.spectrum as spectrum
 from diracstab.cheb import build_grid
-from diracstab.eigen import _openblas_controls
+from diracstab.eigen import _openblas_controls, inverse_vectors
 from diracstab.operator import assemble
 from diracstab.soliton import ModelKind
 from diracstab.spectrum import parity_eigvals
@@ -150,40 +151,72 @@ def lift(m, pair, ys, zs):
     return parity_basis(m) @ both
 
 
-def lifted_vectors(op, pairs, values, solves=None, transfer=None):
-    """The unit eigenvectors of values in A's space, one column per value,
-    and the value each is an eigenvector for.
+def conjugate_classes(solves, keep=None):
+    """Per block pair of solves, (B, C, B C, eig(B C)), the eigenvalues mu
+    of its B C with Im mu >= 0, one per conjugate class, ascending, where
+    keep(sqrt(mu)) holds (every one when keep is None): the kept classes
+    that spectrum._refined_values takes."""
+    kept = []
+    for *_, mu in solves:
+        mu = np.sort(mu[mu.imag >= 0.0])
+        kept.append(mu if keep is None else mu[keep(np.sqrt(mu))])
+    return kept
 
-    pairs are op's (B, C, B C, ...) and solves the start (B, C, B C,
-    eig(B C)), the pairs themselves when not given, on op's grid or, with
-    transfer, on a coarser one, as spectrum._refined_values takes them.
-    Away from the origin the vectors are spectrum._refined_pair's, for
-    the refined value: a flipped member takes the conjugate of its class
-    vector [y; z] and the -lambda member [y; -z].  Near the origin they
-    are spectrum._origin_vectors', for the value itself.
+
+def members(a, real, sign=-1.0):
+    """The members of each conjugate class of mu = lambda**2, along a's
+    last axis, one entry per class: a and sign * a, then, where mu is not
+    real, conj(a) and sign * conj(a).  For the class's lambda (sign -1)
+    these are its values +-lambda, +-conj(lambda); with [y; z], an
+    eigenvector of M = [[0, B], [C, 0]] for lambda, the members of y
+    (sign 1) and of z are those of its values, as M is real."""
+    both = a[..., ~real].conj()
+    return np.concatenate([a, sign * a, both, sign * both], axis=-1)
+
+
+def lifted_vectors(op, pairs, kept, solves=None, transfer=None):
+    """The values of the conjugate classes kept, the value each unit
+    eigenvector belongs to and those vectors in A's space, one column per
+    value, in the order of spectrum._refined_values, which takes the
+    arguments: pairs are op's (B, C, B C, ...) and solves the start
+    (B, C, B C, eig(B C)), the pairs themselves when not given, on op's
+    grid or, with transfer, on a coarser one.
+
+    Away from the origin a class's vector x of B C comes from two
+    inverse_vectors steps, of the start's B C and then of the pair's,
+    carried by spectrum._transferred between them where transfer is
+    given; its mu is x's Rayleigh quotient, real where the class's is,
+    and its [y; z] spectrum._lift's.  Each member takes its value, sign
+    and conjugate from members.  Near the origin each member's [y; z] is
+    spectrum._origin_vectors', for the value itself.
     """
     m = op.grid.n + 1
-    vectors = np.full((4 * m, values.size), np.nan, dtype=complex)
-    lams = np.full(values.size, np.nan, dtype=complex)
-    near = np.abs(values) <= spectrum._NEAR_ORIGIN_RADIUS
-    for pair, ((b, c, bc, *_), (_, _, start_bc, mu)) in enumerate(
-            zip(pairs, pairs if solves is None else solves)):
-        refined = spectrum._refined_pair(b, c, bc, mu, values, start_bc,
-                                         transfer)
-        if refined is not None:
-            ys = refined.ys[:, refined.column]
-            zs = refined.zs[:, refined.column]
-            ys = np.where(refined.flip, ys.conj(), ys)
-            zs = np.where(refined.flip, zs.conj(), zs)
-            zs = np.where(refined.negated, -zs, zs)
-            vectors[:, refined.rows] = lift(m, pair, ys, zs)
-            lams[refined.rows] = refined.lams
-        rows = np.flatnonzero(near & spectrum._hits(values, mu).any(axis=1))
-        if rows.size:
-            vectors[:, rows] = lift(
-                m, pair, *spectrum._origin_vectors(b, c, values[rows]))
-            lams[rows] = values[rows]
-    return lams, vectors
+    parts = []
+    for pair, ((b, c, bc, *_), (_, _, start_bc, _), mu) in enumerate(
+            zip(pairs, pairs if solves is None else solves, kept)):
+        roots, real = np.sqrt(mu), mu.imag == 0.0
+        near = np.abs(roots) <= spectrum._NEAR_ORIGIN_RADIUS
+        far = ~near
+        if np.any(far):
+            xs = inverse_vectors(start_bc, mu[far])
+            if transfer is not None:
+                xs = spectrum._transferred(transfer, xs)
+            xs = inverse_vectors(bc, mu[far], xs)
+            quotients = np.sum(xs.conj() * (bc @ xs), axis=0)
+            lams = np.sqrt(np.where(real[far], quotients.real,
+                                    quotients).astype(complex))
+            ys, zs = spectrum._lift(c, xs, lams)
+            parts.append((members(roots[far], real[far]),
+                          members(lams, real[far]),
+                          lift(m, pair, members(ys, real[far], 1.0),
+                               members(zs, real[far]))))
+        if np.any(near):
+            values = members(roots[near], real[near])
+            parts.append((values, values, lift(
+                m, pair, *spectrum._origin_vectors(b, c, values))))
+    values, lams, vectors = zip(*parts)
+    return (np.concatenate(values), np.concatenate(lams),
+            np.hstack(vectors))
 
 
 def relative_residuals(a, values, vectors):
@@ -193,14 +226,15 @@ def relative_residuals(a, values, vectors):
     return res / (anorm if anorm != 0.0 else 1.0)
 
 
-def lifted_residuals(op, pairs, values, solves=None, transfer=None):
-    """||A v - lambda v|| / ||A||_F on the dense oracle A, for the
-    parity-basis eigenvectors of values lifted into A's space, and the
-    values they belong to (lifted_vectors, which takes the arguments)."""
-    lams, vectors = lifted_vectors(op, pairs, values, solves, transfer)
+def lifted_residuals(op, pairs, kept, solves=None, transfer=None):
+    """The values of the conjugate classes kept, and ||A v - lambda v|| /
+    ||A||_F on the dense oracle A for their parity-basis eigenvectors
+    lifted into A's space (lifted_vectors, which takes the arguments)."""
+    values, lams, vectors = lifted_vectors(op, pairs, kept, solves,
+                                           transfer)
     np.testing.assert_allclose(np.linalg.norm(vectors, axis=0), 1.0,
                                rtol=0, atol=1e-14)
-    return relative_residuals(stability_matrix(op), lams, vectors)
+    return values, relative_residuals(stability_matrix(op), lams, vectors)
 
 
 def symmetry_residual(eigs, model) -> float:

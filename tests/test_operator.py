@@ -22,9 +22,9 @@ import pytest
 
 import diracstab.operator as operator_module
 import diracstab.spectrum as spectrum
-from conftest import (REDUCTION_BLOCK, dense_reduced, free_operator,
-                      lifted_residuals, parity_basis, real_basis,
-                      stability_matrix, symmetry_residual)
+from conftest import (REDUCTION_BLOCK, conjugate_classes, dense_reduced,
+                      free_operator, lifted_residuals, parity_basis,
+                      real_basis, stability_matrix, symmetry_residual)
 from diracstab.eigen import eigvals, inverse_vectors
 from diracstab.operator import (
     StabilityOperator,
@@ -475,11 +475,13 @@ class TestParity:
         # there the residual taken in the parity bases
         omega = 0.5 if model == "mtm" else 2.0 / 3.0
         op = assemble(model, omega, p, grid_cache(n, 10.0))
-        es, solves = spectrum._parity_solve(op)
-        half = spectrum._refined_values(solves, solves, es.values)[1]
-        assert np.max(half) <= 1e-13
-        np.testing.assert_allclose(lifted_residuals(op, solves, es.values),
-                                   half, rtol=0, atol=1e-14)
+        solves = spectrum._parity_solve(op)
+        kept = conjugate_classes(solves)
+        values, _, half = spectrum._refined_values(solves, solves, kept)
+        assert values.size == op.dim and np.max(half) <= 1e-13
+        oracle_values, oracle = lifted_residuals(op, solves, kept)
+        np.testing.assert_array_equal(oracle_values, values)
+        np.testing.assert_allclose(oracle, half, rtol=0, atol=1e-14)
 
 
 class TestParityProducts:

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 import diracstab.spectrum as spectrum
-from conftest import (blas_threads, free_operator, lifted_residuals,
-                      lifted_vectors, stability_matrix)
+from conftest import (blas_threads, conjugate_classes, free_operator,
+                      lifted_residuals, lifted_vectors, stability_matrix)
 from diracstab.cheb import build_grid
 from diracstab.eigen import EigenSet, eigvals, inverse_vectors
 from diracstab.operator import assemble, continuous_bands, parity_products
@@ -27,6 +27,11 @@ from diracstab.spectrum import (
     summarize_sweep,
     track_branches,
 )
+
+
+def near_origin(roots):
+    """Which roots lie within the refinement's near-origin radius."""
+    return np.abs(roots) <= spectrum._NEAR_ORIGIN_RADIUS
 
 
 class TestSpuriousMetric:
@@ -121,27 +126,33 @@ class TestParitySolve:
             self, grid_cache):
         op = assemble("gn", 2.0 / 3.0, 0.3, grid_cache(160, 10.0))
         bands = continuous_bands("gn", 2.0 / 3.0, 0.3)
-        es, solves = spectrum._parity_solve(op)
-        iso = isolated_eigs(es, bands)
+        solves = spectrum._parity_solve(op)
+        kept = spectrum._classes(solves, bands, default_margin(bands),
+                                 2.0 / 3.0)
+        iso, _, residuals = spectrum._refined_values(solves, solves, kept)
         assert iso.size == 4
         assert np.all(np.abs(iso) > spectrum._NEAR_ORIGIN_RADIUS)
-        _, residuals = spectrum._refined_values(solves, solves, iso)
         assert np.max(residuals) <= 1e-12
         # two steps of inverse iteration on the 4(N+1)-square A
         a = stability_matrix(op)
         full = inverse_vectors(a, iso, inverse_vectors(a, iso))
-        for u, w in zip(lifted_vectors(op, solves, iso)[1].T, full.T):
+        values, _, vectors = lifted_vectors(op, solves, kept)
+        np.testing.assert_array_equal(values, iso)
+        for u, w in zip(vectors.T, full.T):
             assert np.linalg.norm(u) == pytest.approx(1.0, abs=1e-14)
             assert abs(np.vdot(u, w)) >= 1.0 - 1e-10
 
     def test_parity_residuals_equal_full_matrix_residuals(self, grid_cache):
         op = assemble("gn", 2.0 / 3.0, 0.3, grid_cache(160, 10.0))
-        es, solves = spectrum._parity_solve(op)
-        iso = isolated_eigs(es, continuous_bands("gn", 2.0 / 3.0, 0.3))
-        half = spectrum._refined_values(solves, solves, iso)[1]
-        assert np.max(half) <= 1e-12
-        np.testing.assert_allclose(lifted_residuals(op, solves, iso), half,
-                                   rtol=0, atol=1e-14)
+        bands = continuous_bands("gn", 2.0 / 3.0, 0.3)
+        solves = spectrum._parity_solve(op)
+        kept = spectrum._classes(solves, bands, default_margin(bands),
+                                 2.0 / 3.0)
+        iso, _, half = spectrum._refined_values(solves, solves, kept)
+        assert iso.size == 4 and np.max(half) <= 1e-12
+        values, oracle = lifted_residuals(op, solves, kept)
+        np.testing.assert_array_equal(values, iso)
+        np.testing.assert_allclose(oracle, half, rtol=0, atol=1e-14)
 
     def test_full_point_refines_a_quartet_with_two_solves(
             self, grid_cache, shifted_matrices):
@@ -165,17 +176,18 @@ class TestParitySolve:
                                                       shifted_matrices):
         # the kernel cluster at p = 0 sits inside the near-origin radius
         op = assemble("gn", 2.0 / 3.0, 0.0, grid_cache(60, 10.0))
-        es, solves = spectrum._parity_solve(op)
-        near = es.values[np.abs(es.values) <= spectrum._NEAR_ORIGIN_RADIUS]
+        solves = spectrum._parity_solve(op)
+        kept = conjugate_classes(solves, near_origin)
+        near, _, half = spectrum._refined_values(solves, solves, kept)
         assert near.size > 0
-        half = spectrum._refined_values(solves, solves, near)[1]
         # two one-step shifted M = [[0, B], [C, 0]] per value, at 2(N+1)
         # where the blocks split, in place of the 4(N+1)-square A
         assert [m.shape for m in shifted_matrices] == \
             [(122, 122)] * (2 * near.size)
         assert np.max(half) <= 1e-12
-        np.testing.assert_allclose(lifted_residuals(op, solves, near), half,
-                                   rtol=0, atol=1e-14)
+        values, oracle = lifted_residuals(op, solves, kept)
+        np.testing.assert_array_equal(values, near)
+        np.testing.assert_allclose(oracle, half, rtol=0, atol=1e-14)
 
     def test_near_origin_solves_are_real_and_half_size(self, grid_cache,
                                                        shifted_matrices):
@@ -201,14 +213,15 @@ class TestParitySolve:
                                                             grid_cache):
         # gn at p > 0: one 2(N+1)-square block pair, M of order 4(N+1)
         op = assemble("gn", 2.0 / 3.0, 0.003, grid_cache(100, 10.0))
-        es, solves = spectrum._parity_solve(op)
+        solves = spectrum._parity_solve(op)
         assert len(solves) == 1
-        near = es.values[np.abs(es.values) <= spectrum._NEAR_ORIGIN_RADIUS]
+        kept = conjugate_classes(solves, near_origin)
+        near, _, half = spectrum._refined_values(solves, solves, kept)
         assert near.size > 0
-        half = spectrum._refined_values(solves, solves, near)[1]
         assert np.max(half) <= 1e-12
-        np.testing.assert_allclose(lifted_residuals(op, solves, near), half,
-                                   rtol=0, atol=1e-14)
+        values, oracle = lifted_residuals(op, solves, kept)
+        np.testing.assert_array_equal(values, near)
+        np.testing.assert_allclose(oracle, half, rtol=0, atol=1e-14)
 
 
 class TestSlopeFit:
@@ -545,6 +558,27 @@ def routes(monkeypatch, file_record):
     return record
 
 
+def refine_with(monkeypatch, change):
+    """Patch the shifted solves of the two-grid route, and of it alone:
+    within _refined_point, inverse_vectors returns change(vectors)."""
+    refining = []
+    refined, vectors = spectrum._refined_point, spectrum.inverse_vectors
+
+    def flagged(*args):
+        refining.append(True)
+        try:
+            return refined(*args)
+        finally:
+            refining.pop()
+
+    def changed(matrix, values, *args, **kwargs):
+        xs = vectors(matrix, values, *args, **kwargs)
+        return change(xs) if refining else xs
+
+    monkeypatch.setattr(spectrum, "_refined_point", flagged)
+    monkeypatch.setattr(spectrum, "inverse_vectors", changed)
+
+
 class TestTwoGrid:
     """Sweep points found on the coarse grid and refined at N, against the
     full solve at N, and the guards that send a point to the full solve."""
@@ -620,19 +654,21 @@ class TestTwoGrid:
         grid = grid_cache(n, 10.0)
         coarse = spectrum._sweep_level(model, omega,
                                        spectrum._coarse_grid(grid), grid)
-        values, solves = spectrum._parity_solve(
+        solves = spectrum._parity_solve(
             assemble(model, omega, p, coarse.grid), coarse.base)
-        found = isolated_eigs(values, continuous_bands(model, omega, p))
-        assert found.size == count
-        assert np.all(np.abs(found) > spectrum._NEAR_ORIGIN_RADIUS)
+        bands = continuous_bands(model, omega, p)
+        kept = spectrum._classes(solves, bands, default_margin(bands), omega)
         op = assemble(model, omega, p, grid)
         pairs = parity_products(op)
-        _, residuals = spectrum._refined_values(pairs, solves, found,
-                                                coarse.transfer)
+        found, _, residuals = spectrum._refined_values(pairs, solves, kept,
+                                                       coarse.transfer)
+        assert found.size == count
+        assert np.all(np.abs(found) > spectrum._NEAR_ORIGIN_RADIUS)
         assert np.max(residuals) <= 1e-12
-        np.testing.assert_allclose(
-            lifted_residuals(op, pairs, found, solves, coarse.transfer),
-            residuals, rtol=0, atol=1e-14)
+        values, oracle = lifted_residuals(op, pairs, kept, solves,
+                                          coarse.transfer)
+        np.testing.assert_array_equal(values, found)
+        np.testing.assert_allclose(oracle, residuals, rtol=0, atol=1e-14)
 
     def test_first_point_takes_full_solve(self, grid_cache, routes):
         track_branches("gn", 2.0 / 3.0, [0.2, 0.25, 0.3],
@@ -665,38 +701,74 @@ class TestTwoGrid:
                        jobs=1)
         assert dict(routes)[0.25] == "refined value drifts"
 
-    def test_coalescing_takes_full_solve(self, grid_cache, routes):
+    def test_coalescing_takes_full_solve(self, grid_cache, monkeypatch,
+                                         routes):
         # at N_c = 60 the real pair of N = 120 is a second imaginary pair,
-        # and both imaginary pairs refine to the one of N = 120
+        # +-0.1000i, whose mu changes sign as it refines: its members refine
+        # to +-0.3584, one each, which no longer coalesce but drift
         track_branches("mtm", 0.0, [0.15, 0.2], grid_cache(120, 10.0),
                        jobs=1)
-        assert dict(routes)[0.2] == "two coarse values refine to one"
+        assert dict(routes)[0.2] == "refined value drifts"
+        # two classes that do refine to one: every shifted solve of the
+        # two-grid route returns its first class's vector for all of them
+        refine_with(monkeypatch, lambda xs: xs[:, [0] * xs.shape[1]])
+        branches = track_branches("gn", 2.0 / 3.0, [0.2, 0.25],
+                                  grid_cache(160, 10.0), jobs=1)
+        assert dict(routes)[0.25] == "two coarse values refine to one"
+        assert [pt.p for br in branches for pt in br.points].count(0.25) == 4
 
     # the poisoned vectors warn on their way through the lift
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_non_finite_refinement_takes_full_solve(self, grid_cache,
                                                     monkeypatch, routes):
-        refining = []
-        refined, vectors = spectrum._refined_point, spectrum.inverse_vectors
-
-        def flagged(*args):
-            refining.append(True)
-            try:
-                return refined(*args)
-            finally:
-                refining.pop()
-
-        def poisoned(matrix, values, *args, **kwargs):
-            xs = vectors(matrix, values, *args, **kwargs)
-            return xs * np.nan if refining else xs
-
-        monkeypatch.setattr(spectrum, "_refined_point", flagged)
-        monkeypatch.setattr(spectrum, "inverse_vectors", poisoned)
+        refine_with(monkeypatch, lambda xs: xs * np.nan)
         branches = track_branches("gn", 2.0 / 3.0, [0.2, 0.25],
                                   grid_cache(160, 10.0), jobs=1)
         assert dict(routes)[0.25] == "non-finite refinement"
         assert all(np.isfinite(pt.lam) and pt.residual <= 1e-8
                    for br in branches for pt in br.points)
+
+    def test_members_take_their_sign_from_their_class(self, grid_cache):
+        # the class of the coarse +-0.1000i above: its mu refines from
+        # -0.0100 to +0.1285, and its members to +0.3584 and -0.3584 by
+        # construction; both are equally near each coarse value, so a
+        # nearest-root rule would tie
+        grid = grid_cache(120, 10.0)
+        coarse = spectrum._sweep_level("mtm", 0.0,
+                                       spectrum._coarse_grid(grid), grid)
+        solves = spectrum._parity_solve(assemble("mtm", 0.0, 0.2, coarse.grid),
+                                        coarse.base)
+        bands = continuous_bands("mtm", 0.0, 0.2)
+        kept = spectrum._classes(solves, bands, default_margin(bands), 0.0)
+        pairs = parity_products(assemble("mtm", 0.0, 0.2, grid))
+        found, lams, _ = spectrum._refined_values(pairs, solves, kept,
+                                                  coarse.transfer)
+        tie = np.abs(np.abs(found) - 0.1) <= 1e-3
+        assert sorted(found[tie].imag) == pytest.approx([-0.1, 0.1], abs=1e-3)
+        assert np.all(found[tie].real == 0.0)
+        assert sorted(lams[tie].real) == pytest.approx([-0.3584, 0.3584],
+                                                       abs=1e-4)
+        assert lams[tie][0] == -lams[tie][1]
+
+    @pytest.mark.parametrize("p", [0.002, 0.3, 1.1])
+    @pytest.mark.parametrize("model,omega", [("gn", 2.0 / 3.0), ("mtm", 0.5)])
+    def test_full_point_keeps_the_tracked_values(self, grid_cache, model,
+                                                 omega, p):
+        # the full route's values are parity_eigvals' tracked ones, bit for
+        # bit: a class is kept or dropped whole, and its members are the
+        # roots root_pairs takes, in root_pairs' order
+        grid = grid_cache(100, 10.0)
+        bands = continuous_bands(model, omega, p)
+        margin = default_margin(bands)
+        values, residuals = spectrum._full_point(
+            model, omega, spectrum._sweep_level(model, omega, grid), p,
+            bands, margin, "first point")
+        every = parity_eigvals(assemble(model, omega, p, grid)).values
+        tracked = every[spectrum._tracked(every, bands, margin, omega)]
+        assert tracked.size > 0
+        np.testing.assert_array_equal(values.view(np.int64),
+                                      tracked.view(np.int64))
+        assert np.max(residuals) <= 1e-8
 
     def test_coarse_floor(self, grid_cache, routes):
         # N_c = 2 floor(N / 4) must reach 60: N = 120 does, N = 116 not
