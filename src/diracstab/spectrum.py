@@ -30,7 +30,9 @@ Spectral Methods, ch. 7).  Guards send a point to the full solve at N
 instead, which finds every value the fine grid has: N_c below
 _COARSE_FLOOR, the sweep's first point, a closed gap, a coarse value
 near the origin or a band, and a refinement that is not finite,
-coalesces or drifts (see _refined_point).
+coalesces or drifts.  _solve_isolated checks them in that order and
+returns the point's route: two-grid, or the first guard that failed;
+track_branches logs it.
 spectrum, slope_fit and validate keep the full solve.
 _map_forked runs independent solves inline or on a pool of forked worker
 processes, at most one per usable cpu (_usable_cpus): a sweep's points
@@ -82,6 +84,8 @@ _MARGIN_FRACTION = 0.05
 # 6.4e-5 at 50 and 2.3e-3 at 40, so below 60 nearly every point would
 # fail the drift guard and pay both solves.
 _COARSE_FLOOR = 60
+# the route of a sweep point whose guards all hold (_solve_isolated)
+_TWO_GRID = "two-grid"
 
 
 class BranchNotFound(RuntimeError):
@@ -327,10 +331,6 @@ def _classify(lam: complex) -> str:
     return CLASS_QUARTET
 
 
-class _FullSolve(Exception):
-    """A guard of the two-grid route: the point takes the full solve."""
-
-
 def _coarse_grid(grid: ChebGrid):
     """The two-grid route's coarse grid, on grid's map: even degree
     N_c = 2 floor(N / 4), or None when N_c is below _COARSE_FLOOR."""
@@ -363,49 +363,43 @@ def _transferred(transfer, xs):
     return (transfer @ parts).reshape(-1, xs.shape[1])
 
 
-def _tracked(values, bands, margin, omega):
-    """Which values a sweep tracks: the isolated ones (isolated_eigs)
-    within the p = 0 outer band edge, |Im| <= 1 + |omega|."""
-    return ((bands.distance(values) > margin)
-            & (np.abs(values.imag) <= 1.0 + abs(omega)))
-
-
 def _classes(solves, bands, margin, omega):
     """Per block pair of solves, the eigenvalues mu of its B C with
     Im mu >= 0, one per conjugate class, ascending, whose roots sqrt(mu)
-    are _tracked.  Band distance and |Im| are exactly symmetric under
-    lambda -> -lambda and lambda -> conj(lambda), so every value of a
-    class is tracked or none."""
+    a sweep tracks: the isolated ones (isolated_eigs) within the p = 0
+    outer band edge, |Im| <= 1 + |omega|.  Band distance and |Im| are
+    exactly symmetric under lambda -> -lambda and lambda -> conj(lambda),
+    so every value of a class is tracked or none."""
     kept = []
     for *_, mu in solves:
         mu = np.sort(mu[mu.imag >= 0.0])
-        kept.append(mu[_tracked(np.sqrt(mu), bands, margin, omega)])
+        roots = np.sqrt(mu)
+        kept.append(mu[(bands.distance(roots) > margin)
+                       & (np.abs(roots.imag) <= 1.0 + abs(omega))])
     return kept
 
 
-def _full_point(model, omega, fine, p, bands, margin, guard):
-    """Every eigenvalue at N, on the _Level fine, from one values-only
-    parity solve; the kept ones, sorted like root_pairs, and their
-    residuals.  guard names why the point came here."""
-    logger.debug("p=%g: full solve (%s)", p, guard)
-    solves = _parity_solve(assemble(model, omega, p, fine.grid), fine.base)
-    values, _, residuals = _refined_values(
-        solves, solves, _classes(solves, bands, margin, omega))
-    order = np.lexsort((values.real, values.imag))
-    return values[order], residuals[order]
+def _solve_isolated(model, omega, fine, coarse, p0, p):
+    """One sweep point: (isolated eigenvalues, their residuals, the bands,
+    the margin, the route), the values sorted like root_pairs.
 
+    Only values with |Im lambda| <= 1 + |omega|, the p = 0 outer band
+    edge, are kept (_classes): point branches stay within the original
+    gap scale, while under-resolved band modes far up the imaginary axis
+    can pass the distance filter at moderate N and would otherwise spawn
+    artifact branches.  fine and coarse are the sweep's _Levels (coarse
+    is None below the floor).
 
-def _refined_point(model, omega, fine, coarse, p, bands, margin):
-    """The kept values of the coarse grid, refined at N, and their residuals.
-
-    fine and coarse are the sweep's _Levels.  _refined_values refines
-    the kept conjugate classes of the coarse B C's eigenvalues mu_c: one
-    shifted solve of the coarse B C per class gives mu_c's coarse
-    eigenvector, and one of the fine B C from that vector, carried to N
-    by the coarse level's transfer, refines it.
-
-    Raises _FullSolve when a guard fails, for the full solve to find
-    every value at N:
+    The route is _TWO_GRID where every guard holds: _refined_values
+    refines the kept conjugate classes of the coarse B C's eigenvalues
+    mu_c, each by one shifted solve of the coarse B C, which gives mu_c's
+    coarse eigenvector, and one of the fine B C from that vector, carried
+    to N by the coarse level's transfer.  Otherwise it is the first guard
+    that failed, and the full solve at N finds every value the fine grid
+    has, with the fine grid as its own coarse one.  The guards, in order:
+    - no coarse grid: N_c is below _COARSE_FLOOR;
+    - the sweep's first point p0, whose values seed the branches;
+    - a closed gap, where band modes make the isolated count move with N;
     - a coarse value within _NEAR_ORIGIN_RADIUS of 0, where C x / lambda
       is ill-conditioned and the full solve takes vectors from M;
     - a coarse value within 2 margin of a band, where band modes are
@@ -417,61 +411,47 @@ def _refined_point(model, omega, fine, coarse, p, bands, margin):
       _CLASS_TOL (1 + |lambda|): the coarse grid does not resolve it,
       and may have missed others.
     """
-    solves = _parity_solve(assemble(model, omega, p, coarse.grid),
-                           coarse.base)
-    kept = _classes(solves, bands, margin, omega)
-    # one root per class: both tests below are symmetric in its values
-    roots = np.sqrt(np.concatenate(kept))
-    if np.any(np.abs(roots) <= _NEAR_ORIGIN_RADIUS):
-        raise _FullSolve("coarse value near the origin")
-    if np.any(bands.distance(roots) <= 2.0 * margin):
-        raise _FullSolve("coarse value near a band")
-    pairs = parity_products(assemble(model, omega, p, fine.grid), fine.base)
-    try:
-        found, lams, residuals = _refined_values(pairs, solves, kept,
-                                                 coarse.transfer)
-    except np.linalg.LinAlgError as exc:
-        raise _FullSolve("non-finite refinement") from exc
-    if not (np.all(np.isfinite(lams)) and np.all(np.isfinite(residuals))):
-        raise _FullSolve("non-finite refinement")
-    tol = _CLASS_TOL * (1.0 + np.abs(lams))
-    # each value is close to itself; any other close pair has coalesced
-    close = np.abs(lams[:, None] - lams) <= tol[:, None]
-    if np.count_nonzero(close) > lams.size:
-        raise _FullSolve("two coarse values refine to one")
-    if np.any(np.abs(lams - found) > tol):
-        raise _FullSolve("refined value drifts")
-    order = np.lexsort((lams.real, lams.imag))
-    return lams[order], residuals[order]
-
-
-def _solve_isolated(model, omega, fine, coarse, p0, p):
-    """One sweep point: isolated eigenvalues, their residuals, the bands.
-
-    Only values with |Im lambda| <= 1 + |omega|, the p = 0 outer band
-    edge, are kept: point branches stay within the original gap scale,
-    while under-resolved band modes far up the imaginary axis can pass
-    the distance filter at moderate N and would otherwise spawn artifact
-    branches.  fine and coarse are the sweep's _Levels (coarse is None
-    below the floor).  The values come from the two-grid route,
-    _refined_point, and otherwise from the full solve at N: without a
-    coarse grid, at the sweep's first point p0, where the gap is closed,
-    and wherever a guard of _refined_point fails.
-    """
     bands = continuous_bands(model, omega, p)
     margin = default_margin(bands)
-    try:
-        if coarse is None:
-            raise _FullSolve("coarse grid below the floor")
-        if p == p0:
-            raise _FullSolve("first point")
-        if bands.gap_width == 0.0:
-            raise _FullSolve("gap closed")
-        iso, res = _refined_point(model, omega, fine, coarse, p, bands, margin)
-    except _FullSolve as guard:
-        iso, res = _full_point(model, omega, fine, p, bands, margin,
-                               str(guard))
-    return iso, res, bands, margin
+    route = ("coarse grid below the floor" if coarse is None
+             else "first point" if p == p0
+             else "gap closed" if bands.gap_width == 0.0 else _TWO_GRID)
+    if route == _TWO_GRID:
+        solves = _parity_solve(assemble(model, omega, p, coarse.grid),
+                               coarse.base)
+        kept = _classes(solves, bands, margin, omega)
+        # one root per class: both tests below are symmetric in its values
+        roots = np.sqrt(np.concatenate(kept))
+        if np.any(np.abs(roots) <= _NEAR_ORIGIN_RADIUS):
+            route = "coarse value near the origin"
+        elif np.any(bands.distance(roots) <= 2.0 * margin):
+            route = "coarse value near a band"
+    if route == _TWO_GRID:
+        pairs = parity_products(assemble(model, omega, p, fine.grid),
+                                fine.base)
+        try:
+            found, lams, residuals = _refined_values(pairs, solves, kept,
+                                                     coarse.transfer)
+        except np.linalg.LinAlgError:  # a singular shift
+            finite = False
+        else:
+            finite = np.all(np.isfinite(lams) & np.isfinite(residuals))
+        if not finite:
+            route = "non-finite refinement"
+    if route == _TWO_GRID:
+        tol = _CLASS_TOL * (1.0 + np.abs(lams))
+        # each value is close to itself; any other close pair has coalesced
+        close = np.abs(lams[:, None] - lams) <= tol[:, None]
+        if np.count_nonzero(close) > lams.size:
+            route = "two coarse values refine to one"
+        elif np.any(np.abs(lams - found) > tol):
+            route = "refined value drifts"
+    if route != _TWO_GRID:
+        solves = _parity_solve(assemble(model, omega, p, fine.grid), fine.base)
+        lams, _, residuals = _refined_values(
+            solves, solves, _classes(solves, bands, margin, omega))
+    order = np.lexsort((lams.real, lams.imag))
+    return lams[order], residuals[order], bands, margin, route
 
 
 # (fn, items) of the open pool, in one of its workers
@@ -564,15 +544,18 @@ def track_branches(model, omega: float, p_grid, grid: ChebGrid,
     caller that runs threads of its own should keep jobs == 1.  The
     matching pass itself is sequential and deterministic, so the branches
     do not depend on jobs.  Each point but the first takes the two-grid
-    route of _refined_point where its guards allow: the values found on
+    route of _solve_isolated where its guards allow: the values found on
     the coarse grid of _coarse_grid, refined at N; a guard sends the
-    point to the full solve (_full_point), whose candidates the refined
-    ones equal to about 1e-12.  Both grids' _Levels, with the p = 0
-    block products and the transfer between the grids, are built once
-    here and inherited by the workers.  Branches are seeded at the first
-    grid point from the asymptotic predictions plus any remaining
-    isolated eigenvalues, and terminated with an 'absorbed' or 'lost' event when
-    no candidate falls inside the match radius.
+    point to the full solve at N, whose candidates the refined ones equal
+    to about 1e-12.  This process logs each point's route once at DEBUG
+    level, in p order, as "p=...: two-grid" or "p=...: full solve
+    (<guard>)", so the log does not depend on jobs.  Both grids' _Levels,
+    with the p = 0 block products and the transfer between the grids,
+    are built once here and inherited by the workers.  Branches are
+    seeded at the first grid point from the asymptotic predictions plus
+    any remaining isolated eigenvalues, and terminated with an
+    'absorbed' or 'lost' event when no candidate falls inside the match
+    radius.
 
     At each step the pairs of branch and candidate inside the branch's
     match radius are assigned nearest first, ties to the earlier branch
@@ -603,6 +586,11 @@ def track_branches(model, omega: float, p_grid, grid: ChebGrid,
         solved = _map_forked(
             functools.partial(_solve_isolated, model, omega, fine, coarse,
                               ps[0]), ps, jobs)
+    for p, (*_, route) in zip(ps, solved):
+        if route == _TWO_GRID:
+            logger.debug("p=%g: two-grid", p)
+        else:
+            logger.debug("p=%g: full solve (%s)", p, route)
 
     pred = asymptotic_prediction(model, omega, with_corrections=False)
     first_step = ps[1] - ps[0]
@@ -620,7 +608,7 @@ def track_branches(model, omega: float, p_grid, grid: ChebGrid,
 
     # seed at the first grid point
     p0 = ps[0]
-    iso0, res0, _, _ = solved[0]
+    iso0, res0, *_ = solved[0]
     claimed = np.zeros(iso0.size, dtype=bool)
     seeds = [p0 * pred.lambda_r, -p0 * pred.lambda_r,
              1j * p0 * pred.lambda_i, -1j * p0 * pred.lambda_i]
@@ -640,7 +628,7 @@ def track_branches(model, omega: float, p_grid, grid: ChebGrid,
     for k in range(1, len(ps)):
         p = ps[k]
         step = ps[k] - ps[k - 1]
-        iso, res, bands, margin = solved[k]
+        iso, res, bands, margin, _ = solved[k]
         lams = np.array([br.last.lam for br in active], dtype=complex)
         radii = np.array([_match_radius(br, step) for br in active])
         dist = np.abs(iso - lams[:, None])

@@ -1,5 +1,6 @@
 """Isolated-eigenvalue extraction, slope fits, and branch continuation."""
 
+import logging
 import multiprocessing
 import os
 from types import SimpleNamespace
@@ -161,10 +162,9 @@ class TestParitySolve:
         # takes one shifted solve of B C from the fixed start and one from
         # that iterate, and its four values share the residual
         fine = spectrum._sweep_level("mtm", 0.5, grid_cache(20, 10.0))
-        bands = continuous_bands("mtm", 0.5, 0.3)
-        iso, residuals = spectrum._full_point("mtm", 0.5, fine, 0.3, bands,
-                                              default_margin(bands),
-                                              "first point")
+        iso, residuals, _, _, route = spectrum._solve_isolated(
+            "mtm", 0.5, fine, None, 0.3, 0.3)
+        assert route == "coarse grid below the floor"
         mus = iso ** 2
         assert iso.size == 4 and np.all(iso.real != 0.0)
         assert np.unique(np.where(mus.imag < 0.0, mus.conj(), mus)).size == 1
@@ -196,8 +196,9 @@ class TestParitySolve:
         n = 22
         # no coarse grid: the full solve, as below the floor
         fine = spectrum._sweep_level("mtm", 0.25, grid_cache(n, 10.0))
-        iso, residuals, _, _ = spectrum._solve_isolated(
+        iso, residuals, _, _, route = spectrum._solve_isolated(
             "mtm", 0.25, fine, None, None, 0.95)
+        assert route == "coarse grid below the floor"
         near = iso[np.abs(iso) <= spectrum._NEAR_ORIGIN_RADIUS]
         assert near.size == 2 and np.all(near.imag == 0.0)
         assert max(m.shape[0] for m in shifted_matrices) <= 2 * (n + 1)
@@ -537,46 +538,58 @@ _MTM_SPLIT_GRID = ("mtm", 0.5, 200, np.arange(0.1, 0.5001, 0.1))
 _TWO_GRID = "two-grid"
 
 
-@pytest.fixture
-def routes(monkeypatch, file_record):
+class RouteLog:
     """The route each sweep point took while the test ran, as [p, route]
-    records: _TWO_GRID, or the guard that sent it to the full solve."""
-    record = file_record("routes")
-    full, refined = spectrum._full_point, spectrum._refined_point
+    records read from track_branches' DEBUG log: _TWO_GRID, or the guard
+    that sent the point to the full solve.  The exact p comes from each
+    record's arguments."""
 
-    def full_recording(model, omega, grid, p, bands, margin, guard):
-        record.append([p, guard])
-        return full(model, omega, grid, p, bands, margin, guard)
+    def __init__(self, caplog):
+        self._caplog = caplog
 
-    def refined_recording(model, omega, grid, coarse, p, bands, margin):
-        found = refined(model, omega, grid, coarse, p, bands, margin)
-        record.append([p, _TWO_GRID])
-        return found
+    def records(self):
+        """The route records themselves, in order."""
+        return [r for r in self._caplog.records
+                if r.name == spectrum.logger.name
+                and r.levelno == logging.DEBUG and r.msg.startswith("p=")]
 
-    monkeypatch.setattr(spectrum, "_full_point", full_recording)
-    monkeypatch.setattr(spectrum, "_refined_point", refined_recording)
-    return record
+    def __iter__(self):
+        return ([r.args[0], r.args[1] if len(r.args) > 1 else _TWO_GRID]
+                for r in self.records())
+
+
+@pytest.fixture
+def routes(caplog):
+    """The RouteLog of this test."""
+    caplog.set_level(logging.DEBUG, logger=spectrum.logger.name)
+    return RouteLog(caplog)
 
 
 def refine_with(monkeypatch, change):
     """Patch the shifted solves of the two-grid route, and of it alone:
-    within _refined_point, inverse_vectors returns change(vectors)."""
+    within _refined_values calls that carry a transfer, inverse_vectors
+    returns change(vectors)."""
     refining = []
-    refined, vectors = spectrum._refined_point, spectrum.inverse_vectors
+    refined, vectors = spectrum._refined_values, spectrum.inverse_vectors
 
-    def flagged(*args):
-        refining.append(True)
+    def flagged(pairs, solves, kept, transfer=None):
+        refining.append(transfer is not None)
         try:
-            return refined(*args)
+            return refined(pairs, solves, kept, transfer)
         finally:
             refining.pop()
 
     def changed(matrix, values, *args, **kwargs):
         xs = vectors(matrix, values, *args, **kwargs)
-        return change(xs) if refining else xs
+        return change(xs) if any(refining) else xs
 
-    monkeypatch.setattr(spectrum, "_refined_point", flagged)
+    monkeypatch.setattr(spectrum, "_refined_values", flagged)
     monkeypatch.setattr(spectrum, "inverse_vectors", changed)
+
+
+def singular(xs):
+    """A refine_with change: the shifted matrix was singular."""
+    raise np.linalg.LinAlgError("Singular matrix")
 
 
 class TestTwoGrid:
@@ -626,9 +639,9 @@ class TestTwoGrid:
         fine = spectrum._sweep_level(model, omega, grid)
         coarse = spectrum._sweep_level(model, omega,
                                        spectrum._coarse_grid(grid), grid)
-        bands = continuous_bands(model, omega, p)
-        lams, _ = spectrum._refined_point(model, omega, fine, coarse, p,
-                                          bands, default_margin(bands))
+        lams, _, _, _, route = spectrum._solve_isolated(model, omega, fine,
+                                                        coarse, None, p)
+        assert route == _TWO_GRID
         # a conjugate class of mu = lambda**2: +-lambda and their conjugates
         mus = lams ** 2
         assert np.unique(np.where(mus.imag < 0.0, mus.conj(),
@@ -675,6 +688,26 @@ class TestTwoGrid:
                        grid_cache(160, 10.0), jobs=2)
         assert dict(routes) == {0.2: "first point", 0.25: _TWO_GRID,
                                 0.3: _TWO_GRID}
+
+    @pytest.mark.parametrize("model,omega,n,ps", [
+        ("gn", 2.0 / 3.0, 160, [0.2, 0.25, 0.3]),
+        ("mtm", 0.5, 120, [0.6, 0.7, 0.8, 0.9, 1.0]),
+    ], ids=["gn", "mtm"])
+    def test_route_log_is_one_record_per_point_in_p_order(
+            self, grid_cache, caplog, routes, model, omega, n, ps):
+        # the command's process logs every route after the solves, so the
+        # log, unlike the order the workers finish in, does not depend on
+        # jobs
+        logged = {}
+        for jobs in (1, 2):
+            caplog.clear()
+            track_branches(model, omega, ps, grid_cache(n, 10.0), jobs=jobs)
+            assert [p for p, _ in routes] == ps
+            logged[jobs] = [r.getMessage() for r in routes.records()]
+        assert logged[1] == logged[2]
+        if model == "gn":
+            assert logged[1] == ["p=0.2: full solve (first point)",
+                                 "p=0.25: two-grid", "p=0.3: two-grid"]
 
     def test_closed_gap_takes_full_solve(self, grid_cache, routes):
         # the mtm gap closes at p = sqrt(1 - omega), about 0.707 here
@@ -728,6 +761,15 @@ class TestTwoGrid:
         assert all(np.isfinite(pt.lam) and pt.residual <= 1e-8
                    for br in branches for pt in br.points)
 
+    def test_singular_shift_takes_full_solve(self, grid_cache, monkeypatch,
+                                             routes):
+        # a shifted solve of the two-grid route that raises LinAlgError
+        refine_with(monkeypatch, singular)
+        branches = track_branches("gn", 2.0 / 3.0, [0.2, 0.25],
+                                  grid_cache(160, 10.0), jobs=1)
+        assert dict(routes)[0.25] == "non-finite refinement"
+        assert [pt.p for br in branches for pt in br.points].count(0.25) == 4
+
     def test_members_take_their_sign_from_their_class(self, grid_cache):
         # the class of the coarse +-0.1000i above: its mu refines from
         # -0.0100 to +0.1285, and its members to +0.3584 and -0.3584 by
@@ -760,11 +802,13 @@ class TestTwoGrid:
         grid = grid_cache(100, 10.0)
         bands = continuous_bands(model, omega, p)
         margin = default_margin(bands)
-        values, residuals = spectrum._full_point(
-            model, omega, spectrum._sweep_level(model, omega, grid), p,
-            bands, margin, "first point")
+        values, residuals, _, _, route = spectrum._solve_isolated(
+            model, omega, spectrum._sweep_level(model, omega, grid), None,
+            p, p)
+        assert route == "coarse grid below the floor"
         every = parity_eigvals(assemble(model, omega, p, grid)).values
-        tracked = every[spectrum._tracked(every, bands, margin, omega)]
+        tracked = every[(bands.distance(every) > margin)
+                        & (np.abs(every.imag) <= 1.0 + abs(omega))]
         assert tracked.size > 0
         np.testing.assert_array_equal(values.view(np.int64),
                                       tracked.view(np.int64))
@@ -798,7 +842,7 @@ class TestMatching:
         def point(p, iso):
             bands = continuous_bands("mtm", 0.0, p)
             return (np.array(iso, dtype=complex), np.zeros(len(iso)), bands,
-                    default_margin(bands))
+                    default_margin(bands), _TWO_GRID)
 
         solved = iter([point(p, iso) for p, iso in zip(ps, points)])
         monkeypatch.setattr(spectrum, "_solve_isolated",
