@@ -12,8 +12,11 @@ sweep --jobs K and validate solve on forked worker processes through
 spectrum._map_forked, each worker on one BLAS thread, and never on more
 workers than the process has usable cpus (its affinity mask): sweep on
 min(K, wavenumbers, cpus), validate on min(cells, cpus), with no flag for
-it.  Every output is formatted in the command's process, so none depends
-on the worker count.
+it.  Each worker is sent the next wavenumber or cell as soon as it
+returns one; a failure raises the error of the first failing one, as
+--jobs 1 does.  The pool uses os.fork and pipes, not multiprocessing.
+Every output is formatted in the command's process, so none depends on
+the worker count.
 
 Exit codes: 0 success; 2 domain or configuration error (among them a
 non-finite value, a negative spectrum --margin, a soliton --x-max that

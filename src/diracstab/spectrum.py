@@ -37,7 +37,11 @@ spectrum, slope_fit and validate keep the full solve.
 _map_forked runs independent solves inline or on a pool of forked worker
 processes, at most one per usable cpu (_usable_cpus): a sweep's points
 when track_branches is given jobs > 1, and the p = 0 cells of the
-command line's validate.
+command line's validate.  The pool forks with os alone, not
+multiprocessing: each worker reads item indices from one pipe and writes
+pickled results to another, the next index goes to the first worker to
+return, and the exception of the lowest failing item is raised, the one
+a loop over the items would raise.
 """
 
 from __future__ import annotations
@@ -454,28 +458,6 @@ def _solve_isolated(model, omega, fine, coarse, p0, p):
     return lams[order], residuals[order], bands, margin, route
 
 
-# (fn, items) of the open pool, in one of its workers
-_worker_task = ()
-
-
-def _start_worker(fn, items):
-    global _worker_task
-    _worker_task = (fn, items)
-
-
-def _run_in_worker(index):
-    fn, items = _worker_task
-    return fn(items[index])
-
-
-def _fork_context():
-    """multiprocessing's fork context, or None where the platform has none."""
-    import multiprocessing
-    if "fork" not in multiprocessing.get_all_start_methods():
-        return None
-    return multiprocessing.get_context("fork")
-
-
 def _usable_cpus() -> int:
     """The cpus this process may run on: its affinity mask, where the
     platform has one."""
@@ -485,6 +467,23 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _worker_loop(fn, items, tasks: int, replies: int) -> None:
+    """A pool worker's loop: reads an item index from the tasks pipe and
+    writes the pickled (index, ok, value) of fn(items[index]) to the
+    replies pipe, ok False and value the exception where fn raised,
+    until the parent closes the tasks pipe."""
+    import pickle
+    with open(replies, "wb") as out:
+        while index_bytes := os.read(tasks, 8):
+            index = int.from_bytes(index_bytes, "little")
+            try:
+                reply = pickle.dumps((index, True, fn(items[index])))
+            except Exception as exc:  # fn's error, or an unpicklable value
+                reply = pickle.dumps((index, False, exc))
+            out.write(reply)
+            out.flush()
+
+
 def _map_forked(fn, items, jobs: int) -> list:
     """[fn(item) for item in items], in item order.
 
@@ -492,22 +491,81 @@ def _map_forked(fn, items, jobs: int) -> list:
     processes, or inline where that is 1 or the platform cannot fork.  A
     fork pool starts all its workers at once, so the cap keeps a large
     jobs from forking more processes than can run.  The workers inherit
-    fn and items through the fork, so neither is pickled; a worker
-    receives only the index of each item and returns its result.  A fork
-    copies the calling thread alone, and each worker keeps the caller's
-    BLAS thread counts.  An exception raised by fn in a worker is raised
-    here.
+    fn and items through the fork, so neither is pickled; each has one
+    pipe for item indices and one for its pickled results, and the next
+    index goes to whichever worker returns first.  A fork copies the
+    calling thread alone, and each worker keeps the caller's BLAS thread
+    counts.  Once an item fails, no further item is sent; the items
+    already sent are awaited, and the exception of the lowest failing
+    index is raised here, the one a loop over the items would raise.  A
+    worker that exits without returning its item fails that item with a
+    RuntimeError.  Every worker is reaped before this returns or raises.
+    The pool uses os, pickle and select only, not multiprocessing.
     """
     items = list(items)
     workers = min(jobs, len(items), _usable_cpus())
-    context = _fork_context() if workers > 1 else None
-    if context is None:
+    if workers < 2 or not hasattr(os, "fork"):
         return [fn(item) for item in items]
-    from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=workers, mp_context=context,
-                             initializer=_start_worker,
-                             initargs=(fn, items)) as pool:
-        return list(pool.map(_run_in_worker, range(len(items))))
+    import pickle
+    import select
+
+    pool = {}    # each worker's replies pipe -> (its pid, its tasks pipe)
+    busy = {}    # replies pipe -> index of the item sent to that worker
+    results, failed = [None] * len(items), {}
+    unsent = iter(range(len(items)))
+
+    def send(replies):
+        index = next(unsent, None)
+        if index is not None:
+            os.write(pool[replies][1], index.to_bytes(8, "little"))
+            busy[replies] = index
+
+    try:
+        for _ in range(workers):
+            task_r, task_w = os.pipe()
+            reply_r, reply_w = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                code = 1
+                try:
+                    for replies, (_, tasks) in pool.items():
+                        replies.close()
+                        os.close(tasks)
+                    os.close(task_w)
+                    os.close(reply_r)
+                    _worker_loop(fn, items, task_r, reply_w)
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(task_r)
+            os.close(reply_w)
+            pool[open(reply_r, "rb")] = (pid, task_w)
+        for replies in pool:
+            send(replies)
+        while busy:
+            for replies in select.select(list(busy), [], [])[0]:
+                index = busy.pop(replies)
+                try:
+                    _, ok, value = pickle.load(replies)
+                except (EOFError, pickle.UnpicklingError):
+                    ok, value = False, RuntimeError(
+                        f"pool worker {pool[replies][0]} exited without "
+                        f"returning item {index}")
+                if ok:
+                    results[index] = value
+                else:
+                    failed[index] = value
+                if not failed:
+                    send(replies)
+    finally:
+        for replies, (_, tasks) in pool.items():
+            os.close(tasks)
+            replies.close()
+        for pid, _ in pool.values():
+            os.waitpid(pid, 0)
+    if failed:
+        raise failed[min(failed)]
+    return results
 
 
 def _match_radius(branch: TrackedBranch, step: float) -> float:

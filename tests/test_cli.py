@@ -678,6 +678,43 @@ def test_sweep_pool_forks_no_threaded_process(tmp_path):
     assert (tmp_path / "stderr").read_text() == ""
 
 
+def test_validate_pool_imports_no_multiprocessing(tmp_path):
+    # in a fresh interpreter: the pool forks with os alone, so neither
+    # multiprocessing nor the process executor is ever imported
+    script = textwrap.dedent("""
+        import os, sys
+        from diracstab import cli, spectrum
+
+        # two workers on any runner
+        spectrum._usable_cpus = lambda: 2
+        fork, forks = os.fork, []
+
+        def counted_fork():
+            pid = fork()
+            if pid:
+                forks.append(pid)
+            return pid
+
+        os.fork = counted_fork
+        rc = cli.main(["validate", "--model", "gn", "--n-values", "100"])
+        loaded = sorted({"multiprocessing", "concurrent.futures.process"}
+                        & set(sys.modules))
+        if loaded:
+            sys.exit(f"imported {loaded}")
+        if len(forks) != 2:
+            sys.exit(f"forked {len(forks)} workers, not 2")
+        sys.exit(rc)
+    """)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(diracstab.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    with open(tmp_path / "stdout", "wb") as out, \
+            open(tmp_path / "stderr", "wb") as err:
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              stdout=out, stderr=err, timeout=120)
+    assert proc.returncode == 0, (tmp_path / "stderr").read_text()
+    assert (tmp_path / "stdout").read_text().count(" PASS\n") == 2
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["--version"])

@@ -1,8 +1,9 @@
 """Isolated-eigenvalue extraction, slope fits, and branch continuation."""
 
 import logging
-import multiprocessing
 import os
+import signal
+import time
 from types import SimpleNamespace
 
 import numpy as np
@@ -249,14 +250,20 @@ def started_workers(monkeypatch, file_record):
     entry per start; the workers are forked processes, so they record
     through a FileRecord."""
     workers = file_record("workers")
-    start = spectrum._start_worker
+    loop = spectrum._worker_loop
 
     def recording(*args):
         workers.append(os.getpid())
-        start(*args)
+        loop(*args)
 
-    monkeypatch.setattr(spectrum, "_start_worker", recording)
+    monkeypatch.setattr(spectrum, "_worker_loop", recording)
     return workers
+
+
+def assert_no_children():
+    """This process has no child left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.fixture(scope="module")
@@ -399,8 +406,7 @@ class TestTracking:
                                       file_record):
         workers = started_workers(monkeypatch, file_record)
         monkeypatch.setattr(spectrum, "_usable_cpus", lambda: 2)
-        monkeypatch.setattr(multiprocessing, "get_all_start_methods",
-                            lambda: ["spawn"])
+        monkeypatch.delattr(os, "fork")
         ps, grid = [0.2, 0.25], grid_cache(30, 10.0)
         inline = track_branches("mtm", 0.0, ps, grid, jobs=2)
         assert len(workers) == 0
@@ -438,10 +444,59 @@ class TestTracking:
             [(k, os.getpid()) for k in range(5)]
         assert len(workers) == 2
 
-    def test_pool_leaves_no_processes(self, grid_cache):
+    def test_pool_leaves_no_processes(self, grid_cache, monkeypatch):
+        monkeypatch.setattr(spectrum, "_usable_cpus", lambda: 2)
         track_branches("gn", 2.0 / 3.0, [0.2, 0.25, 0.3],
                        grid_cache(30, 10.0), jobs=2)
-        assert multiprocessing.active_children() == []
+        assert_no_children()
+
+        def fails(k):
+            raise ValueError(f"item {k}")
+
+        with pytest.raises(ValueError, match="item 0"):
+            spectrum._map_forked(fails, range(4), 2)
+        assert_no_children()
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_worker_that_exits_fails_its_item(self, monkeypatch):
+        monkeypatch.setattr(spectrum, "_usable_cpus", lambda: 2)
+
+        def exits(k):
+            if k == 2:
+                os._exit(3)
+            return k
+
+        def hung(signum, frame):
+            raise TimeoutError("the pool waits for a worker that exited")
+
+        # the parent raises, and does not wait for a reply that never comes
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(60)
+        try:
+            with pytest.raises(RuntimeError,
+                               match="without returning item 2"):
+                spectrum._map_forked(exits, range(6), 2)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert_no_children()
+
+    def test_lowest_failing_item_raises(self, monkeypatch):
+        monkeypatch.setattr(spectrum, "_usable_cpus", lambda: 2)
+
+        def fails(k):
+            if k == 1:
+                # while one worker holds item 1, the other fails item 3
+                time.sleep(0.5)
+            if k in (1, 3):
+                raise ValueError(f"item {k}")
+            return k
+
+        # the exception a loop over the items raises, on any pool
+        for jobs in (1, 2):
+            with pytest.raises(ValueError, match="item 1"):
+                spectrum._map_forked(fails, range(5), jobs)
+        assert_no_children()
 
     def test_quartet_transition_recorded(self, mtm_sweep):
         _, branches = mtm_sweep
