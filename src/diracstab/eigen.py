@@ -7,9 +7,6 @@ order is deterministic: sorted by (imaginary part, real part).  A LAPACK
 failure to converge is re-raised as ConvergenceError, which the command
 line maps to exit code 3.
 
-A matrix of the form [[0, B], [C, 0]] is solved at half its dimension:
-eigvals of B C, then root_pairs.
-
 eigvals computes values only.  Eigenvectors for a few selected
 eigenvalues come from inverse_vectors (inverse iteration: one solve of
 a shifted matrix per value, from a fixed start vector or from the
@@ -56,10 +53,10 @@ class EigenSet:
     values are sorted by (imag, real).  vectors is always None: eigvals
     computes no vectors, and benchmarks/tracing.py reads the field.
     backend names the solver path: "lapack" for a direct solve of the
-    matrix, "lapack-parity" for the +-sqrt pairs root_pairs takes from
-    real solves of the parity-block products B C, at half the dimension
-    or, where the blocks split by component, a quarter.  iterations is
-    always 0: LAPACK does not report its QR sweep count.
+    matrix, "lapack-parity" for the +-sqrt pairs spectrum.parity_eigvals
+    takes from real solves of the parity-block products B C, at half the
+    dimension or, where the blocks split by component, a quarter.
+    iterations is always 0: LAPACK does not report its QR sweep count.
     """
 
     values: np.ndarray
@@ -95,23 +92,6 @@ def eigvals(matrix) -> EigenSet:
             f"converge: {exc}") from exc
     order = np.lexsort((values.real, values.imag))
     return EigenSet(values=values[order].astype(complex, copy=False))
-
-
-def root_pairs(squares: EigenSet) -> EigenSet:
-    """The values +-sqrt(mu) for every mu in squares, sorted like eigvals.
-
-    squares, an EigenSet or an array, holds the eigenvalues of B C for a
-    matrix [[0, B], [C, 0]], whose eigenvalues are exactly these pairs.
-    A real mu gives a pair that is exactly real (mu > 0) or exactly
-    imaginary (mu < 0).  Near zero the pairs carry the square root of the
-    error in mu: sqrt(eps ||B|| ||C||) in place of a direct solve's
-    eps ||A||.
-    """
-    roots = np.sqrt(np.asarray(getattr(squares, "values", squares),
-                               dtype=complex))
-    values = np.concatenate([roots, -roots])
-    values = values[np.lexsort((values.real, values.imag))]
-    return EigenSet(values=values, backend="lapack-parity")
 
 
 def inverse_vectors(matrix, values, starts=None) -> np.ndarray:

@@ -12,17 +12,19 @@ checked in the parity basis, where they equal the residuals on the
 A sweep point selects, refines and checks conjugate classes of mu =
 lambda**2, each an eigenvalue mu of a real B C with Im mu >= 0
 (_classes), and _members alone expands a class into its values
-+-sqrt(mu) and, where mu is not real, their conjugates.  It takes the
-two-grid route: its isolated classes are found by the values-only solve
-on a coarse grid of even degree N_c = 2 floor(N / 4), and each is
-refined at N by one shifted solve of the fine B C, from its coarse
-eigenvector interpolated to N, whose iterate also gives the residual.
-The full solve takes its residuals from the same routine,
-_refined_values, with the fine grid as its own coarse one, but keeps its
-values; only classes near the origin take vectors from M.  Both lift the
-iterate to an eigenvector of M, while each shifted solve stays real for
-a real mu, and B and C act on the lift's complex vectors in real
-arithmetic.  A sweep takes the p = 0 block products of both grids once
++-sqrt(mu) and, where mu is not real, their conjugates, here and in
+parity_eigvals; each class takes one vector and one residual, which its
+values share.  A point takes the two-grid route: its isolated classes
+are found by the values-only solve on a coarse grid of even degree N_c
+= 2 floor(N / 4), and each is refined at N by one shifted solve of the
+fine B C, from its coarse eigenvector interpolated to N, whose iterate
+also gives the residual.  The full solve takes its residuals from the
+same routine, _refined_values, with the fine grid as its own coarse one,
+but keeps its values; only classes near the origin take their vector
+from M, for the root sqrt(mu) alone.  Both lift the iterate to an
+eigenvector of M, while each shifted solve stays real for a real mu,
+and B and C act on the lift's complex vectors in real arithmetic.  A
+sweep takes the p = 0 block products of both grids once
 (operator.parity_base), and every point writes its own B, C and B C from
 them in O(N**2).  The drift of a value between the grids is the
 per-value resolution check of Boyd's rule (Chebyshev and Fourier
@@ -60,8 +62,7 @@ import numpy as np
 
 from .analytics import asymptotic_prediction
 from .cheb import ChebGrid, build_grid
-from .eigen import (EigenSet, eigvals, inverse_vectors, root_pairs,
-                    single_blas_thread)
+from .eigen import EigenSet, eigvals, inverse_vectors, single_blas_thread
 from .operator import (SpectralBands, assemble, continuous_bands,
                        parity_base, parity_products, parity_transfer)
 from .soliton import ModelKind
@@ -182,10 +183,16 @@ def _parity_solve(op, base=None):
 def parity_eigvals(op) -> EigenSet:
     """All eigenvalues of a stability operator, from its real parity blocks.
 
-    The values come in exact +-pairs, and every real mu = lambda**2 gives
-    a pair that is exactly real or exactly imaginary.
+    Each eigenvalue mu = lambda**2 of a B C with Im mu >= 0 expands to
+    its class's values (_members), sorted by (imag, real) as eigvals
+    sorts: exact +-pairs and conjugates, exactly real or imaginary where
+    mu is real.  Near zero they carry the square root of the error in
+    mu: sqrt(eps ||B|| ||C||) in place of a direct solve's eps ||A||.
     """
-    return root_pairs(np.concatenate([mu for *_, mu in _parity_solve(op)]))
+    mu = np.concatenate([mu[mu.imag >= 0.0] for *_, mu in _parity_solve(op)])
+    values = _members(np.sqrt(mu), mu.imag == 0.0)[0]
+    return EigenSet(values=values[np.lexsort((values.real, values.imag))],
+                    backend="lapack-parity")
 
 
 def _real_product(a, xs):
@@ -229,13 +236,14 @@ def _members(roots, real):
     return values, classes
 
 
-def _origin_vectors(b, c, lams):
-    """The parts ys and zs of unit eigenvectors of M = [[0, B], [C, 0]]
-    for lams near the origin: two inverse_vectors steps on M itself."""
+def _origin_vectors(b, c, roots):
+    """The parts ys and zs of unit eigenvectors [y; z] of M = [[0, B],
+    [C, 0]] for class roots near the origin: two inverse_vectors steps
+    on M itself, one column per root."""
     k = b.shape[0]
     m = np.zeros((2 * k, 2 * k))
     m[:k, k:], m[k:, :k] = b, c
-    ws = inverse_vectors(m, lams, inverse_vectors(m, lams))
+    ws = inverse_vectors(m, roots, inverse_vectors(m, roots))
     return ws[:k], ws[k:]
 
 
@@ -247,44 +255,46 @@ def _refined_values(pairs, solves, kept, transfer=None):
     pairs are one grid's (B, C, B C, ...) and solves the (B, C, B C,
     eig(B C)) of _parity_solve, pair for pair, on the same grid or, with
     transfer, on the coarser one that transfer leads from; kept holds
-    each solve's classes (_classes).  A class outside _NEAR_ORIGIN_RADIUS
-    takes two shifted solves, one inverse_vectors step each, real when mu
-    is: of the solve's B C - mu from the fixed start, and of the pair's
-    from that vector, carried by transfer.  mu becomes the Rayleigh
-    quotient of the unit iterate x, exactly real when the class's mu is,
-    and _members expands the class's roots before and after alike, so
-    that each value's sign and conjugation are those of the value it
-    refines to; they share the residual of the lift of x.  A class within
-    _NEAR_ORIGIN_RADIUS of 0, where C x / lambda is ill-conditioned,
-    keeps its values, and each takes its w from _origin_vectors; this
-    needs the solves on the pairs' own grid.  ||M||_F is _block_scale's.
+    each solve's classes (_classes).  Each class takes one vector w =
+    [y; z] of M.  Outside _NEAR_ORIGIN_RADIUS that takes two shifted
+    solves, one inverse_vectors step each, real when mu is: of the
+    solve's B C - mu from the fixed start, and of the pair's from that
+    vector, carried by transfer; mu becomes the Rayleigh quotient of the
+    unit iterate x, exactly real when the class's mu is, and w is x's
+    lift.  Within it, where C x / lambda is ill-conditioned, mu stays
+    and w is _origin_vectors' for the root; this needs the solves on the
+    pairs' own grid.  _members expands the roots, refined roots and
+    residuals alike, so each value's sign and conjugation are those of
+    the value it refines to.  M is real and anticommutes with diag(I,
+    -I), so [y; -z], conj(w) and conj([y; -z]) are the other members'
+    vectors, with w's residual bit for bit.  ||M||_F is _block_scale's.
     The change of basis to the parity blocks is unitary, so this is the
     residual on the stability matrix A of w carried back into A's space.
     """
     scale = _block_scale(pairs)
-    parts = [(np.empty(0, dtype=complex),) * 2 + (np.empty(0),)]
+    parts = []
     for (b, c, bc, *_), (_, _, start_bc, _), mu in zip(pairs, solves, kept):
         roots = np.sqrt(mu)
         real = mu.imag == 0.0
         near = np.abs(roots) <= _NEAR_ORIGIN_RADIUS
+        refined, gaps = roots.copy(), np.empty(mu.size)
         if not np.all(near):
-            wanted, real_far = mu[~near], real[~near]
-            xs = inverse_vectors(start_bc, wanted)
+            far, real_far = ~near, real[~near]
+            xs = inverse_vectors(start_bc, mu[far])
             if transfer is not None:
                 xs = _transferred(transfer, xs)
-            xs = inverse_vectors(bc, wanted, xs)
+            xs = inverse_vectors(bc, mu[far], xs)
             mus = np.einsum("ij,ij->j", xs.conj(), bc @ xs).astype(complex)
             mus[real_far] = mus[real_far].real
-            refined = np.sqrt(mus)
-            gaps = _pair_residuals(b, c, *_lift(c, xs, refined), refined)
-            values, classes = _members(roots[~near], real_far)
-            parts.append((values, _members(refined, real_far)[0],
-                          gaps[classes] / scale))
+            refined[far] = np.sqrt(mus)
+            gaps[far] = _pair_residuals(b, c, *_lift(c, xs, refined[far]),
+                                        refined[far])
         if np.any(near):
-            values = _members(roots[near], real[near])[0]
-            ys, zs = _origin_vectors(b, c, values)
-            parts.append((values, values,
-                          _pair_residuals(b, c, ys, zs, values) / scale))
+            gaps[near] = _pair_residuals(
+                b, c, *_origin_vectors(b, c, roots[near]), roots[near])
+        values, classes = _members(roots, real)
+        parts.append((values, _members(refined, real)[0],
+                      gaps[classes] / scale))
     return tuple(np.concatenate(part) for part in zip(*parts))
 
 
@@ -385,7 +395,8 @@ def _classes(solves, bands, margin, omega):
 
 def _solve_isolated(model, omega, fine, coarse, p0, p):
     """One sweep point: (isolated eigenvalues, their residuals, the bands,
-    the margin, the route), the values sorted like root_pairs.
+    the margin, the route), the values sorted by (imag, real) like
+    parity_eigvals'; each conjugate class's values share one residual.
 
     Only values with |Im lambda| <= 1 + |omega|, the p = 0 outer band
     edge, are kept (_classes): point branches stay within the original
@@ -405,7 +416,8 @@ def _solve_isolated(model, omega, fine, coarse, p0, p):
     - the sweep's first point p0, whose values seed the branches;
     - a closed gap, where band modes make the isolated count move with N;
     - a coarse value within _NEAR_ORIGIN_RADIUS of 0, where C x / lambda
-      is ill-conditioned and the full solve takes vectors from M;
+      is ill-conditioned and the full solve takes each such class's
+      vector from M;
     - a coarse value within 2 margin of a band, where band modes are
       born as N grows;
     - a refinement that is not finite (a singular shift);

@@ -182,38 +182,38 @@ def lifted_vectors(op, pairs, kept, solves=None, transfer=None):
     (B, C, B C, eig(B C)), the pairs themselves when not given, on op's
     grid or, with transfer, on a coarser one.
 
-    Away from the origin a class's vector x of B C comes from two
-    inverse_vectors steps, of the start's B C and then of the pair's,
-    carried by spectrum._transferred between them where transfer is
-    given; its mu is x's Rayleigh quotient, real where the class's is,
-    and its [y; z] spectrum._lift's.  Each member takes its value, sign
-    and conjugate from members.  Near the origin each member's [y; z] is
-    spectrum._origin_vectors', for the value itself.
+    Every class takes one [y; z].  Away from the origin its vector x of
+    B C comes from two inverse_vectors steps, of the start's B C and then
+    of the pair's, carried by spectrum._transferred between them where
+    transfer is given; its mu is x's Rayleigh quotient, real where the
+    class's is, and its [y; z] spectrum._lift's.  Near the origin its
+    [y; z] is spectrum._origin_vectors' for its root sqrt(mu).  Each
+    member takes its value, sign and conjugate from members.
     """
     m = op.grid.n + 1
     parts = []
     for pair, ((b, c, bc, *_), (_, _, start_bc, _), mu) in enumerate(
             zip(pairs, pairs if solves is None else solves, kept)):
         roots, real = np.sqrt(mu), mu.imag == 0.0
-        near = np.abs(roots) <= spectrum._NEAR_ORIGIN_RADIUS
-        far = ~near
+        far = np.abs(roots) > spectrum._NEAR_ORIGIN_RADIUS
+        lams = roots.copy()
+        ys = np.empty((b.shape[0], mu.size), dtype=complex)
+        zs = np.empty_like(ys)
         if np.any(far):
             xs = inverse_vectors(start_bc, mu[far])
             if transfer is not None:
                 xs = spectrum._transferred(transfer, xs)
             xs = inverse_vectors(bc, mu[far], xs)
             quotients = np.sum(xs.conj() * (bc @ xs), axis=0)
-            lams = np.sqrt(np.where(real[far], quotients.real,
-                                    quotients).astype(complex))
-            ys, zs = spectrum._lift(c, xs, lams)
-            parts.append((members(roots[far], real[far]),
-                          members(lams, real[far]),
-                          lift(m, pair, members(ys, real[far], 1.0),
-                               members(zs, real[far]))))
-        if np.any(near):
-            values = members(roots[near], real[near])
-            parts.append((values, values, lift(
-                m, pair, *spectrum._origin_vectors(b, c, values))))
+            lams[far] = np.sqrt(np.where(real[far], quotients.real,
+                                         quotients).astype(complex))
+            ys[:, far], zs[:, far] = spectrum._lift(c, xs, lams[far])
+        if not np.all(far):
+            ys[:, ~far], zs[:, ~far] = spectrum._origin_vectors(
+                b, c, roots[~far])
+        parts.append((members(roots, real), members(lams, real),
+                      lift(m, pair, members(ys, real, 1.0),
+                           members(zs, real))))
     values, lams, vectors = zip(*parts)
     return (np.concatenate(values), np.concatenate(lams),
             np.hstack(vectors))

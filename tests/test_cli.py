@@ -358,7 +358,8 @@ class TestValidate:
     def test_failure_exit_code(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "_STATED_CEILINGS",
                             {("mtm", 0.0, 100): 1e-12})
-        monkeypatch.setattr(cli, "_VALIDATE_OMEGAS", {"mtm": (0.0,)})
+        monkeypatch.setattr(cli, "_REFERENCE_METRICS",
+                            {("mtm", 0.0, 100): 2.57e-1})
         rc = cli.main(["validate", "--model", "mtm", "--n-values", "100"])
         assert rc == 4
         assert "FAIL" in capsys.readouterr().out

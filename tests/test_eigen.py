@@ -12,7 +12,7 @@ import pytest
 from diracstab.analytics import asymptotic_prediction, kernel_vectors
 from conftest import relative_residuals, stability_matrix
 from diracstab.eigen import (ConvergenceError, EigenSet, eigvals,
-                             inverse_vectors, root_pairs)
+                             inverse_vectors)
 from diracstab.operator import assemble
 from diracstab.spectrum import parity_eigvals
 
@@ -22,6 +22,11 @@ def matching_distance(a, b):
     b = np.asarray(b).reshape(1, -1)
     d = np.abs(a - b)
     return max(d.min(axis=1).max(), d.min(axis=0).max())
+
+
+def bit_patterns(values):
+    """The sorted (real, imag) bit patterns of complex values."""
+    return sorted(map(tuple, values.view(np.int64).reshape(-1, 2).tolist()))
 
 
 def random_complex(n, seed):
@@ -122,24 +127,23 @@ class TestSolverProperties:
         assert exc.value.__cause__ is failure
 
 
-class TestRootPairs:
-    """+-sqrt(eig(B C)) against a direct solve of [[0, B], [C, 0]]."""
+class TestParityEigvals:
+    """parity_eigvals expands each conjugate class of mu = lambda**2."""
 
-    @pytest.mark.parametrize("dim,seed", [(6, 21), (24, 22)])
-    def test_matches_block_matrix(self, dim, seed):
-        b = random_complex(dim, seed)
-        c = random_complex(dim, seed + 100)
-        es = root_pairs(eigvals(b @ c))
+    @pytest.mark.parametrize("p", [0.0, 0.002, 0.3])
+    @pytest.mark.parametrize("model,omega", [("mtm", 0.5), ("gn", 2.0 / 3.0)])
+    def test_exact_closed_pairs_sorted(self, grid_cache, model, omega, p):
+        op = assemble(model, omega, p, grid_cache(40, 10.0))
+        es = parity_eigvals(op)
+        vals = es.values
         assert es.backend == "lapack-parity"
-        assert es.values.size == 2 * dim
-        direct = eigvals(np.block([[np.zeros_like(b), b],
-                                   [c, np.zeros_like(c)]])).values
-        assert matching_distance(es.values, direct) <= 1e-10
-
-    def test_exact_pairs_sorted(self):
-        squares = EigenSet(values=random_complex(4, seed=23).ravel())
-        vals = root_pairs(squares).values
-        assert np.array_equal(np.sort_complex(vals), np.sort_complex(-vals))
+        assert vals.size == op.dim
+        # closed under negation bit for bit, and under conjugation up to
+        # the sign of a zero part: the conjugate of a real or imaginary
+        # value flips the sign of its zero part
+        assert bit_patterns(-vals) == bit_patterns(vals)
+        np.testing.assert_array_equal(np.sort_complex(vals.conj()),
+                                      np.sort_complex(vals))
         order = np.lexsort((vals.real, vals.imag))
         assert np.array_equal(order, np.arange(vals.size))
 

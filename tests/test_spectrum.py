@@ -180,11 +180,12 @@ class TestParitySolve:
         solves = spectrum._parity_solve(op)
         kept = conjugate_classes(solves, near_origin)
         near, _, half = spectrum._refined_values(solves, solves, kept)
-        assert near.size > 0
-        # two one-step shifted M = [[0, B], [C, 0]] per value, at 2(N+1)
-        # where the blocks split, in place of the 4(N+1)-square A
+        assert near.size > sum(mu.size for mu in kept) > 0
+        # two one-step shifted M = [[0, B], [C, 0]] per conjugate class,
+        # not per value, at 2(N+1) where the blocks split, in place of the
+        # 4(N+1)-square A
         assert [m.shape for m in shifted_matrices] == \
-            [(122, 122)] * (2 * near.size)
+            [(122, 122)] * (2 * sum(mu.size for mu in kept))
         assert np.max(half) <= 1e-12
         values, oracle = lifted_residuals(op, solves, kept)
         np.testing.assert_array_equal(values, near)
@@ -203,13 +204,38 @@ class TestParitySolve:
         near = iso[np.abs(iso) <= spectrum._NEAR_ORIGIN_RADIUS]
         assert near.size == 2 and np.all(near.imag == 0.0)
         assert max(m.shape[0] for m in shifted_matrices) <= 2 * (n + 1)
-        # two one-step real shifted M of order 2(N+1) per near-origin
-        # value, in place of the complex 4(N+1)-square A
+        # two one-step real shifted M of order 2(N+1) for the near-origin
+        # class, shared by its two values, in place of the complex
+        # 4(N+1)-square A
         pair_solves = [m for m in shifted_matrices
                        if m.shape[0] == 2 * (n + 1)]
-        assert len(pair_solves) == 2 * near.size
+        assert len(pair_solves) == 2
         assert all(m.dtype == np.float64 for m in pair_solves)
         assert np.max(residuals) <= 1e-13
+
+    @pytest.mark.parametrize("model,omega,n,p", [("gn", 2.0 / 3.0, 60, 0.0),
+                                                 ("mtm", 0.25, 22, 0.95)])
+    def test_near_origin_members_share_their_class_residual(
+            self, grid_cache, model, omega, n, p):
+        # the p = 0 kernel cluster, and the benchmark's near-origin point:
+        # one vector per class, mirrored to every member, so that the
+        # members' residuals are equal bit for bit
+        op = assemble(model, omega, p, grid_cache(n, 10.0))
+        solves = spectrum._parity_solve(op)
+        kept = conjugate_classes(solves, near_origin)
+        near, _, half = spectrum._refined_values(solves, solves, kept)
+        squares = near ** 2
+        keys = np.where(squares.imag < 0.0, squares.conj(), squares)
+        sizes = []
+        for key in np.unique(keys):
+            shared = half[keys == key]
+            sizes.append(shared.size)
+            assert np.all(shared.view(np.int64) == shared[:1].view(np.int64))
+        assert sum(sizes) == near.size and set(sizes) <= {2, 4}
+        assert len(sizes) == sum(mu.size for mu in kept) > 0
+        values, oracle = lifted_residuals(op, solves, kept)
+        np.testing.assert_array_equal(values, near)
+        np.testing.assert_allclose(oracle, half, rtol=0, atol=1e-14)
 
     def test_unsplit_near_origin_residuals_match_the_oracle(self,
                                                             grid_cache):
