@@ -5,11 +5,15 @@ files are deterministic byte-for-byte for a fixed configuration: every
 file starts with a header comment echoing the full effective config and
 the package version, and contains no timestamps.
 
-Config precedence: command-line flags > JSON config file (--config, keys
-named like the long flags with underscores) > built-in defaults.
+Each option is declared once, with its built-in default, in
+build_parser.  A JSON config file (--config, keys named like the long
+flags with underscores) becomes the subcommand parser's defaults, so the
+parser applies the precedence: command-line flags > config file >
+built-in defaults.  A null in the file keeps the built-in default, and an
+int given for a float option is read as a float.
 
 sweep --jobs K and validate solve on forked worker processes through
-spectrum._map_forked, each worker on one BLAS thread, and never on more
+spectrum._map_forked, which runs them on one BLAS thread, and never on more
 workers than the process has usable cpus (its affinity mask): sweep on
 min(K, wavenumbers, cpus), validate on min(cells, cpus), with no flag for
 it.  Each worker is sent the next wavenumber or cell as soon as it
@@ -37,7 +41,7 @@ from . import __version__
 from .analytics import NumericsError, asymptotic_prediction
 from .cheb import build_grid
 # eigvals is unused here; benchmarks/tracing.py still wraps cli.eigvals
-from .eigen import ConvergenceError, eigvals, single_blas_thread  # noqa: F401
+from .eigen import ConvergenceError, eigvals  # noqa: F401
 from .operator import assemble, continuous_bands
 from .soliton import (DomainError, ModelKind, SolitonProfile,
                       algebraic_profile_mtm, eval_profile)
@@ -86,10 +90,9 @@ def _parse_range(text: str) -> list:
     return [round(start + i * step, 12) for i in range(count)]
 
 
-def _resolve_out(path: str | None, default_name: str) -> str:
+def _resolve_out(path: str) -> str:
+    """path under $DIRACSTAB_OUTDIR, where that is set and path relative."""
     outdir = os.environ.get(OUTDIR_ENV, "")
-    if path is None:
-        path = default_name
     if outdir and not os.path.isabs(path):
         return os.path.join(outdir, path)
     return path
@@ -100,27 +103,36 @@ def _config_echo(cfg: dict) -> str:
     return f"# diracstab {__version__} | {items}"
 
 
-def _write_rows(path: str, cfg: dict, columns: list, rows: list,
-                fmt: str) -> None:
-    if fmt == "json":
-        doc = {"version": __version__, "config": cfg,
-               "columns": columns, "rows": rows}
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        return
+def _emit(cfg: dict, stem: str, columns: list, rows: list) -> str:
+    """Write rows in cfg's format to its --out, or to stem.<format>,
+    resolved by _resolve_out; print the path and return it."""
+    fmt = cfg["format"]
+    path = _resolve_out(f"{stem}.{fmt}" if cfg["out"] is None else cfg["out"])
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_config_echo(cfg) + "\n")
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(repr(float(v)) if isinstance(v, float) else str(v)
-                              for v in row) + "\n")
+        if fmt == "json":
+            json.dump({"version": __version__, "config": cfg,
+                       "columns": columns, "rows": rows},
+                      fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        else:
+            fh.write(_config_echo(cfg) + "\n")
+            fh.write(",".join(columns) + "\n")
+            for row in rows:
+                fh.write(",".join(repr(float(v)) if isinstance(v, float)
+                                  else str(v) for v in row) + "\n")
+    print(path)
+    return path
+
+
+def _options(parser: argparse.ArgumentParser) -> dict:
+    """A subcommand's options by dest, but --help and --config: the keys
+    of its config file and of its echoed configuration."""
+    return {a.dest: a for a in parser._actions
+            if a.dest not in ("help", "config")}
 
 
 def _check_config_value(action: argparse.Action, value) -> None:
     """Reject a config-file value its flag's parser could not produce."""
-    if value is None:
-        return
     # store_const flags (nargs 0) yield their const; others parse to type
     expected = type(action.const) if action.nargs == 0 else action.type or str
     accepted = (int, float) if expected is float else expected
@@ -133,26 +145,25 @@ def _check_config_value(action: argparse.Action, value) -> None:
                          f"{list(action.choices)}, got {value!r}")
 
 
-def _merged(args: argparse.Namespace, defaults: dict) -> dict:
-    """flags > config file > defaults, with None meaning 'not given'."""
-    cfg = dict(defaults)
-    if getattr(args, "config", None):
-        with open(args.config, "r", encoding="utf-8") as fh:
-            loaded = json.load(fh)
-        if not isinstance(loaded, dict):
-            raise ValueError("config file must hold a JSON object")
-        unknown = set(loaded) - set(defaults)
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        actions = {a.dest: a for a in args.parser._actions}
-        for key, value in loaded.items():
-            _check_config_value(actions[key], value)
-        cfg.update(loaded)
-    for key in defaults:
-        val = getattr(args, key, None)
-        if val is not None:
-            cfg[key] = val
-    return cfg
+def _config_defaults(path: str, parser: argparse.ArgumentParser) -> dict:
+    """The non-null values of the JSON config file at path, checked
+    against parser's options; an int for a float option becomes a
+    float, as its flag would parse it."""
+    with open(path, "r", encoding="utf-8") as fh:
+        loaded = json.load(fh)
+    if not isinstance(loaded, dict):
+        raise ValueError("config file must hold a JSON object")
+    options = _options(parser)
+    unknown = set(loaded) - set(options)
+    if unknown:
+        raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    defaults = {}
+    for key, value in loaded.items():
+        if value is not None:
+            action = options[key]
+            _check_config_value(action, value)
+            defaults[key] = float(value) if action.type is float else value
+    return defaults
 
 
 def _require(cfg: dict, key: str):
@@ -165,138 +176,102 @@ def _model_of(cfg: dict) -> ModelKind:
     return ModelKind(_require(cfg, "model"))
 
 
-def _fill_grid_defaults(cfg: dict, model: ModelKind) -> None:
-    if cfg.get("n") is None:
+def _grid_of(cfg: dict, model: ModelKind):
+    """The grid of --n, by default the model's, and --scale."""
+    if cfg["n"] is None:
         cfg["n"] = _MODEL_DEFAULT_N[model.value]
-    if cfg.get("scale") is None:
-        cfg["scale"] = 10.0
+    return build_grid(cfg["n"], cfg["scale"])
 
 
-def cmd_soliton(args) -> int:
-    defaults = {"model": None, "omega": None, "x_max": 20.0, "points": 801,
-                "allow_limit": False, "out": None, "format": "csv"}
-    cfg = _merged(args, defaults)
+def cmd_soliton(cfg: dict) -> int:
     if not 0.0 < cfg["x_max"] < np.inf:
         raise ValueError(f"--x-max must be positive and finite, "
                          f"got {cfg['x_max']}")
     if cfg["points"] < 1:
         raise ValueError(f"--points must be at least 1, got {cfg['points']}")
     model = _model_of(cfg)
-    omega = float(_require(cfg, "omega"))
-    xs = np.linspace(-cfg["x_max"], cfg["x_max"], int(cfg["points"]))
+    omega = _require(cfg, "omega")
+    xs = np.linspace(-cfg["x_max"], cfg["x_max"], cfg["points"])
     if (model is ModelKind.MASSIVE_THIRRING and omega == -1.0
             and cfg["allow_limit"]):
         u = algebraic_profile_mtm(xs)
     else:
-        profile = SolitonProfile.create(model, omega)
-        u = eval_profile(profile, xs)
-    cfg["model"] = model.value
-    cfg["omega"] = omega
+        u = eval_profile(SolitonProfile.create(model, omega), xs)
     rows = [[float(x), float(v.real), float(v.imag), float(abs(v))]
             for x, v in zip(xs, u)]
-    out = _resolve_out(cfg["out"],
-                       f"soliton-{model.value}-omega{omega!r}.{cfg['format']}")
-    _write_rows(out, cfg, ["x", "re_u", "im_u", "abs_u"], rows, cfg["format"])
-    print(out)
+    _emit(cfg, f"soliton-{model.value}-omega{omega!r}",
+          ["x", "re_u", "im_u", "abs_u"], rows)
     return 0
 
 
-def cmd_asymptotics(args) -> int:
-    defaults = {"model": None, "omega_range": None, "out": None,
-                "format": "csv"}
-    cfg = _merged(args, defaults)
+def cmd_asymptotics(cfg: dict) -> int:
     model = _model_of(cfg)
     if cfg["omega_range"] is None:
         cfg["omega_range"] = ("-0.95:0.95:0.05"
                               if model is ModelKind.MASSIVE_THIRRING
                               else "0.05:0.95:0.05")
-    omegas = _parse_range(cfg["omega_range"])
-    cfg["model"] = model.value
     rows = []
-    for om in omegas:
+    for om in _parse_range(cfg["omega_range"]):
         pred = asymptotic_prediction(model, om, with_corrections=False)
         rows.append([float(om), pred.lambda_r, pred.lambda_i])
-    out = _resolve_out(cfg["out"], f"asymptotics-{model.value}.{cfg['format']}")
-    _write_rows(out, cfg, ["omega", "lambda_r", "lambda_i"], rows,
-                cfg["format"])
-    print(out)
+    _emit(cfg, f"asymptotics-{model.value}", ["omega", "lambda_r", "lambda_i"],
+          rows)
     return 0
 
 
-def cmd_spectrum(args) -> int:
-    defaults = {"model": None, "omega": None, "p": 0.0, "n": None,
-                "scale": None, "margin": None, "out": None, "format": "csv"}
-    cfg = _merged(args, defaults)
+def cmd_spectrum(cfg: dict) -> int:
     model = _model_of(cfg)
-    omega = float(_require(cfg, "omega"))
-    _fill_grid_defaults(cfg, model)
-    grid = build_grid(int(cfg["n"]), float(cfg["scale"]))
-    op = assemble(model, omega, float(cfg["p"]), grid)
-    bands = continuous_bands(model, omega, float(cfg["p"]))
+    omega = _require(cfg, "omega")
+    op = assemble(model, omega, cfg["p"], _grid_of(cfg, model))
+    bands = continuous_bands(model, omega, cfg["p"])
     # an explicit margin is checked before the solve
     margin = (default_margin(bands) if cfg["margin"] is None
-              else _checked_margin(float(cfg["margin"])))
+              else _checked_margin(cfg["margin"]))
     es = parity_eigvals(op)
     iso = set(complex(v) for v in isolated_eigs(es, bands, margin))
-    cfg["model"] = model.value
-    cfg["omega"] = omega
     cfg["band_edges"] = [[e, d] for e, d in bands.band_edges]
     cfg["gap_closed"] = bands.gap_closed
     cfg["margin"] = margin
     rows = [[float(v.real), float(v.imag), int(complex(v) in iso)]
             for v in es.values]
-    out = _resolve_out(
-        cfg["out"],
-        f"spectrum-{model.value}-omega{omega!r}-p{cfg['p']!r}.{cfg['format']}")
-    _write_rows(out, cfg, ["re_lambda", "im_lambda", "isolated"], rows,
-                cfg["format"])
-    print(out)
+    _emit(cfg, f"spectrum-{model.value}-omega{omega!r}-p{cfg['p']!r}",
+          ["re_lambda", "im_lambda", "isolated"], rows)
     return 0
 
 
-def cmd_sweep(args) -> int:
-    defaults = {"model": None, "omega": None, "p_range": None, "n": None,
-                "scale": None, "jobs": 1, "out": None, "summary_out": None,
-                "format": "csv"}
-    cfg = _merged(args, defaults)
+def cmd_sweep(cfg: dict) -> int:
     model = _model_of(cfg)
-    omega = float(_require(cfg, "omega"))
-    _fill_grid_defaults(cfg, model)
+    omega = _require(cfg, "omega")
     if cfg["p_range"] is None:
         cfg["p_range"] = f"0.05:{_MODEL_DEFAULT_PSTOP[model.value]}:0.05"
     ps = _parse_range(cfg["p_range"])
     if len(ps) < 2:
         raise ValueError(f"p-range {cfg['p_range']!r} has fewer than 2 points")
-    grid = build_grid(int(cfg["n"]), float(cfg["scale"]))
-    branches = track_branches(model, omega, ps, grid, jobs=int(cfg["jobs"]))
-    cfg["model"] = model.value
-    cfg["omega"] = omega
+    branches = track_branches(model, omega, ps, _grid_of(cfg, model),
+                              jobs=cfg["jobs"])
     rows = []
     for br in branches:
         for pt in br.points:
-            rows.append([model.value, float(omega), pt.p, br.branch_id,
+            rows.append([model.value, omega, pt.p, br.branch_id,
                          float(pt.lam.real), float(pt.lam.imag),
                          pt.classification])
     # canonical order regardless of tracking internals: by (p, branch)
     rows.sort(key=lambda r: (r[2], r[3]))
-    out = _resolve_out(cfg["out"],
-                       f"sweep-{model.value}-omega{omega!r}.{cfg['format']}")
-    _write_rows(out, cfg,
-                ["model", "omega", "p", "branch_id", "re_lambda",
-                 "im_lambda", "class"], rows, cfg["format"])
     summary = summarize_sweep(branches, model, omega, ps)
+    out = _emit(cfg, f"sweep-{model.value}-omega{omega!r}",
+                ["model", "omega", "p", "branch_id", "re_lambda",
+                 "im_lambda", "class"], rows)
     summary_out = cfg["summary_out"]
     if summary_out is None:
         extension = "." + cfg["format"]
         stem = out[:-len(extension)] if out.endswith(extension) else out
         summary_out = stem + ".summary.json"
     else:
-        summary_out = _resolve_out(summary_out, summary_out)
+        summary_out = _resolve_out(summary_out)
     with open(summary_out, "w", encoding="utf-8") as fh:
         json.dump({"version": __version__, "config": cfg,
                    "summary": summary}, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    print(out)
     print(summary_out)
     return 0
 
@@ -308,13 +283,10 @@ def _p0_metric(model: ModelKind, omega: float, grid) -> float:
     return spurious_metric(parity_eigvals(op), im_cutoff=10.0)
 
 
-def cmd_validate(args) -> int:
-    defaults = {"model": None, "n_values": "100,300", "scale": None,
-                "out": None}
-    cfg = _merged(args, defaults)
+def cmd_validate(cfg: dict) -> int:
     models = ([ModelKind(cfg["model"])] if cfg["model"]
               else [ModelKind.MASSIVE_THIRRING, ModelKind.GROSS_NEVEU])
-    n_list = [int(t) for t in str(cfg["n_values"]).split(",") if t]
+    n_list = [int(t) for t in cfg["n_values"].split(",") if t]
     if not n_list:
         raise ValueError("--n-values names no N")
     for model in models:
@@ -324,7 +296,7 @@ def cmd_validate(args) -> int:
             if n not in published:
                 raise ValueError(f"no published {model.value} metric for "
                                  f"N={n}; published N values: {published}")
-    scale = float(cfg["scale"]) if cfg["scale"] is not None else 10.0
+    scale = 10.0 if cfg["scale"] is None else cfg["scale"]
     cells = []
     for model in models:
         omegas = sorted({om for mod, om, _ in _REFERENCE_METRICS
@@ -332,13 +304,10 @@ def cmd_validate(args) -> int:
         for n in n_list:
             grid = build_grid(n, scale)
             cells += [(model, om, grid) for om in omegas]
-    # one worker per cell up to the usable cpus, each on one BLAS thread,
-    # as in a sweep: a second BLAS thread adds cpu time to these solves and
-    # saves no wall time, and the (mtm, +0.5, 500) cell passes on one
-    # thread only
-    with single_blas_thread():
-        metrics = _map_forked(lambda cell: _p0_metric(*cell), cells,
-                              len(cells))
+    # one worker per cell up to the usable cpus, as in a sweep, each on
+    # the one BLAS thread of _map_forked: the (mtm, +0.5, 500) cell
+    # passes on one thread only
+    metrics = _map_forked(lambda cell: _p0_metric(*cell), cells, len(cells))
     lines = []
     all_ok = True
     for (model, om, grid), metric in zip(cells, metrics):
@@ -355,8 +324,7 @@ def cmd_validate(args) -> int:
     report = "\n".join(lines) + "\n"
     sys.stdout.write(report)
     if cfg["out"]:
-        out = _resolve_out(cfg["out"], cfg["out"])
-        with open(out, "w", encoding="utf-8") as fh:
+        with open(_resolve_out(cfg["out"]), "w", encoding="utf-8") as fh:
             fh.write(_config_echo(cfg) + "\n")
             fh.write(report)
     return 0 if all_ok else 4
@@ -379,46 +347,43 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    sp = _subcommand(sub, "soliton", cmd_soliton,
-                     "sample a soliton profile to CSV")
-    sp.add_argument("--omega", type=float)
-    sp.add_argument("--x-max", dest="x_max", type=float)
-    sp.add_argument("--points", type=int)
-    sp.add_argument("--allow-limit", dest="allow_limit", action="store_const",
-                    const=True, help="permit the omega=-1 algebraic profile")
-    sp.add_argument("--format", choices=["csv", "json"])
+    soliton = _subcommand(sub, "soliton", cmd_soliton,
+                          "sample a soliton profile to CSV")
+    soliton.add_argument("--x-max", dest="x_max", type=float, default=20.0)
+    soliton.add_argument("--points", type=int, default=801)
+    soliton.add_argument("--allow-limit", dest="allow_limit",
+                         action="store_const", const=True, default=False,
+                         help="permit the omega=-1 algebraic profile")
 
-    sp = _subcommand(sub, "asymptotics", cmd_asymptotics,
-                     "small-p eigenvalue slopes over an omega grid")
-    sp.add_argument("--omega-range", dest="omega_range",
-                    help="start:stop:step")
-    sp.add_argument("--format", choices=["csv", "json"])
+    asymptotics = _subcommand(sub, "asymptotics", cmd_asymptotics,
+                              "small-p eigenvalue slopes over an omega grid")
+    asymptotics.add_argument("--omega-range", dest="omega_range",
+                             help="start:stop:step")
 
-    sp = _subcommand(sub, "spectrum", cmd_spectrum,
-                     "one eigensolve at fixed (omega, p)")
-    sp.add_argument("--omega", type=float)
-    sp.add_argument("--p", type=float)
-    sp.add_argument("--n", type=int)
-    sp.add_argument("--scale", type=float)
-    sp.add_argument("--margin", type=float)
-    sp.add_argument("--format", choices=["csv", "json"])
+    spectrum = _subcommand(sub, "spectrum", cmd_spectrum,
+                           "one eigensolve at fixed (omega, p)")
+    spectrum.add_argument("--p", type=float, default=0.0)
+    spectrum.add_argument("--margin", type=float)
 
-    sp = _subcommand(sub, "sweep", cmd_sweep,
-                     "track eigenvalue branches over p")
-    sp.add_argument("--omega", type=float)
-    sp.add_argument("--p-range", dest="p_range", help="start:stop:step")
-    sp.add_argument("--n", type=int)
-    sp.add_argument("--scale", type=float)
-    sp.add_argument("--jobs", type=int)
-    sp.add_argument("--summary-out", dest="summary_out")
-    sp.add_argument("--format", choices=["csv", "json"])
+    sweep = _subcommand(sub, "sweep", cmd_sweep,
+                        "track eigenvalue branches over p")
+    sweep.add_argument("--p-range", dest="p_range", help="start:stop:step")
+    sweep.add_argument("--jobs", type=int, default=1)
+    sweep.add_argument("--summary-out", dest="summary_out")
 
-    sp = _subcommand(sub, "validate", cmd_validate,
-                     "recompute the p=0 accuracy tables and compare")
-    sp.add_argument("--n-values", dest="n_values",
-                    help="comma-separated list, e.g. 100,300")
-    sp.add_argument("--scale", type=float)
+    validate = _subcommand(sub, "validate", cmd_validate,
+                           "recompute the p=0 accuracy tables and compare")
+    validate.add_argument("--n-values", dest="n_values", default="100,300",
+                          help="comma-separated list, e.g. 100,300")
+    validate.add_argument("--scale", type=float)
 
+    for sp in (soliton, spectrum, sweep):
+        sp.add_argument("--omega", type=float)
+    for sp in (spectrum, sweep):
+        sp.add_argument("--n", type=int)
+        sp.add_argument("--scale", type=float, default=10.0)
+    for sp in (soliton, asymptotics, spectrum, sweep):
+        sp.add_argument("--format", choices=["csv", "json"], default="csv")
     return ap
 
 
@@ -426,7 +391,12 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        return args.func(args)
+        if args.config:
+            args.parser.set_defaults(**_config_defaults(args.config,
+                                                        args.parser))
+            args = ap.parse_args(argv)
+        return args.func({dest: getattr(args, dest)
+                          for dest in _options(args.parser)})
     except (DomainError, ValueError, KeyError, OSError,
             json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

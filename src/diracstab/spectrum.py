@@ -36,14 +36,14 @@ coalesces or drifts.  _solve_isolated checks them in that order and
 returns the point's route: two-grid, or the first guard that failed;
 track_branches logs it.
 spectrum, slope_fit and validate keep the full solve.
-_map_forked runs independent solves inline or on a pool of forked worker
-processes, at most one per usable cpu (_usable_cpus): a sweep's points
-when track_branches is given jobs > 1, and the p = 0 cells of the
-command line's validate.  The pool forks with os alone, not
-multiprocessing: each worker reads item indices from one pipe and writes
-pickled results to another, the next index goes to the first worker to
-return, and the exception of the lowest failing item is raised, the one
-a loop over the items would raise.
+_map_forked runs independent solves on one BLAS thread, inline or on a
+pool of forked worker processes, at most one per usable cpu
+(_usable_cpus): a sweep's points when track_branches is given jobs > 1,
+and the p = 0 cells of the command line's validate.  The pool forks with
+os alone, not multiprocessing: each worker reads item indices from one
+pipe and writes pickled results to another, the next index goes to the
+first worker to return, and the exception of the lowest failing item is
+raised, the one a loop over the items would raise.
 """
 
 from __future__ import annotations
@@ -168,7 +168,9 @@ def isolated_eigs(eigs, bands: SpectralBands, margin: float | None = None):
 
 
 def _parity_solve(op, base=None):
-    """Per real block pair of op, (B, C, B C, eig(B C)).
+    """Per real block pair of op, (B, C, B C, mu): mu the eigenvalues of
+    B C with Im mu >= 0, one per conjugate class of mu = lambda**2,
+    ascending.
 
     One values-only real solve (dgeev) of each block product, at
     dimension N+1 where the blocks split and 2(N+1) elsewhere, in place
@@ -176,20 +178,23 @@ def _parity_solve(op, base=None):
     come from parity_products, on base, the p = 0 products of op's model
     and grid (parity_base), when the caller holds them.
     """
-    return [(b, c, bc, eigvals(bc).values)
-            for b, c, bc in parity_products(op, base)]
+    solves = []
+    for b, c, bc in parity_products(op, base):
+        mu = eigvals(bc).values
+        solves.append((b, c, bc, np.sort(mu[mu.imag >= 0.0])))
+    return solves
 
 
 def parity_eigvals(op) -> EigenSet:
     """All eigenvalues of a stability operator, from its real parity blocks.
 
-    Each eigenvalue mu = lambda**2 of a B C with Im mu >= 0 expands to
-    its class's values (_members), sorted by (imag, real) as eigvals
-    sorts: exact +-pairs and conjugates, exactly real or imaginary where
-    mu is real.  Near zero they carry the square root of the error in
-    mu: sqrt(eps ||B|| ||C||) in place of a direct solve's eps ||A||.
+    Each class's mu = lambda**2 of a B C (_parity_solve) expands to its
+    values (_members), sorted by (imag, real) as eigvals sorts: exact
+    +-pairs and conjugates, exactly real or imaginary where mu is real.
+    Near zero they carry the square root of the error in mu: sqrt(eps
+    ||B|| ||C||) in place of a direct solve's eps ||A||.
     """
-    mu = np.concatenate([mu[mu.imag >= 0.0] for *_, mu in _parity_solve(op)])
+    mu = np.concatenate([mu for *_, mu in _parity_solve(op)])
     values = _members(np.sqrt(mu), mu.imag == 0.0)[0]
     return EigenSet(values=values[np.lexsort((values.real, values.imag))],
                     backend="lapack-parity")
@@ -252,8 +257,8 @@ def _refined_values(pairs, solves, kept, transfer=None):
     pairs, with residuals ||M w - lam w|| / ||M||_F, as (values, lams,
     residuals): values[i] refines to lams[i].
 
-    pairs are one grid's (B, C, B C, ...) and solves the (B, C, B C,
-    eig(B C)) of _parity_solve, pair for pair, on the same grid or, with
+    pairs are one grid's (B, C, B C, ...) and solves the (B, C, B C, mu)
+    of _parity_solve, pair for pair, on the same grid or, with
     transfer, on the coarser one that transfer leads from; kept holds
     each solve's classes (_classes).  Each class takes one vector w =
     [y; z] of M.  Outside _NEAR_ORIGIN_RADIUS that takes two shifted
@@ -378,15 +383,14 @@ def _transferred(transfer, xs):
 
 
 def _classes(solves, bands, margin, omega):
-    """Per block pair of solves, the eigenvalues mu of its B C with
-    Im mu >= 0, one per conjugate class, ascending, whose roots sqrt(mu)
-    a sweep tracks: the isolated ones (isolated_eigs) within the p = 0
-    outer band edge, |Im| <= 1 + |omega|.  Band distance and |Im| are
-    exactly symmetric under lambda -> -lambda and lambda -> conj(lambda),
-    so every value of a class is tracked or none."""
+    """Per block pair of solves (_parity_solve), its classes mu whose
+    roots sqrt(mu) a sweep tracks, in the solve's order: the isolated
+    ones (isolated_eigs) within the p = 0 outer band edge, |Im| <= 1 +
+    |omega|.  Band distance and |Im| are exactly symmetric under lambda
+    -> -lambda and lambda -> conj(lambda), so every value of a class is
+    tracked or none."""
     kept = []
     for *_, mu in solves:
-        mu = np.sort(mu[mu.imag >= 0.0])
         roots = np.sqrt(mu)
         kept.append(mu[(bands.distance(roots) > margin)
                        & (np.abs(roots.imag) <= 1.0 + abs(omega))])
@@ -496,8 +500,9 @@ def _worker_loop(fn, items, tasks: int, replies: int) -> None:
             out.flush()
 
 
+@single_blas_thread()
 def _map_forked(fn, items, jobs: int) -> list:
-    """[fn(item) for item in items], in item order.
+    """[fn(item) for item in items], in item order, on one BLAS thread.
 
     Runs on a pool of min(jobs, len(items), _usable_cpus()) forked worker
     processes, or inline where that is 1 or the platform cannot fork.  A
@@ -506,8 +511,12 @@ def _map_forked(fn, items, jobs: int) -> list:
     fn and items through the fork, so neither is pickled; each has one
     pipe for item indices and one for its pickled results, and the next
     index goes to whichever worker returns first.  A fork copies the
-    calling thread alone, and each worker keeps the caller's BLAS thread
-    counts.  Once an item fails, no further item is sent; the items
+    calling thread alone.  Every item runs on one BLAS thread
+    (single_blas_thread, set before the fork and inherited by the
+    workers): on 2 cores a second BLAS thread slowed these solves down
+    even inline, so the pool is the only parallelism.  The caller's
+    counts are restored on return.  Once an item fails, no further item
+    is sent; the items
     already sent are awaited, and the exception of the lowest failing
     index is raised here, the one a loop over the items would raise.  A
     worker that exits without returning its item fails that item with a
@@ -646,16 +655,15 @@ def track_branches(model, omega: float, p_grid, grid: ChebGrid,
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
 
-    # a second BLAS thread slows these solves down even at jobs=1, so the
-    # pool's workers, forked on the one thread set here, are the only
-    # parallelism
+    # the p = 0 products on the one BLAS thread that the points are
+    # solved on: they are bitwise equal only at a fixed thread count
     with single_blas_thread():
         fine, coarse = _sweep_level(model, omega, grid), _coarse_grid(grid)
         if coarse is not None:
             coarse = _sweep_level(model, omega, coarse, grid)
-        solved = _map_forked(
-            functools.partial(_solve_isolated, model, omega, fine, coarse,
-                              ps[0]), ps, jobs)
+    solved = _map_forked(
+        functools.partial(_solve_isolated, model, omega, fine, coarse, ps[0]),
+        ps, jobs)
     for p, (*_, route) in zip(ps, solved):
         if route == _TWO_GRID:
             logger.debug("p=%g: two-grid", p)

@@ -152,15 +152,13 @@ def lift(m, pair, ys, zs):
 
 
 def conjugate_classes(solves, keep=None):
-    """Per block pair of solves, (B, C, B C, eig(B C)), the eigenvalues mu
-    of its B C with Im mu >= 0, one per conjugate class, ascending, where
-    keep(sqrt(mu)) holds (every one when keep is None): the kept classes
-    that spectrum._refined_values takes."""
-    kept = []
-    for *_, mu in solves:
-        mu = np.sort(mu[mu.imag >= 0.0])
-        kept.append(mu if keep is None else mu[keep(np.sqrt(mu))])
-    return kept
+    """Per block pair of solves, the (B, C, B C, mu) of
+    spectrum._parity_solve with mu one eigenvalue of B C per conjugate
+    class, Im mu >= 0 and ascending, the classes where keep(sqrt(mu))
+    holds (every one when keep is None): the kept classes that
+    spectrum._refined_values takes."""
+    return [mu if keep is None else mu[keep(np.sqrt(mu))]
+            for *_, mu in solves]
 
 
 def members(a, real, sign=-1.0):
@@ -179,7 +177,7 @@ def lifted_vectors(op, pairs, kept, solves=None, transfer=None):
     eigenvector belongs to and those vectors in A's space, one column per
     value, in the order of spectrum._refined_values, which takes the
     arguments: pairs are op's (B, C, B C, ...) and solves the start
-    (B, C, B C, eig(B C)), the pairs themselves when not given, on op's
+    (B, C, B C, mu), the pairs themselves when not given, on op's
     grid or, with transfer, on a coarser one.
 
     Every class takes one [y; z].  Away from the origin its vector x of

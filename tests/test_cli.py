@@ -514,6 +514,37 @@ class TestSolveDimension:
         assert dims and set(dims) == {(dim, dim)}
 
 
+def run_in(directory, argv, monkeypatch, capsys):
+    """cli.main(argv) writing under directory: the exit code, stdout
+    without the directory's prefix, and each file written there."""
+    directory.mkdir()
+    monkeypatch.setenv(cli.OUTDIR_ENV, str(directory))
+    rc = cli.main(argv)
+    out = capsys.readouterr().out.replace(f"{directory}{os.sep}", "")
+    return rc, out, {p.name: p.read_bytes() for p in directory.iterdir()}
+
+
+SOLITON = ["soliton", "--model", "mtm", "--omega", "0.5"]
+SPECTRUM = ["spectrum", "--model", "gn", "--omega", "0.6", "--n", "20"]
+
+# a value for every option of each subcommand but --config and --help
+ALL_OPTIONS = {
+    "soliton": {"model": "gn", "omega": 0.5, "x_max": 3.0, "points": 5,
+                "allow_limit": True, "out": "soliton.json",
+                "format": "json"},
+    "asymptotics": {"model": "gn", "omega_range": "0.1:0.3:0.1",
+                    "out": "asymptotics.json", "format": "json"},
+    "spectrum": {"model": "gn", "omega": 0.6, "p": 0.3, "n": 20,
+                 "scale": 8.0, "margin": 0.1, "out": "spectrum.csv",
+                 "format": "csv"},
+    "sweep": {"model": "mtm", "omega": 0.0, "p_range": "0.1:0.2:0.1",
+              "n": 20, "scale": 8.0, "jobs": 2, "out": "sweep.csv",
+              "summary_out": "summary.json", "format": "csv"},
+    "validate": {"model": "gn", "n_values": "100", "scale": 10.0,
+                 "out": "validate.txt"},
+}
+
+
 class TestConfigFile:
     def test_flag_overrides_config(self, outdir, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -559,6 +590,59 @@ class TestConfigFile:
                          str(cfg)]) == 0
         _, _, rows = read_csv(produced_file(capsys, outdir))
         assert len(rows) == 11
+
+    @pytest.mark.parametrize("argv,key,value", [
+        (SPECTRUM, "p", 0), (SPECTRUM, "scale", 10), (SPECTRUM, "margin", 1),
+        (SOLITON[:3], "omega", 0), (SOLITON, "x_max", 5),
+    ], ids=["p", "scale", "margin", "omega", "x_max"])
+    def test_int_for_float_reads_as_the_flag(self, argv, key, value, outdir,
+                                             capsys, monkeypatch):
+        # one file name and one header: p=0.0 from both, not p=0 from the
+        # file
+        cfg = outdir / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        flag = run_in(outdir / "flag",
+                      argv + [f"--{key.replace('_', '-')}", str(value)],
+                      monkeypatch, capsys)
+        config = run_in(outdir / "config", argv + ["--config", str(cfg)],
+                        monkeypatch, capsys)
+        assert flag[0] == 0
+        assert config == flag
+
+    @pytest.mark.parametrize("argv,key", [
+        (SOLITON, "x_max"), (SOLITON, "points"), (SOLITON, "allow_limit"),
+        (SOLITON, "format"), (SPECTRUM, "p"),
+        (["sweep", "--model", "mtm", "--omega", "0", "--n", "20",
+          "--p-range", "0.1:0.2:0.1"], "jobs"),
+        (["validate", "--model", "gn", "--out", "report.txt"], "n_values"),
+    ], ids=lambda value: value if isinstance(value, str) else value[0])
+    def test_null_keeps_the_default(self, argv, key, outdir, capsys,
+                                    monkeypatch):
+        cfg = outdir / "cfg.json"
+        cfg.write_text(json.dumps({key: None}))
+        without = run_in(outdir / "without", argv, monkeypatch, capsys)
+        null = run_in(outdir / "null", argv + ["--config", str(cfg)],
+                      monkeypatch, capsys)
+        assert without[0] == 0
+        assert null == without
+
+    @pytest.mark.parametrize("command", sorted(ALL_OPTIONS))
+    def test_every_option_is_a_config_key(self, command, outdir, capsys):
+        parser = cli.build_parser().parse_args([command]).parser
+        values = ALL_OPTIONS[command]
+        assert set(values) == ({a.dest for a in parser._actions}
+                               - {"help", "config"})
+        cfg = outdir / "cfg.json"
+        cfg.write_text(json.dumps(values))
+        assert cli.main([command, "--config", str(cfg)]) == 0
+        capsys.readouterr()
+        text = (outdir / values["out"]).read_text()
+        if values.get("format") == "json":
+            assert json.loads(text)["config"].items() >= values.items()
+        else:
+            header = text.splitlines()[0] + ","
+            for key, value in values.items():
+                assert f" {key}={value!r}," in header
 
     def test_backend_key_is_unknown(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -470,6 +470,26 @@ class TestTracking:
             [(k, os.getpid()) for k in range(5)]
         assert len(workers) == 2
 
+    @pytest.mark.parametrize("cpus", [1, 2], ids=["inline", "forked"])
+    def test_map_forked_runs_items_on_one_blas_thread(self, monkeypatch,
+                                                      file_record, cpus):
+        before = blas_threads()
+        if before is None:
+            pytest.skip("no OpenBLAS library is loaded")
+        monkeypatch.setattr(spectrum, "_usable_cpus", lambda: cpus)
+        # forked workers record through a file
+        seen = file_record("threads")
+
+        def recording(k):
+            seen.append([os.getpid(), blas_threads()])
+            return k
+
+        assert spectrum._map_forked(recording, range(4), 2) == list(range(4))
+        pids, threads = zip(*seen)
+        assert (os.getpid() in pids) == (cpus == 1)
+        assert threads == (1,) * 4
+        assert blas_threads() == before
+
     def test_pool_leaves_no_processes(self, grid_cache, monkeypatch):
         monkeypatch.setattr(spectrum, "_usable_cpus", lambda: 2)
         track_branches("gn", 2.0 / 3.0, [0.2, 0.25, 0.3],
