@@ -13,14 +13,15 @@ built-in defaults.  A null in the file keeps the built-in default, and an
 int given for a float option is read as a float.
 
 sweep --jobs K and validate solve on forked worker processes through
-spectrum._map_forked, which runs them on one BLAS thread, and never on more
-workers than the process has usable cpus (its affinity mask): sweep on
-min(K, wavenumbers, cpus), validate on min(cells, cpus), with no flag for
-it.  Each worker is sent the next wavenumber or cell as soon as it
-returns one; a failure raises the error of the first failing one, as
---jobs 1 does.  The pool uses os.fork and pipes, not multiprocessing.
-Every output is formatted in the command's process, so none depends on
-the worker count.
+spectrum._map_forked, which runs them on one BLAS thread, leaves no
+helper thread of OpenBLAS behind, and never runs more workers than the
+process has usable cpus (its affinity mask): sweep on min(K,
+wavenumbers, cpus), validate on min(cells, cpus), with no flag for it.
+Each worker is sent the next wavenumber or cell as soon as it returns
+one, validate's cells largest N first; a failure raises the error of
+the first failing one, as --jobs 1 does.  The pool uses os.fork and
+pipes, not multiprocessing.  Every output is formatted in the command's
+process, so none depends on the worker count.
 
 Exit codes: 0 success; 2 domain or configuration error (among them a
 non-finite value, a negative spectrum --margin, a soliton --x-max that
@@ -296,21 +297,24 @@ def cmd_validate(cfg: dict) -> int:
             if n not in published:
                 raise ValueError(f"no published {model.value} metric for "
                                  f"N={n}; published N values: {published}")
-    scale = 10.0 if cfg["scale"] is None else cfg["scale"]
     cells = []
     for model in models:
         omegas = sorted({om for mod, om, _ in _REFERENCE_METRICS
                          if mod == model.value})
         for n in n_list:
-            grid = build_grid(n, scale)
+            grid = build_grid(n, cfg["scale"])
             cells += [(model, om, grid) for om in omegas]
     # one worker per cell up to the usable cpus, as in a sweep, each on
     # the one BLAS thread of _map_forked: the (mtm, +0.5, 500) cell
-    # passes on one thread only
-    metrics = _map_forked(lambda cell: _p0_metric(*cell), cells, len(cells))
+    # passes on one thread only.  The cells go to the pool largest N
+    # first, so that no worker is left with the large ones at the end.
+    order = sorted(range(len(cells)), key=lambda k: -cells[k][2].n)
+    solved = _map_forked(lambda k: _p0_metric(*cells[k]), order, len(cells))
+    metrics = dict(zip(order, solved))
     lines = []
     all_ok = True
-    for (model, om, grid), metric in zip(cells, metrics):
+    for k, (model, om, grid) in enumerate(cells):
+        metric = metrics[k]
         key = (model.value, om, grid.n)
         reference = _REFERENCE_METRICS[key]
         ceiling = _STATED_CEILINGS.get(key, 10.0 * reference)
@@ -375,12 +379,12 @@ def build_parser() -> argparse.ArgumentParser:
                            "recompute the p=0 accuracy tables and compare")
     validate.add_argument("--n-values", dest="n_values", default="100,300",
                           help="comma-separated list, e.g. 100,300")
-    validate.add_argument("--scale", type=float)
 
     for sp in (soliton, spectrum, sweep):
         sp.add_argument("--omega", type=float)
     for sp in (spectrum, sweep):
         sp.add_argument("--n", type=int)
+    for sp in (spectrum, sweep, validate):
         sp.add_argument("--scale", type=float, default=10.0)
     for sp in (soliton, asymptotics, spectrum, sweep):
         sp.add_argument("--format", choices=["csv", "json"], default="csv")

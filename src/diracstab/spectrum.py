@@ -43,7 +43,8 @@ and the p = 0 cells of the command line's validate.  The pool forks with
 os alone, not multiprocessing: each worker reads item indices from one
 pipe and writes pickled results to another, the next index goes to the
 first worker to return, and the exception of the lowest failing item is
-raised, the one a loop over the items would raise.
+raised, the one a loop over the items would raise.  A pool leaves no
+process and no thread behind.
 """
 
 from __future__ import annotations
@@ -515,11 +516,14 @@ def _map_forked(fn, items, jobs: int) -> list:
     (single_blas_thread, set before the fork and inherited by the
     workers): on 2 cores a second BLAS thread slowed these solves down
     even inline, so the pool is the only parallelism.  The caller's
-    counts are restored on return.  Once an item fails, no further item
-    is sent; the items
-    already sent are awaited, and the exception of the lowest failing
-    index is raised here, the one a loop over the items would raise.  A
-    worker that exits without returning its item fails that item with a
+    counts are restored on return, and the pool leaves no helper thread
+    behind: the fork shuts OpenBLAS's thread server down in this
+    process, and the cap's restore does not start it again (see the
+    eigen module); the caller's next threaded BLAS call does.  Once an
+    item fails, no further item is sent; the items already sent are
+    awaited, and the exception of the lowest failing index is raised
+    here, the one a loop over the items would raise.  A worker that
+    exits without returning its item fails that item with a
     RuntimeError.  Every worker is reaped before this returns or raises.
     The pool uses os, pickle and select only, not multiprocessing.
     """

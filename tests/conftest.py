@@ -12,7 +12,10 @@ bases back into its space, and lifted_vectors builds the eigenvectors
 of the kept conjugate classes of mu = lambda**2 (conjugate_classes).
 relative_residuals and symmetry_residual, checks that only the tests
 take, live here too, with free_operator, the operator without its
-soliton, and blas_threads, which reads the OpenBLAS thread counts.
+soliton, blas_threads, which reads the OpenBLAS thread counts through
+each library's own *_get_num_threads, pthreads_blas_threads, which reads
+those of the builds capped through their blas_cpu_number, and
+thread_ids, the process's threads.
 """
 
 import dataclasses
@@ -25,7 +28,8 @@ import pytest
 
 import diracstab.spectrum as spectrum
 from diracstab.cheb import build_grid
-from diracstab.eigen import _openblas_controls, inverse_vectors
+from diracstab.eigen import (_openblas_libraries, _thread_count,
+                             inverse_vectors)
 from diracstab.operator import assemble
 from diracstab.soliton import ModelKind
 from diracstab.spectrum import parity_eigvals
@@ -55,9 +59,28 @@ def free_operator(model, omega, p, grid):
 
 
 def blas_threads():
-    """Largest thread count of the loaded OpenBLAS libraries, None if none."""
-    counts = [getter() for _, getter in _openblas_controls()]
+    """Largest thread count that the loaded OpenBLAS libraries return from
+    their own *_get_num_threads, None if none is loaded."""
+    counts = [getattr(lib, get_name)()
+              for lib, (_, get_name, _) in _openblas_libraries()]
     return max(counts) if counts else None
+
+
+def pthreads_blas_threads():
+    """Largest *_get_num_threads of the loaded OpenBLAS libraries built on
+    pthreads that export blas_cpu_number, 0 if none is loaded."""
+    return max((getattr(lib, get_name)()
+                for lib, (_, get_name, parallel) in _openblas_libraries()
+                if _thread_count(lib, parallel) is not None), default=0)
+
+
+def thread_ids():
+    """The ids of this process's threads, None where /proc/self/task is
+    missing."""
+    try:
+        return {int(tid) for tid in os.listdir("/proc/self/task")}
+    except OSError:
+        return None
 
 
 def dense_reduced(front, m, *parts):

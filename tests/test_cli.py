@@ -346,6 +346,33 @@ class TestValidate:
         assert report.startswith(f"# diracstab {__version__}")
         assert "PASS" in report
 
+    def test_out_header_echoes_the_scale(self, outdir, capsys):
+        # the scale every cell ran at, not None, when --scale is not given
+        assert cli.main(["validate", "--model", "gn", "--n-values", "100",
+                         "--out", "report.txt"]) == 0
+        header = (outdir / "report.txt").read_text().splitlines()[0]
+        assert "scale=10.0" in header.split(" | ")[1].split(", ")
+
+    def test_cells_solved_largest_n_first(self, capsys, monkeypatch):
+        # inline, so that the calls are seen in the order the pool gets them
+        use_workers(monkeypatch, 1)
+        solved = []
+        metric = cli._p0_metric
+
+        def recording(model, omega, grid):
+            solved.append((model.value, grid.n))
+            return metric(model, omega, grid)
+
+        monkeypatch.setattr(cli, "_p0_metric", recording)
+        assert cli.main(["validate", "--n-values", "100,300"]) == 0
+        reported = [(line.split()[0], int(line.split()[2][2:-1]))
+                    for line in capsys.readouterr().out.splitlines()]
+        assert [n for _, n in solved] == [300] * 5 + [100] * 5
+        assert sorted(solved) == sorted(reported)
+        # reported in the published order: by model, then N
+        assert reported == ([("mtm", 100)] * 3 + [("mtm", 300)] * 3
+                            + [("gn", 100)] * 2 + [("gn", 300)] * 2)
+
     def test_published_n500_column(self, capsys):
         # the parity solve's error near lambda = 0 grows like the square
         # root of the error of eig(B C); the N = 500 ceilings bound it

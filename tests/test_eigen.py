@@ -9,10 +9,11 @@ even when the multisets are identical.
 import numpy as np
 import pytest
 
+import diracstab.eigen as eigen
 from diracstab.analytics import asymptotic_prediction, kernel_vectors
-from conftest import relative_residuals, stability_matrix
+from conftest import blas_threads, relative_residuals, stability_matrix
 from diracstab.eigen import (ConvergenceError, EigenSet, eigvals,
-                             inverse_vectors)
+                             inverse_vectors, single_blas_thread)
 from diracstab.operator import assemble
 from diracstab.spectrum import parity_eigvals
 
@@ -158,6 +159,22 @@ class TestValidation:
         a[1, 1] = np.nan
         with pytest.raises(ValueError):
             eigvals(a)
+
+
+class TestBlasCap:
+    def test_setter_fallback_caps_and_restores(self, monkeypatch):
+        # a build without the blas_cpu_number variable is capped through
+        # its *_set_num_threads
+        before = blas_threads()
+        if before is None:
+            pytest.skip("no OpenBLAS library is loaded")
+        monkeypatch.setattr(eigen, "_thread_count", lambda *args: None)
+        setters = {names[0] for names in eigen._OPENBLAS_SYMBOLS}
+        assert {setter.__name__ for setter, _ in eigen._openblas_controls()} \
+            <= setters
+        with single_blas_thread():
+            assert blas_threads() == 1
+        assert blas_threads() == before
 
 
 class TestSelectedVectors:

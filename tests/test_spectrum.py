@@ -11,7 +11,8 @@ import pytest
 
 import diracstab.spectrum as spectrum
 from conftest import (blas_threads, conjugate_classes, free_operator,
-                      lifted_residuals, lifted_vectors, stability_matrix)
+                      lifted_residuals, lifted_vectors,
+                      pthreads_blas_threads, stability_matrix, thread_ids)
 from diracstab.cheb import build_grid
 from diracstab.eigen import EigenSet, eigvals, inverse_vectors
 from diracstab.operator import assemble, continuous_bands, parity_products
@@ -489,6 +490,37 @@ class TestTracking:
         assert (os.getpid() in pids) == (cpus == 1)
         assert threads == (1,) * 4
         assert blas_threads() == before
+
+    def test_pool_leaves_no_helper_thread(self, grid_cache, monkeypatch,
+                                          file_record):
+        # a fork shuts OpenBLAS's thread server down in the parent; a
+        # *_set_num_threads call restarts it with a helper thread that
+        # spins idle, so the cap must write the count without one
+        before = thread_ids()
+        if before is None:
+            pytest.skip("no /proc/self/task")
+        counts = blas_threads()
+        if pthreads_blas_threads() < 2:
+            pytest.skip("no pthreads OpenBLAS on two or more threads")
+        monkeypatch.setattr(spectrum, "_usable_cpus", lambda: 2)
+        seen = file_record("threads")
+
+        def recording(k):
+            seen.append([os.getpid(), blas_threads()])
+            return k
+
+        assert spectrum._map_forked(recording, range(4), 2) == list(range(4))
+        assert thread_ids() <= before
+        pids, threads = zip(*seen)
+        assert os.getpid() not in pids
+        assert threads == (1,) * 4
+        assert blas_threads() == counts
+        grid = grid_cache(30, 10.0)
+        for jobs in (2, 1):
+            before = thread_ids()
+            track_branches("gn", 2.0 / 3.0, [0.2, 0.25], grid, jobs=jobs)
+            assert thread_ids() <= before
+            assert blas_threads() == counts
 
     def test_pool_leaves_no_processes(self, grid_cache, monkeypatch):
         monkeypatch.setattr(spectrum, "_usable_cpus", lambda: 2)
