@@ -12,16 +12,10 @@ parser applies the precedence: command-line flags > config file >
 built-in defaults.  A null in the file keeps the built-in default, and an
 int given for a float option is read as a float.
 
-sweep --jobs K and validate solve on forked worker processes through
-spectrum._map_forked, which runs them on one BLAS thread, leaves no
-helper thread of OpenBLAS behind, and never runs more workers than the
-process has usable cpus (its affinity mask): sweep on min(K,
-wavenumbers, cpus), validate on min(cells, cpus), with no flag for it.
-Each worker is sent the next wavenumber or cell as soon as it returns
-one, validate's cells largest N first; a failure raises the error of
-the first failing one, as --jobs 1 does.  The pool uses os.fork and
-pipes, not multiprocessing.  Every output is formatted in the command's
-process, so none depends on the worker count.
+sweep --jobs K and validate solve on pool.map_forked: sweep on min(K,
+wavenumbers, usable cpus) workers, validate on min(cells, usable cpus),
+largest N first, with no flag for it.  Every output is formatted in the
+command's process, so none depends on the worker count.
 
 Exit codes: 0 success; 2 domain or configuration error (among them a
 non-finite value, a negative spectrum --margin, a soliton --x-max that
@@ -38,7 +32,7 @@ import sys
 
 import numpy as np
 
-from . import __version__
+from . import __version__, pool
 from .analytics import NumericsError, asymptotic_prediction
 from .cheb import build_grid
 # eigvals is unused here; benchmarks/tracing.py still wraps cli.eigvals
@@ -46,9 +40,9 @@ from .eigen import ConvergenceError, eigvals  # noqa: F401
 from .operator import assemble, continuous_bands
 from .soliton import (DomainError, ModelKind, SolitonProfile,
                       algebraic_profile_mtm, eval_profile)
-from .spectrum import (BranchNotFound, _checked_margin, _map_forked,
-                       default_margin, isolated_eigs, parity_eigvals,
-                       spurious_metric, summarize_sweep, track_branches)
+from .spectrum import (BranchNotFound, _checked_margin, default_margin,
+                       isolated_eigs, parity_eigvals, spurious_metric,
+                       summarize_sweep, track_branches)
 
 OUTDIR_ENV = "DIRACSTAB_OUTDIR"
 
@@ -290,6 +284,8 @@ def cmd_validate(cfg: dict) -> int:
     n_list = [int(t) for t in cfg["n_values"].split(",") if t]
     if not n_list:
         raise ValueError("--n-values names no N")
+    if len(set(n_list)) < len(n_list):
+        raise ValueError(f"--n-values repeats an N: {cfg['n_values']}")
     for model in models:
         published = sorted({n for mod, _, n in _REFERENCE_METRICS
                             if mod == model.value})
@@ -304,12 +300,13 @@ def cmd_validate(cfg: dict) -> int:
         for n in n_list:
             grid = build_grid(n, cfg["scale"])
             cells += [(model, om, grid) for om in omegas]
-    # one worker per cell up to the usable cpus, as in a sweep, each on
-    # the one BLAS thread of _map_forked: the (mtm, +0.5, 500) cell
-    # passes on one thread only.  The cells go to the pool largest N
-    # first, so that no worker is left with the large ones at the end.
+    # one worker per cell up to the usable cpus, each on the pool's one
+    # BLAS thread: the (mtm, +0.5, 500) cell passes on one thread only.
+    # The cells go to the pool largest N first, so that no worker is left
+    # with the large ones at the end.
     order = sorted(range(len(cells)), key=lambda k: -cells[k][2].n)
-    solved = _map_forked(lambda k: _p0_metric(*cells[k]), order, len(cells))
+    solved = pool.map_forked(lambda k: _p0_metric(*cells[k]), order,
+                             len(cells))
     metrics = dict(zip(order, solved))
     lines = []
     all_ok = True

@@ -12,50 +12,19 @@ eigenvalues come from inverse_vectors (inverse iteration: one solve of
 a shifted matrix per value, from a fixed start vector or from the
 caller's, so that k steps are k chained calls; real for a real value of
 a real matrix); the caller takes their residuals in whatever basis it
-holds the matrix.  single_blas_thread runs a block of solves on one
-BLAS thread each.  The module needs numpy alone.
-
-The cap writes a pthreads OpenBLAS's thread count to its exported int
-blas_cpu_number, the value *_get_num_threads returns and its level-3
-routines read, rather than calling *_set_num_threads: that call first
-restarts a thread server that a fork has shut down (OpenBLAS shuts it
-down in a pthread_atfork handler), and the restarted helper thread spins
-about 0.12 s of a core while idle, after every forked pool.  Written
-through the variable, the server stays down until the next threaded
-BLAS call starts it, as after any fork.  A build that is not pthreads,
-or exports no such variable, is capped through its setter.
+holds the matrix.  The module needs numpy alone.
 """
 
 from __future__ import annotations
 
-import ctypes
-import functools
-import logging
-import os
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
-
-logger = logging.getLogger(__name__)
 
 _EPS = np.finfo(float).eps
 # fractional parts of the golden and silver ratios: irrational steps for
 # the fixed inverse-iteration start vector
 _START_STEPS = ((5.0 ** 0.5 - 1.0) / 2.0, 2.0 ** 0.5 - 1.0)
-
-# (set, get, parallel) thread entry points of the OpenBLAS builds numpy
-# and scipy ship, then of a plain OpenBLAS
-_OPENBLAS_SYMBOLS = (
-    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_",
-     "scipy_openblas_get_parallel64_"),
-    ("scipy_openblas_set_num_threads", "scipy_openblas_get_num_threads",
-     "scipy_openblas_get_parallel"),
-    ("openblas_set_num_threads", "openblas_get_num_threads",
-     "openblas_get_parallel"),
-)
-# what *_get_parallel returns for a build on OpenBLAS's own pthreads server
-_PTHREADS = 1
 
 
 class ConvergenceError(RuntimeError):
@@ -145,87 +114,3 @@ def inverse_vectors(matrix, values, starts=None) -> np.ndarray:
         v = np.linalg.solve(shifted, v)
         vectors[:, col] = v / np.linalg.norm(v)
     return vectors
-
-
-def _openblas_libraries() -> list:
-    """(library, its _OPENBLAS_SYMBOLS names) for every OpenBLAS loaded here.
-
-    Libraries are found in the process memory map, so the list is empty
-    off Linux.
-    """
-    try:
-        with open("/proc/self/maps", encoding="utf-8") as fh:
-            # the last field of a line is the mapped file, if any
-            paths = {line.split(maxsplit=5)[-1].strip() for line in fh}
-    except OSError:
-        paths = set()
-    libraries = []
-    for path in sorted(paths):
-        if "openblas" not in os.path.basename(path):
-            continue
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for names in _OPENBLAS_SYMBOLS:
-            if hasattr(lib, names[0]) and hasattr(lib, names[1]):
-                libraries.append((lib, names))
-                break
-    return libraries
-
-
-def _thread_count(lib, parallel_name: str):
-    """The int blas_cpu_number that lib exports, None where lib is not
-    built on pthreads or exports no such variable."""
-    parallel = getattr(lib, parallel_name, None)
-    if parallel is None:
-        return None
-    parallel.argtypes, parallel.restype = [], ctypes.c_int
-    if parallel() != _PTHREADS:
-        return None
-    try:
-        return ctypes.c_int.in_dll(lib, "blas_cpu_number")
-    except ValueError:
-        return None
-
-
-def _openblas_controls() -> list:
-    """(set, get) thread-count functions of every OpenBLAS loaded here.
-
-    A pthreads build's pair writes and reads its blas_cpu_number, any
-    other build's calls its *_set_num_threads and *_get_num_threads.
-    """
-    controls = []
-    for lib, (set_name, get_name, parallel_name) in _openblas_libraries():
-        count = _thread_count(lib, parallel_name)
-        if count is not None:
-            controls.append((functools.partial(setattr, count, "value"),
-                             functools.partial(getattr, count, "value")))
-            continue
-        setter, getter = getattr(lib, set_name), getattr(lib, get_name)
-        setter.argtypes, setter.restype = [ctypes.c_int], None
-        getter.argtypes, getter.restype = [], ctypes.c_int
-        controls.append((setter, getter))
-    if not controls:
-        logger.debug("no OpenBLAS found; BLAS thread counts left unchanged")
-    return controls
-
-
-@contextmanager
-def single_blas_thread():
-    """Run every loaded OpenBLAS on one thread in the block.
-
-    The counts are process-wide; the previous ones are restored on exit.
-    A pthreads OpenBLAS's count is written to its blas_cpu_number, so
-    that neither the cap nor the restore restarts a thread server that a
-    fork in the block shut down (see the module docstring).  Does nothing
-    when no OpenBLAS is found.
-    """
-    saved = [(setter, getter()) for setter, getter in _openblas_controls()]
-    for setter, _ in saved:
-        setter(1)
-    try:
-        yield
-    finally:
-        for setter, old in saved:
-            setter(old)

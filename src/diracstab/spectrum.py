@@ -35,16 +35,8 @@ near the origin or a band, and a refinement that is not finite,
 coalesces or drifts.  _solve_isolated checks them in that order and
 returns the point's route: two-grid, or the first guard that failed;
 track_branches logs it.
-spectrum, slope_fit and validate keep the full solve.
-_map_forked runs independent solves on one BLAS thread, inline or on a
-pool of forked worker processes, at most one per usable cpu
-(_usable_cpus): a sweep's points when track_branches is given jobs > 1,
-and the p = 0 cells of the command line's validate.  The pool forks with
-os alone, not multiprocessing: each worker reads item indices from one
-pipe and writes pickled results to another, the next index goes to the
-first worker to return, and the exception of the lowest failing item is
-raised, the one a loop over the items would raise.  A pool leaves no
-process and no thread behind.
+spectrum, slope_fit and validate keep the full solve.  A sweep's points
+run on pool.map_forked.
 """
 
 from __future__ import annotations
@@ -52,7 +44,6 @@ from __future__ import annotations
 import functools
 import logging
 import math
-import os
 # unused here: benchmarks/tracing.py patches spectrum.ThreadPoolExecutor,
 # and benchmarks/selfcheck.py reads it
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401
@@ -63,9 +54,10 @@ import numpy as np
 
 from .analytics import asymptotic_prediction
 from .cheb import ChebGrid, build_grid
-from .eigen import EigenSet, eigvals, inverse_vectors, single_blas_thread
+from .eigen import EigenSet, eigvals, inverse_vectors
 from .operator import (SpectralBands, assemble, continuous_bands,
                        parity_base, parity_products, parity_transfer)
+from .pool import map_forked, single_blas_thread
 from .soliton import ModelKind
 
 __all__ = [
@@ -475,124 +467,6 @@ def _solve_isolated(model, omega, fine, coarse, p0, p):
     return lams[order], residuals[order], bands, margin, route
 
 
-def _usable_cpus() -> int:
-    """The cpus this process may run on: its affinity mask, where the
-    platform has one."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
-def _worker_loop(fn, items, tasks: int, replies: int) -> None:
-    """A pool worker's loop: reads an item index from the tasks pipe and
-    writes the pickled (index, ok, value) of fn(items[index]) to the
-    replies pipe, ok False and value the exception where fn raised,
-    until the parent closes the tasks pipe."""
-    import pickle
-    with open(replies, "wb") as out:
-        while index_bytes := os.read(tasks, 8):
-            index = int.from_bytes(index_bytes, "little")
-            try:
-                reply = pickle.dumps((index, True, fn(items[index])))
-            except Exception as exc:  # fn's error, or an unpicklable value
-                reply = pickle.dumps((index, False, exc))
-            out.write(reply)
-            out.flush()
-
-
-@single_blas_thread()
-def _map_forked(fn, items, jobs: int) -> list:
-    """[fn(item) for item in items], in item order, on one BLAS thread.
-
-    Runs on a pool of min(jobs, len(items), _usable_cpus()) forked worker
-    processes, or inline where that is 1 or the platform cannot fork.  A
-    fork pool starts all its workers at once, so the cap keeps a large
-    jobs from forking more processes than can run.  The workers inherit
-    fn and items through the fork, so neither is pickled; each has one
-    pipe for item indices and one for its pickled results, and the next
-    index goes to whichever worker returns first.  A fork copies the
-    calling thread alone.  Every item runs on one BLAS thread
-    (single_blas_thread, set before the fork and inherited by the
-    workers): on 2 cores a second BLAS thread slowed these solves down
-    even inline, so the pool is the only parallelism.  The caller's
-    counts are restored on return, and the pool leaves no helper thread
-    behind: the fork shuts OpenBLAS's thread server down in this
-    process, and the cap's restore does not start it again (see the
-    eigen module); the caller's next threaded BLAS call does.  Once an
-    item fails, no further item is sent; the items already sent are
-    awaited, and the exception of the lowest failing index is raised
-    here, the one a loop over the items would raise.  A worker that
-    exits without returning its item fails that item with a
-    RuntimeError.  Every worker is reaped before this returns or raises.
-    The pool uses os, pickle and select only, not multiprocessing.
-    """
-    items = list(items)
-    workers = min(jobs, len(items), _usable_cpus())
-    if workers < 2 or not hasattr(os, "fork"):
-        return [fn(item) for item in items]
-    import pickle
-    import select
-
-    pool = {}    # each worker's replies pipe -> (its pid, its tasks pipe)
-    busy = {}    # replies pipe -> index of the item sent to that worker
-    results, failed = [None] * len(items), {}
-    unsent = iter(range(len(items)))
-
-    def send(replies):
-        index = next(unsent, None)
-        if index is not None:
-            os.write(pool[replies][1], index.to_bytes(8, "little"))
-            busy[replies] = index
-
-    try:
-        for _ in range(workers):
-            task_r, task_w = os.pipe()
-            reply_r, reply_w = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                code = 1
-                try:
-                    for replies, (_, tasks) in pool.items():
-                        replies.close()
-                        os.close(tasks)
-                    os.close(task_w)
-                    os.close(reply_r)
-                    _worker_loop(fn, items, task_r, reply_w)
-                    code = 0
-                finally:
-                    os._exit(code)
-            os.close(task_r)
-            os.close(reply_w)
-            pool[open(reply_r, "rb")] = (pid, task_w)
-        for replies in pool:
-            send(replies)
-        while busy:
-            for replies in select.select(list(busy), [], [])[0]:
-                index = busy.pop(replies)
-                try:
-                    _, ok, value = pickle.load(replies)
-                except (EOFError, pickle.UnpicklingError):
-                    ok, value = False, RuntimeError(
-                        f"pool worker {pool[replies][0]} exited without "
-                        f"returning item {index}")
-                if ok:
-                    results[index] = value
-                else:
-                    failed[index] = value
-                if not failed:
-                    send(replies)
-    finally:
-        for replies, (_, tasks) in pool.items():
-            os.close(tasks)
-            replies.close()
-        for pid, _ in pool.values():
-            os.waitpid(pid, 0)
-    if failed:
-        raise failed[min(failed)]
-    return results
-
-
 def _match_radius(branch: TrackedBranch, step: float) -> float:
     # median |dlambda/dp| over the last two steps, scaled to the current
     # step so mixed-resolution grids keep a consistent radius
@@ -616,29 +490,22 @@ def track_branches(model, omega: float, p_grid, grid: ChebGrid,
                    jobs: int = 1) -> list:
     """Continue isolated eigenvalue branches across an ascending p-grid.
 
-    Each grid point is solved on one BLAS thread, through _map_forked:
-    inline at jobs == 1, and at jobs > 1 on a pool of min(jobs,
-    len(p_grid), usable cpus) forked worker processes, which inherit the
-    model, the grids and p_grid and receive only the index of p (inline
-    where that is one worker or the platform cannot fork).
-    Forked workers overlap their solves at every matrix order, where
-    threads do not: numpy keeps the GIL through most of an eigvals call
-    below about order 500.  A fork copies the calling thread alone, so a
-    caller that runs threads of its own should keep jobs == 1.  The
-    matching pass itself is sequential and deterministic, so the branches
-    do not depend on jobs.  Each point but the first takes the two-grid
-    route of _solve_isolated where its guards allow: the values found on
-    the coarse grid of _coarse_grid, refined at N; a guard sends the
-    point to the full solve at N, whose candidates the refined ones equal
-    to about 1e-12.  This process logs each point's route once at DEBUG
-    level, in p order, as "p=...: two-grid" or "p=...: full solve
-    (<guard>)", so the log does not depend on jobs.  Both grids' _Levels,
-    with the p = 0 block products and the transfer between the grids,
-    are built once here and inherited by the workers.  Branches are
-    seeded at the first grid point from the asymptotic predictions plus
-    any remaining isolated eigenvalues, and terminated with an
-    'absorbed' or 'lost' event when no candidate falls inside the match
-    radius.
+    The grid points are solved by pool.map_forked with jobs, whose workers
+    inherit the model, the grids and p_grid and receive only the index of p;
+    a caller that runs threads of its own should keep jobs == 1.  The
+    matching pass itself is sequential and deterministic, so the branches do
+    not depend on jobs.  Each point but the first takes the two-grid route
+    of _solve_isolated where its guards allow: the values found on the
+    coarse grid of _coarse_grid, refined at N; a guard sends the point to
+    the full solve at N, whose candidates the refined ones equal to about
+    1e-12.  This process logs each point's route once at DEBUG level, in p
+    order, as "p=...: two-grid" or "p=...: full solve (<guard>)", so the log
+    does not depend on jobs.  Both grids' _Levels, with the p = 0 block
+    products and the transfer between the grids, are built once here and
+    inherited by the workers.  Branches are seeded at the first grid point
+    from the asymptotic predictions plus any remaining isolated eigenvalues,
+    and terminated with an 'absorbed' or 'lost' event when no candidate
+    falls inside the match radius.
 
     At each step the pairs of branch and candidate inside the branch's
     match radius are assigned nearest first, ties to the earlier branch
@@ -665,7 +532,7 @@ def track_branches(model, omega: float, p_grid, grid: ChebGrid,
         fine, coarse = _sweep_level(model, omega, grid), _coarse_grid(grid)
         if coarse is not None:
             coarse = _sweep_level(model, omega, coarse, grid)
-    solved = _map_forked(
+    solved = map_forked(
         functools.partial(_solve_isolated, model, omega, fine, coarse, ps[0]),
         ps, jobs)
     for p, (*_, route) in zip(ps, solved):

@@ -28,9 +28,9 @@ import pytest
 
 import diracstab.spectrum as spectrum
 from diracstab.cheb import build_grid
-from diracstab.eigen import (_openblas_libraries, _thread_count,
-                             inverse_vectors)
+from diracstab.eigen import inverse_vectors
 from diracstab.operator import assemble
+from diracstab.pool import _openblas_libraries, _thread_count
 from diracstab.soliton import ModelKind
 from diracstab.spectrum import parity_eigvals
 

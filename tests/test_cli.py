@@ -12,6 +12,7 @@ import pytest
 
 import diracstab
 import diracstab.cli as cli
+import diracstab.pool as pool
 import diracstab.spectrum as spectrum
 from diracstab import __version__
 from conftest import blas_threads
@@ -48,7 +49,7 @@ def produced_file(capsys, outdir, index=0):
 def use_workers(monkeypatch, count):
     # the pool runs at most one worker per usable cpu: a count of 1 pins
     # the inline path, and 2 the forked pool, on any runner
-    monkeypatch.setattr(spectrum, "_usable_cpus", lambda: count)
+    monkeypatch.setattr(pool, "_usable_cpus", lambda: count)
 
 
 class TestSoliton:
@@ -453,6 +454,21 @@ class TestValidate:
         assert captured.out == ""
         assert solved == []
 
+    @pytest.mark.parametrize("argv", [
+        ["--model", "gn", "--n-values", "100,100"],
+        ["--n-values", "100,300,100"],
+    ], ids=["gn-100-100", "all-100-300-100"])
+    def test_repeated_n_exits_2_before_solving(self, argv, capsys,
+                                               monkeypatch):
+        solved = []
+        monkeypatch.setattr(cli, "_p0_metric",
+                            lambda *args: solved.append(args) or 0.0)
+        assert cli.main(["validate"] + argv) == 2
+        captured = capsys.readouterr()
+        assert "repeats" in captured.err
+        assert captured.out == ""
+        assert solved == []
+
     @pytest.mark.parametrize("n_values", ["", ","])
     def test_empty_n_values_exits_2(self, n_values, capsys):
         assert cli.main(["validate", f"--n-values={n_values}"]) == 2
@@ -753,10 +769,10 @@ def test_sweep_pool_forks_no_threaded_process(tmp_path):
     # leaves no worker waiting.
     script = textwrap.dedent("""
         import os, sys, warnings
-        from diracstab import cli, spectrum
+        from diracstab import cli, pool
 
         # two workers on any runner
-        spectrum._usable_cpus = lambda: 2
+        pool._usable_cpus = lambda: 2
         fork, counts = os.fork, []
 
         def counted_fork():
@@ -795,10 +811,10 @@ def test_validate_pool_imports_no_multiprocessing(tmp_path):
     # multiprocessing nor the process executor is ever imported
     script = textwrap.dedent("""
         import os, sys
-        from diracstab import cli, spectrum
+        from diracstab import cli, pool
 
         # two workers on any runner
-        spectrum._usable_cpus = lambda: 2
+        pool._usable_cpus = lambda: 2
         fork, forks = os.fork, []
 
         def counted_fork():

@@ -9,11 +9,11 @@ even when the multisets are identical.
 import numpy as np
 import pytest
 
-import diracstab.eigen as eigen
+import diracstab.pool as pool
 from diracstab.analytics import asymptotic_prediction, kernel_vectors
 from conftest import blas_threads, relative_residuals, stability_matrix
 from diracstab.eigen import (ConvergenceError, EigenSet, eigvals,
-                             inverse_vectors, single_blas_thread)
+                             inverse_vectors)
 from diracstab.operator import assemble
 from diracstab.spectrum import parity_eigvals
 
@@ -168,11 +168,11 @@ class TestBlasCap:
         before = blas_threads()
         if before is None:
             pytest.skip("no OpenBLAS library is loaded")
-        monkeypatch.setattr(eigen, "_thread_count", lambda *args: None)
-        setters = {names[0] for names in eigen._OPENBLAS_SYMBOLS}
-        assert {setter.__name__ for setter, _ in eigen._openblas_controls()} \
+        monkeypatch.setattr(pool, "_thread_count", lambda *args: None)
+        setters = {names[0] for names in pool._OPENBLAS_SYMBOLS}
+        assert {setter.__name__ for setter, _ in pool._openblas_controls()} \
             <= setters
-        with single_blas_thread():
+        with pool.single_blas_thread():
             assert blas_threads() == 1
         assert blas_threads() == before
 

@@ -1,5 +1,6 @@
 """Isolated-eigenvalue extraction, slope fits, and branch continuation."""
 
+import errno
 import logging
 import os
 import signal
@@ -9,6 +10,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import diracstab.pool as pool
 import diracstab.spectrum as spectrum
 from conftest import (blas_threads, conjugate_classes, free_operator,
                       lifted_residuals, lifted_vectors,
@@ -277,13 +279,13 @@ def started_workers(monkeypatch, file_record):
     entry per start; the workers are forked processes, so they record
     through a FileRecord."""
     workers = file_record("workers")
-    loop = spectrum._worker_loop
+    loop = pool._worker_loop
 
     def recording(*args):
         workers.append(os.getpid())
         loop(*args)
 
-    monkeypatch.setattr(spectrum, "_worker_loop", recording)
+    monkeypatch.setattr(pool, "_worker_loop", recording)
     return workers
 
 
@@ -422,7 +424,7 @@ class TestTracking:
                                    file_record):
         workers = started_workers(monkeypatch, file_record)
         # more cpus than points, on any runner
-        monkeypatch.setattr(spectrum, "_usable_cpus", lambda: 8)
+        monkeypatch.setattr(pool, "_usable_cpus", lambda: 8)
         ps, grid = [0.2, 0.25], grid_cache(30, 10.0)
         pooled = track_branches("mtm", 0.0, ps, grid, jobs=8)
         # one worker process per point, not per job
@@ -432,7 +434,7 @@ class TestTracking:
     def test_runs_inline_without_fork(self, grid_cache, monkeypatch,
                                       file_record):
         workers = started_workers(monkeypatch, file_record)
-        monkeypatch.setattr(spectrum, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(pool, "_usable_cpus", lambda: 2)
         monkeypatch.delattr(os, "fork")
         ps, grid = [0.2, 0.25], grid_cache(30, 10.0)
         inline = track_branches("mtm", 0.0, ps, grid, jobs=2)
@@ -441,33 +443,33 @@ class TestTracking:
 
     def test_map_forked_keeps_item_order(self, monkeypatch, file_record):
         workers = started_workers(monkeypatch, file_record)
-        monkeypatch.setattr(spectrum, "_usable_cpus", lambda: 4)
+        monkeypatch.setattr(pool, "_usable_cpus", lambda: 4)
         # a lambda cannot be pickled: fn reaches the workers by the fork
         ratio = lambda k: (100 // k, os.getpid())  # noqa: E731
         items = [7, 3, 9, 1, 5]
-        pooled = spectrum._map_forked(ratio, items, 2)
+        pooled = pool.map_forked(ratio, items, 2)
         assert [q for q, _ in pooled] == [100 // k for k in items]
         assert len(set(workers)) == 2
         assert {pid for _, pid in pooled} <= set(workers)
         # one job, or one item, runs inline
         parent = [(100 // k, os.getpid()) for k in items]
-        assert spectrum._map_forked(ratio, items, 1) == parent
-        assert spectrum._map_forked(ratio, items[:1], 4) == parent[:1]
+        assert pool.map_forked(ratio, items, 1) == parent
+        assert pool.map_forked(ratio, items[:1], 4) == parent[:1]
         assert len(workers) == 2
 
     def test_map_forked_caps_workers_at_usable_cpus(self, monkeypatch,
                                                     file_record):
         # a fork pool starts every worker at once: jobs=64 must not fork 64
         workers = started_workers(monkeypatch, file_record)
-        monkeypatch.setattr(spectrum, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(pool, "_usable_cpus", lambda: 2)
         pid = lambda k: (k, os.getpid())  # noqa: E731
-        pooled = spectrum._map_forked(pid, range(5), 64)
+        pooled = pool.map_forked(pid, range(5), 64)
         assert [k for k, _ in pooled] == list(range(5))
         assert len(workers) == len(set(workers)) == 2
         assert {p for _, p in pooled} <= set(workers)
         # one usable cpu runs inline
-        monkeypatch.setattr(spectrum, "_usable_cpus", lambda: 1)
-        assert spectrum._map_forked(pid, range(5), 64) == \
+        monkeypatch.setattr(pool, "_usable_cpus", lambda: 1)
+        assert pool.map_forked(pid, range(5), 64) == \
             [(k, os.getpid()) for k in range(5)]
         assert len(workers) == 2
 
@@ -477,7 +479,7 @@ class TestTracking:
         before = blas_threads()
         if before is None:
             pytest.skip("no OpenBLAS library is loaded")
-        monkeypatch.setattr(spectrum, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(pool, "_usable_cpus", lambda: cpus)
         # forked workers record through a file
         seen = file_record("threads")
 
@@ -485,7 +487,7 @@ class TestTracking:
             seen.append([os.getpid(), blas_threads()])
             return k
 
-        assert spectrum._map_forked(recording, range(4), 2) == list(range(4))
+        assert pool.map_forked(recording, range(4), 2) == list(range(4))
         pids, threads = zip(*seen)
         assert (os.getpid() in pids) == (cpus == 1)
         assert threads == (1,) * 4
@@ -502,14 +504,14 @@ class TestTracking:
         counts = blas_threads()
         if pthreads_blas_threads() < 2:
             pytest.skip("no pthreads OpenBLAS on two or more threads")
-        monkeypatch.setattr(spectrum, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(pool, "_usable_cpus", lambda: 2)
         seen = file_record("threads")
 
         def recording(k):
             seen.append([os.getpid(), blas_threads()])
             return k
 
-        assert spectrum._map_forked(recording, range(4), 2) == list(range(4))
+        assert pool.map_forked(recording, range(4), 2) == list(range(4))
         assert thread_ids() <= before
         pids, threads = zip(*seen)
         assert os.getpid() not in pids
@@ -523,7 +525,7 @@ class TestTracking:
             assert blas_threads() == counts
 
     def test_pool_leaves_no_processes(self, grid_cache, monkeypatch):
-        monkeypatch.setattr(spectrum, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(pool, "_usable_cpus", lambda: 2)
         track_branches("gn", 2.0 / 3.0, [0.2, 0.25, 0.3],
                        grid_cache(30, 10.0), jobs=2)
         assert_no_children()
@@ -532,12 +534,12 @@ class TestTracking:
             raise ValueError(f"item {k}")
 
         with pytest.raises(ValueError, match="item 0"):
-            spectrum._map_forked(fails, range(4), 2)
+            pool.map_forked(fails, range(4), 2)
         assert_no_children()
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_worker_that_exits_fails_its_item(self, monkeypatch):
-        monkeypatch.setattr(spectrum, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(pool, "_usable_cpus", lambda: 2)
 
         def exits(k):
             if k == 2:
@@ -553,14 +555,14 @@ class TestTracking:
         try:
             with pytest.raises(RuntimeError,
                                match="without returning item 2"):
-                spectrum._map_forked(exits, range(6), 2)
+                pool.map_forked(exits, range(6), 2)
         finally:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
         assert_no_children()
 
     def test_lowest_failing_item_raises(self, monkeypatch):
-        monkeypatch.setattr(spectrum, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(pool, "_usable_cpus", lambda: 2)
 
         def fails(k):
             if k == 1:
@@ -573,8 +575,48 @@ class TestTracking:
         # the exception a loop over the items raises, on any pool
         for jobs in (1, 2):
             with pytest.raises(ValueError, match="item 1"):
-                spectrum._map_forked(fails, range(5), jobs)
+                pool.map_forked(fails, range(5), jobs)
         assert_no_children()
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_worker_that_fails_to_start_leaves_no_fd(self, monkeypatch):
+        try:
+            before = set(os.listdir("/proc/self/fd"))
+        except OSError:
+            pytest.skip("no /proc/self/fd")
+        monkeypatch.setattr(pool, "_usable_cpus", lambda: 3)
+        fork, forks = os.fork, []
+
+        def second_fails():
+            forks.append(len(forks))
+            if len(forks) == 2:
+                raise OSError(errno.EAGAIN, "fork refused")
+            return fork()
+
+        monkeypatch.setattr(os, "fork", second_fails)
+        with pytest.raises(OSError, match="fork refused") as raised:
+            pool.map_forked(lambda k: k, range(3), 3)
+        assert raised.value.errno == errno.EAGAIN
+        # the started worker's pipes and the failed one's are all closed
+        assert set(os.listdir("/proc/self/fd")) == before
+        assert_no_children()
+
+    def test_unpicklable_result_fails_its_item(self, monkeypatch):
+        monkeypatch.setattr(pool, "_usable_cpus", lambda: 2)
+
+        class Unpicklable:
+            def __reduce__(self):
+                raise ValueError("unpicklable")
+
+        def result(k):
+            return Unpicklable() if k == 1 else k
+
+        with pytest.raises(ValueError, match="unpicklable"):
+            pool.map_forked(result, range(4), 2)
+        assert_no_children()
+        # inline, nothing is pickled
+        assert isinstance(pool.map_forked(result, range(2), 1)[1],
+                          Unpicklable)
 
     def test_quartet_transition_recorded(self, mtm_sweep):
         _, branches = mtm_sweep
