@@ -22,8 +22,8 @@ each block is one transform of it plus four diagonals.
 
 p enters only through the transverse term, a diagonal, and only
 parity_products adds it: it writes B, C and B C at any p from the p = 0
-pairs and their products (parity_base) in O(N**2); a sweep takes the
-(N+1)-square products once.
+pairs and their products (parity_base) in O(N**2); each process that
+solves a sweep's points takes the (N+1)-square products once.
 parity_transfer carries a vector of the blocks' bases from a coarse grid
 to a fine one.
 

@@ -141,7 +141,8 @@ def _worker_loop(fn, items, tasks: int, replies: int) -> None:
     """A pool worker's loop: reads an item index from the tasks pipe and
     writes the pickled (index, ok, value) of fn(items[index]) to the
     replies pipe, ok False and value the exception where fn raised,
-    until the parent closes the tasks pipe."""
+    until the parent closes the tasks pipe; an exception that does not
+    pickle and unpickle goes as a RuntimeError that names it."""
     import pickle
     with open(replies, "wb") as out:
         while index_bytes := os.read(tasks, 8):
@@ -149,7 +150,11 @@ def _worker_loop(fn, items, tasks: int, replies: int) -> None:
             try:
                 reply = pickle.dumps((index, True, fn(items[index])))
             except Exception as exc:  # fn's error, or an unpicklable value
-                reply = pickle.dumps((index, False, exc))
+                try:
+                    pickle.loads(reply := pickle.dumps((index, False, exc)))
+                except Exception:
+                    reply = pickle.dumps((index, False, RuntimeError(
+                        f"item {index} raised {type(exc).__name__}: {exc}")))
             out.write(reply)
             out.flush()
 
@@ -163,9 +168,12 @@ def map_forked(fn, items, jobs: int) -> list:
     must pickle: one that does not fails its item, where the inline path
     returns it.  Once an item fails, no further item is sent, the items
     sent are awaited, and the lowest failing index's exception is raised,
-    the one a loop would raise; a worker that exits without returning
-    its item fails it with a RuntimeError.  Every worker is reaped and
-    every pipe closed before this returns or raises.
+    the one a loop would raise.  Pooled, it is the exception as pickle
+    rebuilds it, with no traceback, cause or context, or, where it does
+    not pickle and unpickle, a RuntimeError that names the item index
+    and the exception's type and message; a worker that exits without
+    returning its item fails it with a RuntimeError.  Every worker is
+    reaped and every pipe closed before this returns or raises.
     """
     items = list(items)
     workers = min(jobs, len(items), _usable_cpus())

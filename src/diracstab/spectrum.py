@@ -23,25 +23,20 @@ same routine, _refined_values, with the fine grid as its own coarse one,
 but keeps its values; only classes near the origin take their vector
 from M, for the root sqrt(mu) alone.  Both lift the iterate to an
 eigenvector of M, while each shifted solve stays real for a real mu,
-and B and C act on the lift's complex vectors in real arithmetic.  A
-sweep takes the p = 0 block products of both grids once
-(operator.parity_base), and every point writes its own B, C and B C from
-them in O(N**2).  The drift of a value between the grids is the
-per-value resolution check of Boyd's rule (Chebyshev and Fourier
-Spectral Methods, ch. 7).  Guards send a point to the full solve at N
-instead, which finds every value the fine grid has: N_c below
-_COARSE_FLOOR, the sweep's first point, a closed gap, a coarse value
-near the origin or a band, and a refinement that is not finite,
-coalesces or drifts.  _solve_isolated checks them in that order and
-returns the point's route: two-grid, or the first guard that failed;
-track_branches logs it.
-spectrum, slope_fit and validate keep the full solve.  A sweep's points
-run on pool.map_forked.
+and B and C act on the lift's complex vectors in real arithmetic.  Each
+process that solves a sweep's points, on pool.map_forked, builds both
+grids' p = 0 block products once (_sweep_levels), and every point writes
+its own B, C and B C from them in O(N**2).  The drift of a value between
+the grids is the per-value resolution check of Boyd's rule (Chebyshev
+and Fourier Spectral Methods, ch. 7).  Guards send a point to the full
+solve at N instead, which finds every value the fine grid has;
+_solve_isolated lists them and returns the point's route, two-grid or
+the first guard that failed, which track_branches logs.  spectrum,
+slope_fit and validate keep the full solve.
 """
 
 from __future__ import annotations
 
-import functools
 import logging
 import math
 # unused here: benchmarks/tracing.py patches spectrum.ThreadPoolExecutor,
@@ -57,7 +52,7 @@ from .cheb import ChebGrid, build_grid
 from .eigen import EigenSet, eigvals, inverse_vectors
 from .operator import (SpectralBands, assemble, continuous_bands,
                        parity_base, parity_products, parity_transfer)
-from .pool import map_forked, single_blas_thread
+from .pool import map_forked
 from .soliton import ModelKind
 
 __all__ = [
@@ -343,29 +338,27 @@ def _classify(lam: complex) -> str:
     return CLASS_QUARTET
 
 
-def _coarse_grid(grid: ChebGrid):
-    """The two-grid route's coarse grid, on grid's map: even degree
-    N_c = 2 floor(N / 4), or None when N_c is below _COARSE_FLOOR."""
-    n = 2 * (grid.n // 4)
-    return build_grid(n, grid.scale) if n >= _COARSE_FLOOR else None
-
-
 class _Level(NamedTuple):
-    """One grid of a sweep: the grid, the p = 0 block products of the
-    swept model on it (parity_base), and, on the coarse grid, the
-    parity_transfer to the fine one."""
+    """One grid of a sweep, the swept model's p = 0 block products on it
+    (parity_base) and, on the coarse grid, the parity_transfer to the
+    fine one."""
 
     grid: ChebGrid
     base: tuple
     transfer: np.ndarray | None = None
 
 
-def _sweep_level(model, omega, grid, fine=None) -> _Level:
-    """grid's _Level for a sweep of model at omega; pass fine for the
-    coarse grid, to which the transfer leads."""
-    base = parity_base(assemble(model, omega, 0.0, grid))
-    transfer = None if fine is None else parity_transfer(grid, fine)
-    return _Level(grid, base, transfer)
+def _sweep_levels(model, omega, grid: ChebGrid) -> tuple:
+    """The fine and coarse _Level of a sweep on grid; the coarse grid, on
+    grid's map, has even degree N_c = 2 floor(N / 4), or is None below
+    _COARSE_FLOOR."""
+    fine = _Level(grid, parity_base(assemble(model, omega, 0.0, grid)))
+    n = 2 * (grid.n // 4)
+    if n < _COARSE_FLOOR:
+        return fine, None
+    coarse = build_grid(n, grid.scale)
+    base = parity_base(assemble(model, omega, 0.0, coarse))
+    return fine, _Level(coarse, base, parity_transfer(coarse, grid))
 
 
 def _transferred(transfer, xs):
@@ -379,9 +372,10 @@ def _classes(solves, bands, margin, omega):
     """Per block pair of solves (_parity_solve), its classes mu whose
     roots sqrt(mu) a sweep tracks, in the solve's order: the isolated
     ones (isolated_eigs) within the p = 0 outer band edge, |Im| <= 1 +
-    |omega|.  Band distance and |Im| are exactly symmetric under lambda
-    -> -lambda and lambda -> conj(lambda), so every value of a class is
-    tracked or none."""
+    |omega|, beyond which under-resolved band modes can pass the distance
+    filter at moderate N and would spawn artifact branches.  Band distance
+    and |Im| are exactly symmetric under lambda -> -lambda and lambda ->
+    conj(lambda), so every value of a class is tracked or none."""
     kept = []
     for *_, mu in solves:
         roots = np.sqrt(mu)
@@ -391,16 +385,12 @@ def _classes(solves, bands, margin, omega):
 
 
 def _solve_isolated(model, omega, fine, coarse, p0, p):
-    """One sweep point: (isolated eigenvalues, their residuals, the bands,
-    the margin, the route), the values sorted by (imag, real) like
-    parity_eigvals'; each conjugate class's values share one residual.
+    """One sweep point: (isolated eigenvalues, their residuals, the
+    route), the values sorted by (imag, real) like parity_eigvals'; each
+    conjugate class's values share one residual.
 
-    Only values with |Im lambda| <= 1 + |omega|, the p = 0 outer band
-    edge, are kept (_classes): point branches stay within the original
-    gap scale, while under-resolved band modes far up the imaginary axis
-    can pass the distance filter at moderate N and would otherwise spawn
-    artifact branches.  fine and coarse are the sweep's _Levels (coarse
-    is None below the floor).
+    The values are those of the classes kept (_classes); fine and coarse
+    are the sweep's _sweep_levels.
 
     The route is _TWO_GRID where every guard holds: _refined_values
     refines the kept conjugate classes of the coarse B C's eigenvalues
@@ -464,7 +454,7 @@ def _solve_isolated(model, omega, fine, coarse, p0, p):
         lams, _, residuals = _refined_values(
             solves, solves, _classes(solves, bands, margin, omega))
     order = np.lexsort((lams.real, lams.imag))
-    return lams[order], residuals[order], bands, margin, route
+    return lams[order], residuals[order], route
 
 
 def _match_radius(branch: TrackedBranch, step: float) -> float:
@@ -491,21 +481,20 @@ def track_branches(model, omega: float, p_grid, grid: ChebGrid,
     """Continue isolated eigenvalue branches across an ascending p-grid.
 
     The grid points are solved by pool.map_forked with jobs, whose workers
-    inherit the model, the grids and p_grid and receive only the index of p;
-    a caller that runs threads of its own should keep jobs == 1.  The
-    matching pass itself is sequential and deterministic, so the branches do
-    not depend on jobs.  Each point but the first takes the two-grid route
-    of _solve_isolated where its guards allow: the values found on the
-    coarse grid of _coarse_grid, refined at N; a guard sends the point to
-    the full solve at N, whose candidates the refined ones equal to about
-    1e-12.  This process logs each point's route once at DEBUG level, in p
-    order, as "p=...: two-grid" or "p=...: full solve (<guard>)", so the log
-    does not depend on jobs.  Both grids' _Levels, with the p = 0 block
-    products and the transfer between the grids, are built once here and
-    inherited by the workers.  Branches are seeded at the first grid point
-    from the asymptotic predictions plus any remaining isolated eigenvalues,
-    and terminated with an 'absorbed' or 'lost' event when no candidate
-    falls inside the match radius.
+    inherit the model, the grid and p_grid and receive only the index of p;
+    a caller that runs threads of its own should keep jobs == 1.  Each
+    process that solves points builds _sweep_levels on its first one, on
+    the pool's one BLAS thread.  The matching pass itself is sequential and
+    deterministic, so the branches do not depend on jobs.  Each point but
+    the first takes the two-grid route of _solve_isolated where its guards
+    allow; a guard sends the point to the full solve at N, whose candidates
+    the refined ones equal to about 1e-12.  This process logs each point's
+    route once at DEBUG level, in p order, as "p=...: two-grid" or "p=...:
+    full solve (<guard>)", so the log does not depend on jobs.  Branches
+    are seeded at the first grid point from the asymptotic predictions plus
+    any remaining isolated eigenvalues, and end when no candidate falls
+    inside the match radius: 'absorbed' within twice the margin of the
+    bands at that p, 'lost' elsewhere.
 
     At each step the pairs of branch and candidate inside the branch's
     match radius are assigned nearest first, ties to the earlier branch
@@ -526,22 +515,22 @@ def track_branches(model, omega: float, p_grid, grid: ChebGrid,
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
 
-    # the p = 0 products on the one BLAS thread that the points are
-    # solved on: they are bitwise equal only at a fixed thread count
-    with single_blas_thread():
-        fine, coarse = _sweep_level(model, omega, grid), _coarse_grid(grid)
-        if coarse is not None:
-            coarse = _sweep_level(model, omega, coarse, grid)
-    solved = map_forked(
-        functools.partial(_solve_isolated, model, omega, fine, coarse, ps[0]),
-        ps, jobs)
-    for p, (*_, route) in zip(ps, solved):
+    # an omega out of range fails here, before any worker starts
+    pred = asymptotic_prediction(model, omega, with_corrections=False)
+    levels = []  # this process's (fine, coarse), once it solves a point
+
+    def solve(p):
+        if not levels:
+            levels.extend(_sweep_levels(model, omega, grid))
+        return _solve_isolated(model, omega, *levels, ps[0], p)
+
+    solved = map_forked(solve, ps, jobs)
+    for p, (_, _, route) in zip(ps, solved):
         if route == _TWO_GRID:
             logger.debug("p=%g: two-grid", p)
         else:
             logger.debug("p=%g: full solve (%s)", p, route)
 
-    pred = asymptotic_prediction(model, omega, with_corrections=False)
     first_step = ps[1] - ps[0]
     seed_radius = 3.0 * first_step * max(pred.lambda_r, pred.lambda_i, 1.0)
 
@@ -557,7 +546,7 @@ def track_branches(model, omega: float, p_grid, grid: ChebGrid,
 
     # seed at the first grid point
     p0 = ps[0]
-    iso0, res0, *_ = solved[0]
+    iso0, res0, _ = solved[0]
     claimed = np.zeros(iso0.size, dtype=bool)
     seeds = [p0 * pred.lambda_r, -p0 * pred.lambda_r,
              1j * p0 * pred.lambda_i, -1j * p0 * pred.lambda_i]
@@ -577,7 +566,7 @@ def track_branches(model, omega: float, p_grid, grid: ChebGrid,
     for k in range(1, len(ps)):
         p = ps[k]
         step = ps[k] - ps[k - 1]
-        iso, res, bands, margin, _ = solved[k]
+        iso, res, _ = solved[k]
         lams = np.array([br.last.lam for br in active], dtype=complex)
         radii = np.array([_match_radius(br, step) for br in active])
         dist = np.abs(iso - lams[:, None])
@@ -616,7 +605,9 @@ def track_branches(model, omega: float, p_grid, grid: ChebGrid,
                 br.points.append(BranchPoint(p, lam, float(res[j]), cls))
                 still_active.append(br)
             else:
-                near_band = bands.distance(br.last.lam)[0] <= 2.0 * margin
+                bands = continuous_bands(model, omega, p)
+                near_band = (bands.distance(br.last.lam)[0]
+                             <= 2.0 * default_margin(bands))
                 label = ("absorbed into continuous bands" if near_band
                          else "lost (no match within radius)")
                 br.events.append((p, label))

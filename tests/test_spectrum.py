@@ -165,8 +165,8 @@ class TestParitySolve:
         # grid as its own coarse one: a conjugate class of mu = lambda**2
         # takes one shifted solve of B C from the fixed start and one from
         # that iterate, and its four values share the residual
-        fine = spectrum._sweep_level("mtm", 0.5, grid_cache(20, 10.0))
-        iso, residuals, _, _, route = spectrum._solve_isolated(
+        fine, _ = spectrum._sweep_levels("mtm", 0.5, grid_cache(20, 10.0))
+        iso, residuals, route = spectrum._solve_isolated(
             "mtm", 0.5, fine, None, 0.3, 0.3)
         assert route == "coarse grid below the floor"
         mus = iso ** 2
@@ -200,8 +200,8 @@ class TestParitySolve:
         # complex quartets shift the (N+1)-square B C by a complex mu
         n = 22
         # no coarse grid: the full solve, as below the floor
-        fine = spectrum._sweep_level("mtm", 0.25, grid_cache(n, 10.0))
-        iso, residuals, _, _, route = spectrum._solve_isolated(
+        fine, _ = spectrum._sweep_levels("mtm", 0.25, grid_cache(n, 10.0))
+        iso, residuals, route = spectrum._solve_isolated(
             "mtm", 0.25, fine, None, None, 0.95)
         assert route == "coarse grid below the floor"
         near = iso[np.abs(iso) <= spectrum._NEAR_ORIGIN_RADIUS]
@@ -272,6 +272,14 @@ class TestSlopeFit:
         monkeypatch.setattr(spectrum, "parity_eigvals", bogus)
         with pytest.raises(BranchNotFound, match="p=0.02"):
             slope_fit("mtm", 0.0, [0.02, 0.03, 0.04], grid_cache(30, 10.0))
+
+
+class TwoPartError(Exception):
+    """An exception that pickles but does not unpickle: its args hold the
+    joined message, where __init__ takes its two parts."""
+
+    def __init__(self, head, tail):
+        super().__init__(head + tail)
 
 
 def started_workers(monkeypatch, file_record):
@@ -419,6 +427,33 @@ class TestTracking:
         assert classes < sum(len(br.points) for br in branches)
         assert len(shifted_matrices) == 2 * classes
         assert all(m.solves == 1 for m in shifted_matrices)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_each_solving_process_builds_the_levels_once(
+            self, grid_cache, monkeypatch, file_record, jobs):
+        # the command's process builds no level it does not solve with
+        workers = started_workers(monkeypatch, file_record)
+        monkeypatch.setattr(pool, "_usable_cpus", lambda: 2)
+        built = file_record("built", tuple)
+        base = spectrum.parity_base
+
+        def recording(op):
+            built.append([os.getpid(), op.grid.n])
+            return base(op)
+
+        monkeypatch.setattr(spectrum, "parity_base", recording)
+        track_branches("gn", 2.0 / 3.0, [0.2, 0.25, 0.3],
+                       grid_cache(120, 10.0), jobs=jobs)
+        # each process that solves a point builds the fine grid's level
+        # and the coarse one's, once
+        pids = {pid for pid, _ in built}
+        assert sorted(built) == sorted((pid, n) for pid in pids
+                                       for n in (60, 120))
+        if jobs == 1:
+            assert pids == {os.getpid()} and len(workers) == 0
+        else:
+            assert os.getpid() not in pids
+            assert pids == set(workers) and len(workers) == 2
 
     def test_more_jobs_than_points(self, grid_cache, monkeypatch,
                                    file_record):
@@ -618,6 +653,35 @@ class TestTracking:
         assert isinstance(pool.map_forked(result, range(2), 1)[1],
                           Unpicklable)
 
+    @pytest.mark.parametrize("breaks", ["pickling", "unpickling"])
+    def test_unpicklable_exception_keeps_its_item(self, monkeypatch, breaks):
+        monkeypatch.setattr(pool, "_usable_cpus", lambda: 2)
+
+        class LocalError(Exception):
+            """A class inside a function does not pickle."""
+
+        def error(message):
+            if breaks == "pickling":
+                return LocalError(message)
+            return TwoPartError(message[:4], message[4:])
+
+        def fails(k):
+            if k == 1:
+                # while one worker holds item 1, the other fails item 3
+                time.sleep(0.5)
+            if k in (1, 3):
+                raise error(f"item {k} failed")
+            return k
+
+        name = type(error("")).__name__
+        with pytest.raises(RuntimeError,
+                           match=f"^item 1 raised {name}: item 1 failed$"):
+            pool.map_forked(fails, range(5), 2)
+        assert_no_children()
+        # inline, nothing is pickled
+        with pytest.raises(type(error("")), match="^item 1 failed$"):
+            pool.map_forked(fails, range(5), 1)
+
     def test_quartet_transition_recorded(self, mtm_sweep):
         _, branches = mtm_sweep
         assert len(branches) >= 4
@@ -779,7 +843,8 @@ class TestTwoGrid:
         grid = grid_cache(n, 10.0)
         two = track_branches(model, omega, ps, grid, jobs=2)
         taken = dict(routes)
-        monkeypatch.setattr(spectrum, "_coarse_grid", lambda grid: None)
+        # no coarse grid: N_c = 2 floor(N / 4) stays below N
+        monkeypatch.setattr(spectrum, "_COARSE_FLOOR", n)
         full = track_branches(model, omega, ps, grid, jobs=2)
         assert [br.branch_id for br in two] == [br.branch_id for br in full]
         assert [br.events for br in two] == [br.events for br in full]
@@ -811,11 +876,9 @@ class TestTwoGrid:
     def test_one_coarse_and_one_fine_solve_per_class(
             self, grid_cache, shifted_matrices, model, omega, n, p, classes):
         grid = grid_cache(n, 10.0)
-        fine = spectrum._sweep_level(model, omega, grid)
-        coarse = spectrum._sweep_level(model, omega,
-                                       spectrum._coarse_grid(grid), grid)
-        lams, _, _, _, route = spectrum._solve_isolated(model, omega, fine,
-                                                        coarse, None, p)
+        fine, coarse = spectrum._sweep_levels(model, omega, grid)
+        lams, _, route = spectrum._solve_isolated(model, omega, fine, coarse,
+                                                  None, p)
         assert route == _TWO_GRID
         # a conjugate class of mu = lambda**2: +-lambda and their conjugates
         mus = lams ** 2
@@ -840,8 +903,7 @@ class TestTwoGrid:
         # an imaginary pair for gn, a real pair and a quartet for mtm
         p = 0.3
         grid = grid_cache(n, 10.0)
-        coarse = spectrum._sweep_level(model, omega,
-                                       spectrum._coarse_grid(grid), grid)
+        _, coarse = spectrum._sweep_levels(model, omega, grid)
         solves = spectrum._parity_solve(
             assemble(model, omega, p, coarse.grid), coarse.base)
         bands = continuous_bands(model, omega, p)
@@ -951,8 +1013,7 @@ class TestTwoGrid:
         # construction; both are equally near each coarse value, so a
         # nearest-root rule would tie
         grid = grid_cache(120, 10.0)
-        coarse = spectrum._sweep_level("mtm", 0.0,
-                                       spectrum._coarse_grid(grid), grid)
+        _, coarse = spectrum._sweep_levels("mtm", 0.0, grid)
         solves = spectrum._parity_solve(assemble("mtm", 0.0, 0.2, coarse.grid),
                                         coarse.base)
         bands = continuous_bands("mtm", 0.0, 0.2)
@@ -977,9 +1038,9 @@ class TestTwoGrid:
         grid = grid_cache(100, 10.0)
         bands = continuous_bands(model, omega, p)
         margin = default_margin(bands)
-        values, residuals, _, _, route = spectrum._solve_isolated(
-            model, omega, spectrum._sweep_level(model, omega, grid), None,
-            p, p)
+        fine, _ = spectrum._sweep_levels(model, omega, grid)
+        values, residuals, route = spectrum._solve_isolated(
+            model, omega, fine, None, p, p)
         assert route == "coarse grid below the floor"
         every = parity_eigvals(assemble(model, omega, p, grid)).values
         tracked = every[(bands.distance(every) > margin)
@@ -991,8 +1052,9 @@ class TestTwoGrid:
 
     def test_coarse_floor(self, grid_cache, routes):
         # N_c = 2 floor(N / 4) must reach 60: N = 120 does, N = 116 not
-        assert spectrum._coarse_grid(grid_cache(116, 10.0)) is None
-        coarse = spectrum._coarse_grid(grid_cache(120, 10.0))
+        levels = spectrum._sweep_levels
+        assert levels("gn", 2.0 / 3.0, grid_cache(116, 10.0))[1] is None
+        coarse = levels("gn", 2.0 / 3.0, grid_cache(120, 10.0))[1].grid
         assert (coarse.n, coarse.scale) == (60, 10.0)
         # the benchmark's coarse mtm sweep and the N = 60 solve-count tests
         for n in (22, 60):
@@ -1014,12 +1076,8 @@ class TestMatching:
     @staticmethod
     def track(monkeypatch, ps, points):
         # one list of candidate eigenvalues per grid point, solved in order
-        def point(p, iso):
-            bands = continuous_bands("mtm", 0.0, p)
-            return (np.array(iso, dtype=complex), np.zeros(len(iso)), bands,
-                    default_margin(bands), _TWO_GRID)
-
-        solved = iter([point(p, iso) for p, iso in zip(ps, points)])
+        solved = iter([(np.array(iso, dtype=complex), np.zeros(len(iso)),
+                        _TWO_GRID) for iso in points])
         monkeypatch.setattr(spectrum, "_solve_isolated",
                             lambda *args: next(solved))
         return track_branches("mtm", 0.0, ps, build_grid(30), jobs=1)
@@ -1031,6 +1089,17 @@ class TestMatching:
         assert [pt.lam for pt in branches[1].points] == [5.25, 5.1875]
         assert len(branches[0].points) == 1
         assert branches[0].events == [(1.125, "lost (no match within radius)")]
+
+    def test_unmatched_branch_near_a_band_is_absorbed(self, monkeypatch):
+        # at p = 0.625 the inner mtm band edge is 0.609375i and the margin
+        # 0.0609375: 0.5i lies within twice the margin of the band, 0.4i
+        # farther, and neither has a candidate within its radius
+        branches = self.track(monkeypatch, [0.5, 0.625],
+                              [[5.0, 0.5j, 0.4j], [5.0625]])
+        events = {br.points[0].lam: br.events for br in branches}
+        assert events == {
+            5.0: [], 0.5j: [(0.625, "absorbed into continuous bands")],
+            0.4j: [(0.625, "lost (no match within radius)")]}
 
     def test_exact_tie_goes_to_lower_branch_id(self, monkeypatch):
         branches = self.track(monkeypatch, [1.0, 1.125],
