@@ -17,6 +17,12 @@ wavenumbers, usable cpus) workers, validate on min(cells, usable cpus),
 largest N first, with no flag for it.  Every output is formatted in the
 command's process, so none depends on the worker count.
 
+Every command solves on one BLAS thread.  Importing this module loads
+numpy with OpenBLAS on one thread, unless numpy is loaded already or the
+environment sets a count (OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or
+OMP_NUM_THREADS), which is kept.  spectrum, like the pool, solves under
+pool.single_blas_thread, which covers a process that loaded numpy first.
+
 Exit codes: 0 success; 2 domain or configuration error (among them a
 non-finite value, a negative spectrum --margin, a soliton --x-max that
 is not positive, or soliton --points below 1); 3 numerical
@@ -29,6 +35,18 @@ import argparse
 import json
 import os
 import sys
+
+# OpenBLAS reads its thread count once, when numpy loads it.  On one
+# thread it never starts the thread server whose helper thread would spin
+# idle until the first fork.  The variable is set for this import alone,
+# so no subprocess inherits it.
+if "numpy" not in sys.modules and os.environ.keys().isdisjoint(
+        ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy  # noqa: F401
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
 
 import numpy as np
 
@@ -217,12 +235,14 @@ def cmd_asymptotics(cfg: dict) -> int:
 def cmd_spectrum(cfg: dict) -> int:
     model = _model_of(cfg)
     omega = _require(cfg, "omega")
-    op = assemble(model, omega, cfg["p"], _grid_of(cfg, model))
-    bands = continuous_bands(model, omega, cfg["p"])
-    # an explicit margin is checked before the solve
-    margin = (default_margin(bands) if cfg["margin"] is None
-              else _checked_margin(cfg["margin"]))
-    es = parity_eigvals(op)
+    # on one BLAS thread, as every other command solves
+    with pool.single_blas_thread():
+        op = assemble(model, omega, cfg["p"], _grid_of(cfg, model))
+        bands = continuous_bands(model, omega, cfg["p"])
+        # an explicit margin is checked before the solve
+        margin = (default_margin(bands) if cfg["margin"] is None
+                  else _checked_margin(cfg["margin"]))
+        es = parity_eigvals(op)
     iso = set(complex(v) for v in isolated_eigs(es, bands, margin))
     cfg["band_edges"] = [[e, d] for e, d in bands.band_edges]
     cfg["gap_closed"] = bands.gap_closed
@@ -293,13 +313,14 @@ def cmd_validate(cfg: dict) -> int:
             if n not in published:
                 raise ValueError(f"no published {model.value} metric for "
                                  f"N={n}; published N values: {published}")
+    # one grid per N, shared by the models
+    grids = {n: build_grid(n, cfg["scale"]) for n in n_list}
     cells = []
     for model in models:
         omegas = sorted({om for mod, om, _ in _REFERENCE_METRICS
                          if mod == model.value})
         for n in n_list:
-            grid = build_grid(n, cfg["scale"])
-            cells += [(model, om, grid) for om in omegas]
+            cells += [(model, om, grids[n]) for om in omegas]
     # one worker per cell up to the usable cpus, each on the pool's one
     # BLAS thread: the (mtm, +0.5, 500) cell passes on one thread only.
     # The cells go to the pool largest N first, so that no worker is left

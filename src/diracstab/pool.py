@@ -20,7 +20,10 @@ written to its exported int blas_cpu_number, the value
 *_get_num_threads returns and its level-3 routines read, and the server
 starts again only at the next threaded BLAS call, as after any fork.
 Other builds are capped through their setter.  A pool leaves no
-process, thread or file descriptor behind.
+process, thread or file descriptor behind.  The command line loads
+numpy with OpenBLAS on one thread already (diracstab.cli), so that no
+helper thread ever starts there; the cap serves the processes that
+loaded numpy first, library callers and test runs.
 """
 
 from __future__ import annotations
@@ -165,15 +168,18 @@ def map_forked(fn, items, jobs: int) -> list:
 
     Runs on min(jobs, len(items), _usable_cpus()) forked workers, or
     inline where that is 1 or the platform cannot fork.  Pooled results
-    must pickle: one that does not fails its item, where the inline path
-    returns it.  Once an item fails, no further item is sent, the items
-    sent are awaited, and the lowest failing index's exception is raised,
-    the one a loop would raise.  Pooled, it is the exception as pickle
-    rebuilds it, with no traceback, cause or context, or, where it does
-    not pickle and unpickle, a RuntimeError that names the item index
-    and the exception's type and message; a worker that exits without
-    returning its item fails it with a RuntimeError.  Every worker is
-    reaped and every pipe closed before this returns or raises.
+    must pickle and unpickle, where the inline path returns any result:
+    one that does not pickle fails its item with the error pickling
+    raised, one that does not unpickle with a RuntimeError that names
+    the item index and the error's type and message.  Once an item
+    fails, no further item is sent, the items sent are awaited, and the
+    lowest failing index's exception is raised, the one a loop would
+    raise.  Pooled, it is the exception as pickle rebuilds it, with no
+    traceback, cause or context, or, where it does not pickle and
+    unpickle, a RuntimeError that names the item index and the
+    exception's type and message; a worker that exits without returning
+    its item fails it with a RuntimeError.  Every worker is reaped and
+    every pipe closed before this returns or raises.
     """
     items = list(items)
     workers = min(jobs, len(items), _usable_cpus())
@@ -232,6 +238,10 @@ def map_forked(fn, items, jobs: int) -> list:
                     ok, value = False, RuntimeError(
                         f"pool worker {pool[replies][0]} exited without "
                         f"returning item {index}")
+                except Exception as exc:  # a reply that does not unpickle
+                    ok, value = False, RuntimeError(
+                        f"item {index} returned a result that does not "
+                        f"unpickle: {type(exc).__name__}: {exc}")
                 if ok:
                     results[index] = value
                 else:

@@ -164,6 +164,24 @@ class TestSpectrum:
         best = min(abs(v.real - target) for v in isolated if v.real > 0)
         assert best <= 0.03 * target
 
+    def test_solves_on_one_blas_thread(self, capsys, monkeypatch):
+        # this process loaded numpy before the command line did
+        before, seen = blas_threads(), []
+
+        def recording(solve):
+            def solve_and_record(*args):
+                seen.append(blas_threads())
+                return solve(*args)
+            return solve_and_record
+
+        for name in ("assemble", "parity_eigvals"):
+            monkeypatch.setattr(cli, name, recording(getattr(cli, name)))
+        assert cli.main(["spectrum", "--model", "gn", "--omega", "0.6667",
+                         "--p", "0.3", "--n", "20"]) == 0
+        # None where no OpenBLAS is loaded
+        assert seen == [None if before is None else 1] * 2
+        assert blas_threads() == before
+
     def test_closed_gap_flagged_in_header(self, outdir, capsys):
         rc = cli.main(["spectrum", "--model", "mtm", "--omega", "0",
                        "--p", "1", "--n", "80"])
@@ -495,6 +513,15 @@ class TestValidate:
         assert list(threads) == [None if before is None else 1] * 2
         assert blas_threads() == before
 
+    def test_models_share_each_grid(self, capsys, monkeypatch):
+        built = []
+        build = cli.build_grid
+        monkeypatch.setattr(cli, "build_grid",
+                            lambda *args: built.append(args) or build(*args))
+        use_workers(monkeypatch, 1)
+        assert cli.main(["validate", "--n-values", "100"]) == 0
+        assert built == [(100, 10.0)]
+
     def test_cells_write_no_full_matrix(self, capsys, monkeypatch):
         # inline, so that the peak below is a cell's and not the parent's
         use_workers(monkeypatch, 1)
@@ -731,6 +758,81 @@ def test_commands_load_no_scipy(tmp_path):
              if m.split(".")[0] == "scipy"
              or m.split(".")[:2] in (["numpy", "random"], ["numpy", "ma"])]
     assert heavy == []
+
+
+BLAS_COUNT_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                        "OMP_NUM_THREADS")
+
+
+def start_up(prelude: str, **variables) -> dict:
+    """What a fresh interpreter, its environment free of BLAS thread
+    counts but for variables, holds after running prelude: its threads,
+    the thread count of each OpenBLAS it loaded, the BLAS count variables
+    it sees and whether numpy is loaded."""
+    script = prelude + textwrap.dedent("""
+        import ctypes, json, os, sys
+        from diracstab import pool
+        counts = []
+        for lib, (_, get_name, _) in pool._openblas_libraries():
+            get = getattr(lib, get_name)
+            get.argtypes, get.restype = [], ctypes.c_int
+            counts.append(get())
+        try:
+            threads = len(os.listdir("/proc/self/task"))
+        except OSError:
+            threads = None
+        print(json.dumps({
+            "threads": threads, "counts": counts,
+            "numpy": "numpy" in sys.modules,
+            "variables": {k: v for k, v in os.environ.items()
+                          if k in %r}}))
+    """ % (BLAS_COUNT_VARIABLES,))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(diracstab.__file__)))
+    env = {k: v for k, v in os.environ.items()
+           if k not in BLAS_COUNT_VARIABLES}
+    env.update(variables, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    state = json.loads(proc.stdout.splitlines()[-1])
+    if state["threads"] is None:
+        pytest.skip("no /proc/self/task")
+    if state["numpy"] and not state["counts"]:
+        pytest.skip("no OpenBLAS loaded")
+    return state
+
+
+class TestStartUp:
+    """The command line loads numpy with OpenBLAS on one thread, unless
+    numpy is loaded already or the environment sets a count."""
+
+    def test_command_line_loads_one_blas_thread(self):
+        state = start_up("from diracstab import cli\n")
+        # no OpenBLAS helper thread, and no variable left to subprocesses
+        assert state["threads"] == 1
+        assert state["counts"] == [1] * len(state["counts"])
+        assert state["variables"] == {}
+
+    # The two cases below also start the command line alone, whose count
+    # of 1 is what a kept count must differ from.
+
+    @pytest.mark.parametrize("variable", BLAS_COUNT_VARIABLES)
+    def test_count_the_environment_sets_is_kept(self, variable):
+        own = start_up("from diracstab import cli\n")["counts"]
+        state = start_up("from diracstab import cli\n", **{variable: "2"})
+        assert own == [1] * len(own)
+        assert state["counts"] == [2] * len(state["counts"])
+        assert state["variables"] == {variable: "2"}
+
+    def test_numpy_loaded_first_keeps_the_default(self):
+        own = start_up("from diracstab import cli\n")["counts"]
+        default = start_up("import numpy\n")["counts"]
+        state = start_up("import numpy\nfrom diracstab import cli\n")
+        assert own == [1] * len(own)
+        assert state["counts"] == default
+
+    def test_package_import_loads_no_numpy(self):
+        assert not start_up("import diracstab\n")["numpy"]
 
 
 def test_prediction_runs_without_scipy():

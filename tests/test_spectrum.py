@@ -653,6 +653,21 @@ class TestTracking:
         assert isinstance(pool.map_forked(result, range(2), 1)[1],
                           Unpicklable)
 
+    def test_result_that_does_not_unpickle_fails_its_item(self, monkeypatch):
+        monkeypatch.setattr(pool, "_usable_cpus", lambda: 2)
+
+        def result(k):
+            return TwoPartError("ite", "m") if k == 1 else k
+
+        # the parent's unpickling error, as the lowest failing item's
+        with pytest.raises(RuntimeError,
+                           match="^item 1 returned a result that does not "
+                                 "unpickle: TypeError: "):
+            pool.map_forked(result, range(4), 2)
+        assert_no_children()
+        # inline, nothing is pickled
+        assert str(pool.map_forked(result, range(2), 1)[1]) == "item"
+
     @pytest.mark.parametrize("breaks", ["pickling", "unpickling"])
     def test_unpicklable_exception_keeps_its_item(self, monkeypatch, breaks):
         monkeypatch.setattr(pool, "_usable_cpus", lambda: 2)
