@@ -21,11 +21,11 @@ differentiation matrix is centro-antisymmetric, so in the mirror basis
 each block is one transform of it plus four diagonals.
 
 p enters only through the transverse term, a diagonal, and only
-parity_products adds it: it writes B, C and B C at any p from the p = 0
-pairs and their products (parity_base) in O(N**2); each process that
-solves a sweep's points takes the (N+1)-square products once.
-parity_transfer carries a vector of the blocks' bases from a coarse grid
-to a fine one.
+parity_products adds it: it writes B, C and B C from the model, p and
+the p = 0 pairs and their products (parity_base) in O(N**2); each
+process that solves a sweep's points takes the (N+1)-square products
+once.  parity_transfer carries a vector of the blocks' bases from a
+coarse grid to a fine one.
 
 assemble samples the soliton potential and keeps it with the parameters;
 it writes no matrix, and A itself is never written.  Its component
@@ -108,18 +108,28 @@ def _potential_terms(model: ModelKind, omega: float, grid: ChebGrid):
     return terms
 
 
+def _checked_p(model: ModelKind, p) -> float:
+    """p as a float, where p and the highest power of it in the blocks,
+    p**4 for mtm and p**2 for gn (parity_products), are finite in
+    float64, else ValueError.  Python floats overflow to inf silently."""
+    p = float(p)
+    if not np.isfinite(p * p * (p * p if model is ModelKind.MASSIVE_THIRRING
+                                else 1.0)):
+        raise ValueError(f"transverse wavenumber p and its blocks in "
+                         f"float64 must be finite, got {p}")
+    return p
+
+
 def assemble(model, omega: float, p: float,
              grid: ChebGrid) -> StabilityOperator:
     """The stability operator at transverse wavenumber p.
 
     Samples the soliton once and writes no matrix; parity_products writes
-    the blocks the solves need.  p must be finite, and omega admissible
-    for the model's soliton family.
+    the blocks the solves need.  p must pass _checked_p, and omega be
+    admissible for the model's soliton family.
     """
     model = ModelKind(model)
-    p = float(p)
-    if not np.isfinite(p):
-        raise ValueError(f"transverse wavenumber p must be finite, got {p}")
+    p = _checked_p(model, p)
     if not isinstance(grid, ChebGrid):
         raise ValueError("grid must be a ChebGrid instance")
     return StabilityOperator(
@@ -246,13 +256,13 @@ def parity_base(op: StabilityOperator) -> tuple:
     return base
 
 
-def parity_products(op: StabilityOperator, base: tuple | None = None) -> list:
-    """(B, C, B @ C) for each real parity block pair of op's stability
-    matrix at op.p, from the p = 0 pairs and products, all float64
-    arrays.  This is the one place where p enters the blocks.
+def parity_products(model, p: float, base: tuple) -> list:
+    """(B, C, B @ C) for each real parity block pair of the model's
+    stability matrix at p, all float64 arrays, from base, the p = 0 pairs
+    and products (parity_base) of its omega and grid.  This is the one
+    place where p enters the blocks.
 
-    base is parity_base of op's model, omega and grid, taken here when not
-    given; at p = 0 its read-only arrays are returned as they are.  The
+    At p = 0 the base's read-only arrays are returned as they are.  The
     transverse term is a diagonal, so a pair costs O(N**2) on top of its
     base.  With (B0, C0, B0 C0), (B1, C1, B1 C1) the base pairs (see
     parity_blocks):
@@ -266,10 +276,7 @@ def parity_products(op: StabilityOperator, base: tuple | None = None) -> list:
       [-p (B1 S + S C0), B1 C1 - p**2 I]].
     The products agree with B @ C to rounding, not bit for bit.
     """
-    if base is None:
-        base = parity_base(op)
-    p = op.p
-    if op.model is ModelKind.MASSIVE_THIRRING or p == 0.0:
+    if ModelKind(model) is ModelKind.MASSIVE_THIRRING or p == 0.0:
         pairs = []
         for (b0, c0, bc0), s in zip(base, (p * p, -p * p)):
             if not s:

@@ -25,14 +25,15 @@ from M, for the root sqrt(mu) alone.  Both lift the iterate to an
 eigenvector of M, while each shifted solve stays real for a real mu,
 and B and C act on the lift's complex vectors in real arithmetic.  Each
 process that solves a sweep's points, on pool.map_forked, builds both
-grids' p = 0 block products once (_sweep_levels), and every point writes
-its own B, C and B C from them in O(N**2).  The drift of a value between
-the grids is the per-value resolution check of Boyd's rule (Chebyshev
-and Fourier Spectral Methods, ch. 7).  Guards send a point to the full
-solve at N instead, which finds every value the fine grid has;
-_solve_isolated lists them and returns the point's route, two-grid or
-the first guard that failed, which track_branches logs.  spectrum,
-slope_fit and validate keep the full solve.
+grids' p = 0 block products once (_sweep_levels); a point, a function
+of p and those levels alone, writes each grid's B, C and B C at most
+once from them in O(N**2).  The drift of a value between the grids is
+the per-value resolution check of Boyd's rule (Chebyshev and Fourier
+Spectral Methods, ch. 7).  Guards send a point to the full solve at N
+instead, which finds every value the fine grid has; _solve_isolated
+lists them and returns the point's route, two-grid or the first guard
+that failed, which track_branches logs.  spectrum, slope_fit and
+validate keep the full solve.
 """
 
 from __future__ import annotations
@@ -50,8 +51,9 @@ import numpy as np
 from .analytics import asymptotic_prediction
 from .cheb import ChebGrid, build_grid
 from .eigen import EigenSet, eigvals, inverse_vectors
-from .operator import (SpectralBands, assemble, continuous_bands,
-                       parity_base, parity_products, parity_transfer)
+from .operator import (SpectralBands, _checked_p, assemble,
+                       continuous_bands, parity_base, parity_products,
+                       parity_transfer)
 from .pool import map_forked
 from .soliton import ModelKind
 
@@ -155,22 +157,14 @@ def isolated_eigs(eigs, bands: SpectralBands, margin: float | None = None):
     return values[keep]
 
 
-def _parity_solve(op, base=None):
-    """Per real block pair of op, (B, C, B C, mu): mu the eigenvalues of
+def _parity_solve(pairs):
+    """Per (B, C, B C) of pairs (parity_products), the eigenvalues mu of
     B C with Im mu >= 0, one per conjugate class of mu = lambda**2,
-    ascending.
-
-    One values-only real solve (dgeev) of each block product, at
+    ascending: one values-only real solve (dgeev) of each product, at
     dimension N+1 where the blocks split and 2(N+1) elsewhere, in place
-    of a complex solve of the stability matrix at 4(N+1).  The products
-    come from parity_products, on base, the p = 0 products of op's model
-    and grid (parity_base), when the caller holds them.
-    """
-    solves = []
-    for b, c, bc in parity_products(op, base):
-        mu = eigvals(bc).values
-        solves.append((b, c, bc, np.sort(mu[mu.imag >= 0.0])))
-    return solves
+    of a complex solve of the stability matrix at 4(N+1)."""
+    mus = (eigvals(bc).values for *_, bc in pairs)
+    return [np.sort(mu[mu.imag >= 0.0]) for mu in mus]
 
 
 def parity_eigvals(op) -> EigenSet:
@@ -182,7 +176,8 @@ def parity_eigvals(op) -> EigenSet:
     Near zero they carry the square root of the error in mu: sqrt(eps
     ||B|| ||C||) in place of a direct solve's eps ||A||.
     """
-    mu = np.concatenate([mu for *_, mu in _parity_solve(op)])
+    pairs = parity_products(op.model, op.p, parity_base(op))
+    mu = np.concatenate(_parity_solve(pairs))
     values = _members(np.sqrt(mu), mu.imag == 0.0)[0]
     return EigenSet(values=values[np.lexsort((values.real, values.imag))],
                     backend="lapack-parity")
@@ -240,22 +235,22 @@ def _origin_vectors(b, c, roots):
     return ws[:k], ws[k:]
 
 
-def _refined_values(pairs, solves, kept, transfer=None):
+def _refined_values(pairs, starts, kept, transfer=None):
     """The values of the conjugate classes kept, refined on the block
     pairs, with residuals ||M w - lam w|| / ||M||_F, as (values, lams,
     residuals): values[i] refines to lams[i].
 
-    pairs are one grid's (B, C, B C, ...) and solves the (B, C, B C, mu)
-    of _parity_solve, pair for pair, on the same grid or, with
-    transfer, on the coarser one that transfer leads from; kept holds
-    each solve's classes (_classes).  Each class takes one vector w =
-    [y; z] of M.  Outside _NEAR_ORIGIN_RADIUS that takes two shifted
-    solves, one inverse_vectors step each, real when mu is: of the
-    solve's B C - mu from the fixed start, and of the pair's from that
-    vector, carried by transfer; mu becomes the Rayleigh quotient of the
+    pairs are one grid's (B, C, B C) and starts the (B, C, B C) whose
+    B C's eigenvalues kept holds (_classes of _parity_solve), pair for
+    pair, on the same grid or, with transfer, on the coarser one that
+    transfer leads from.  Each class takes one vector w = [y; z] of M.
+    Outside _NEAR_ORIGIN_RADIUS that takes two shifted solves, one
+    inverse_vectors step each, real when mu is: of the start's B C - mu
+    from the fixed start vector, and of the pair's from that vector,
+    carried by transfer; mu becomes the Rayleigh quotient of the
     unit iterate x, exactly real when the class's mu is, and w is x's
     lift.  Within it, where C x / lambda is ill-conditioned, mu stays
-    and w is _origin_vectors' for the root; this needs the solves on the
+    and w is _origin_vectors' for the root; this needs the starts on the
     pairs' own grid.  _members expands the roots, refined roots and
     residuals alike, so each value's sign and conjugation are those of
     the value it refines to.  M is real and anticommutes with diag(I,
@@ -266,7 +261,7 @@ def _refined_values(pairs, solves, kept, transfer=None):
     """
     scale = _block_scale(pairs)
     parts = []
-    for (b, c, bc, *_), (_, _, start_bc, _), mu in zip(pairs, solves, kept):
+    for (b, c, bc), (_, _, start_bc), mu in zip(pairs, starts, kept):
         roots = np.sqrt(mu)
         real = mu.imag == 0.0
         near = np.abs(roots) <= _NEAR_ORIGIN_RADIUS
@@ -368,20 +363,18 @@ def _transferred(transfer, xs):
     return (transfer @ parts).reshape(-1, xs.shape[1])
 
 
-def _classes(solves, bands, margin, omega):
-    """Per block pair of solves (_parity_solve), its classes mu whose
-    roots sqrt(mu) a sweep tracks, in the solve's order: the isolated
-    ones (isolated_eigs) within the p = 0 outer band edge, |Im| <= 1 +
-    |omega|, beyond which under-resolved band modes can pass the distance
-    filter at moderate N and would spawn artifact branches.  Band distance
+def _classes(mus, bands, margin, omega):
+    """Per block pair's mu (_parity_solve), the classes whose roots
+    sqrt(mu) a sweep tracks, in mu's order: the isolated ones
+    (isolated_eigs) within the p = 0 outer band edge, |Im| <= 1 + |omega|,
+    beyond which under-resolved band modes can pass the distance filter
+    at moderate N and would spawn artifact branches.  Band distance
     and |Im| are exactly symmetric under lambda -> -lambda and lambda ->
     conj(lambda), so every value of a class is tracked or none."""
-    kept = []
-    for *_, mu in solves:
-        roots = np.sqrt(mu)
-        kept.append(mu[(bands.distance(roots) > margin)
-                       & (np.abs(roots.imag) <= 1.0 + abs(omega))])
-    return kept
+    roots = [np.sqrt(mu) for mu in mus]
+    return [mu[(bands.distance(r) > margin)
+               & (np.abs(r.imag) <= 1.0 + abs(omega))]
+            for mu, r in zip(mus, roots)]
 
 
 def _solve_isolated(model, omega, fine, coarse, p0, p):
@@ -390,7 +383,8 @@ def _solve_isolated(model, omega, fine, coarse, p0, p):
     conjugate class's values share one residual.
 
     The values are those of the classes kept (_classes); fine and coarse
-    are the sweep's _sweep_levels.
+    are the sweep's _sweep_levels, whose p = 0 products give the fine B,
+    C and B C once and the coarse ones where the two-grid route is tried.
 
     The route is _TWO_GRID where every guard holds: _refined_values
     refines the kept conjugate classes of the coarse B C's eigenvalues
@@ -416,13 +410,13 @@ def _solve_isolated(model, omega, fine, coarse, p0, p):
     """
     bands = continuous_bands(model, omega, p)
     margin = default_margin(bands)
+    pairs = parity_products(model, p, fine.base)
     route = ("coarse grid below the floor" if coarse is None
              else "first point" if p == p0
              else "gap closed" if bands.gap_width == 0.0 else _TWO_GRID)
     if route == _TWO_GRID:
-        solves = _parity_solve(assemble(model, omega, p, coarse.grid),
-                               coarse.base)
-        kept = _classes(solves, bands, margin, omega)
+        starts = parity_products(model, p, coarse.base)
+        kept = _classes(_parity_solve(starts), bands, margin, omega)
         # one root per class: both tests below are symmetric in its values
         roots = np.sqrt(np.concatenate(kept))
         if np.any(np.abs(roots) <= _NEAR_ORIGIN_RADIUS):
@@ -430,10 +424,8 @@ def _solve_isolated(model, omega, fine, coarse, p0, p):
         elif np.any(bands.distance(roots) <= 2.0 * margin):
             route = "coarse value near a band"
     if route == _TWO_GRID:
-        pairs = parity_products(assemble(model, omega, p, fine.grid),
-                                fine.base)
         try:
-            found, lams, residuals = _refined_values(pairs, solves, kept,
+            found, lams, residuals = _refined_values(pairs, starts, kept,
                                                      coarse.transfer)
         except np.linalg.LinAlgError:  # a singular shift
             finite = False
@@ -450,9 +442,8 @@ def _solve_isolated(model, omega, fine, coarse, p0, p):
         elif np.any(np.abs(lams - found) > tol):
             route = "refined value drifts"
     if route != _TWO_GRID:
-        solves = _parity_solve(assemble(model, omega, p, fine.grid), fine.base)
-        lams, _, residuals = _refined_values(
-            solves, solves, _classes(solves, bands, margin, omega))
+        kept = _classes(_parity_solve(pairs), bands, margin, omega)
+        lams, _, residuals = _refined_values(pairs, pairs, kept)
     order = np.lexsort((lams.real, lams.imag))
     return lams[order], residuals[order], route
 
@@ -482,9 +473,10 @@ def track_branches(model, omega: float, p_grid, grid: ChebGrid,
 
     The grid points are solved by pool.map_forked with jobs, whose workers
     inherit the model, the grid and p_grid and receive only the index of p;
-    a caller that runs threads of its own should keep jobs == 1.  Each
-    process that solves points builds _sweep_levels on its first one, on
-    the pool's one BLAS thread.  The matching pass itself is sequential and
+    a caller that runs threads of its own should keep jobs == 1.  Each p
+    passes operator._checked_p before any worker starts, and each process
+    that solves points builds _sweep_levels on its first one, on the
+    pool's one BLAS thread.  The matching pass is sequential and
     deterministic, so the branches do not depend on jobs.  Each point but
     the first takes the two-grid route of _solve_isolated where its guards
     allow; a guard sends the point to the full solve at N, whose candidates
@@ -505,7 +497,7 @@ def track_branches(model, omega: float, p_grid, grid: ChebGrid,
     |Im lambda| <= 1 + |omega|, the p = 0 outer band edge, are tracked.
     """
     model = ModelKind(model)
-    ps = [float(p) for p in p_grid]
+    ps = [_checked_p(model, p) for p in p_grid]
     if len(ps) < 2:
         raise ValueError("p-grid must contain at least two points")
     if any(b <= a for a, b in zip(ps, ps[1:])):

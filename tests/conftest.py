@@ -9,7 +9,8 @@ the 4(N+1)-square stability matrix.  stability_matrix writes it here, as
 the oracle: the block form's blocks laid out whole and reduced by a dense
 product.  parity_basis and real_basis carry vectors of the parity blocks'
 bases back into its space, and lifted_vectors builds the eigenvectors
-of the kept conjugate classes of mu = lambda**2 (conjugate_classes).
+of the kept conjugate classes of mu = lambda**2 (conjugate_classes) of
+an operator's block pairs (op_products).
 relative_residuals and symmetry_residual, checks that only the tests
 take, live here too, with free_operator, the operator without its
 soliton, blas_threads, which reads the OpenBLAS thread counts through
@@ -29,7 +30,7 @@ import pytest
 import diracstab.spectrum as spectrum
 from diracstab.cheb import build_grid
 from diracstab.eigen import inverse_vectors
-from diracstab.operator import assemble
+from diracstab.operator import assemble, parity_base, parity_products
 from diracstab.pool import _openblas_libraries, _thread_count
 from diracstab.soliton import ModelKind
 from diracstab.spectrum import parity_eigvals
@@ -174,14 +175,18 @@ def lift(m, pair, ys, zs):
     return parity_basis(m) @ both
 
 
-def conjugate_classes(solves, keep=None):
-    """Per block pair of solves, the (B, C, B C, mu) of
-    spectrum._parity_solve with mu one eigenvalue of B C per conjugate
-    class, Im mu >= 0 and ascending, the classes where keep(sqrt(mu))
-    holds (every one when keep is None): the kept classes that
-    spectrum._refined_values takes."""
-    return [mu if keep is None else mu[keep(np.sqrt(mu))]
-            for *_, mu in solves]
+def op_products(op):
+    """The (B, C, B C) of each parity block pair of op at op.p, from its
+    own p = 0 base, as spectrum.parity_eigvals writes them."""
+    return parity_products(op.model, op.p, parity_base(op))
+
+
+def conjugate_classes(mus, keep=None):
+    """Per block pair's mu of spectrum._parity_solve, one eigenvalue of
+    B C per conjugate class, Im mu >= 0 and ascending, the classes where
+    keep(sqrt(mu)) holds (every one when keep is None): the kept classes
+    that spectrum._refined_values takes."""
+    return [mu if keep is None else mu[keep(np.sqrt(mu))] for mu in mus]
 
 
 def members(a, real, sign=-1.0):
@@ -195,13 +200,13 @@ def members(a, real, sign=-1.0):
     return np.concatenate([a, sign * a, both, sign * both], axis=-1)
 
 
-def lifted_vectors(op, pairs, kept, solves=None, transfer=None):
+def lifted_vectors(op, pairs, kept, starts=None, transfer=None):
     """The values of the conjugate classes kept, the value each unit
     eigenvector belongs to and those vectors in A's space, one column per
     value, in the order of spectrum._refined_values, which takes the
-    arguments: pairs are op's (B, C, B C, ...) and solves the start
-    (B, C, B C, mu), the pairs themselves when not given, on op's
-    grid or, with transfer, on a coarser one.
+    arguments: pairs are op's (B, C, B C) and starts the start
+    (B, C, B C), the pairs themselves when not given, on op's grid or,
+    with transfer, on a coarser one.
 
     Every class takes one [y; z].  Away from the origin its vector x of
     B C comes from two inverse_vectors steps, of the start's B C and then
@@ -213,8 +218,8 @@ def lifted_vectors(op, pairs, kept, solves=None, transfer=None):
     """
     m = op.grid.n + 1
     parts = []
-    for pair, ((b, c, bc, *_), (_, _, start_bc, _), mu) in enumerate(
-            zip(pairs, pairs if solves is None else solves, kept)):
+    for pair, ((b, c, bc), (_, _, start_bc), mu) in enumerate(
+            zip(pairs, pairs if starts is None else starts, kept)):
         roots, real = np.sqrt(mu), mu.imag == 0.0
         far = np.abs(roots) > spectrum._NEAR_ORIGIN_RADIUS
         lams = roots.copy()
@@ -247,11 +252,11 @@ def relative_residuals(a, values, vectors):
     return res / (anorm if anorm != 0.0 else 1.0)
 
 
-def lifted_residuals(op, pairs, kept, solves=None, transfer=None):
+def lifted_residuals(op, pairs, kept, starts=None, transfer=None):
     """The values of the conjugate classes kept, and ||A v - lambda v|| /
     ||A||_F on the dense oracle A for their parity-basis eigenvectors
     lifted into A's space (lifted_vectors, which takes the arguments)."""
-    values, lams, vectors = lifted_vectors(op, pairs, kept, solves,
+    values, lams, vectors = lifted_vectors(op, pairs, kept, starts,
                                            transfer)
     np.testing.assert_allclose(np.linalg.norm(vectors, axis=0), 1.0,
                                rtol=0, atol=1e-14)

@@ -352,6 +352,21 @@ class TestSweep:
                 capsys.readouterr().err
 
 
+@pytest.mark.parametrize("model", ["mtm", "gn"])
+@pytest.mark.parametrize("argv", [["spectrum", "--p", "1e155"],
+                                  ["sweep", "--p-range", "1e155:2e155:1e155"]],
+                         ids=["spectrum", "sweep"])
+def test_p_whose_blocks_overflow_exits_2(outdir, capsys, model, argv):
+    # mtm's band edges hold p ** 2, which raised OverflowError here; the
+    # tests run with RuntimeWarning as an error, as the console script
+    # runs on CI
+    rc = cli.main([argv[0], "--model", model, "--omega", "0.5", "--n", "20",
+                   *argv[1:]])
+    assert rc == 2
+    assert "error: transverse wavenumber p" in capsys.readouterr().err
+    assert not list(outdir.iterdir())
+
+
 class TestValidate:
     def test_reference_table_reproduced(self, outdir, capsys):
         rc = cli.main(["validate", "--model", "mtm", "--n-values", "100",

@@ -23,8 +23,9 @@ import pytest
 import diracstab.operator as operator_module
 import diracstab.spectrum as spectrum
 from conftest import (REDUCTION_BLOCK, conjugate_classes, dense_reduced,
-                      free_operator, lifted_residuals, parity_basis,
-                      real_basis, stability_matrix, symmetry_residual)
+                      free_operator, lifted_residuals, op_products,
+                      parity_basis, real_basis, stability_matrix,
+                      symmetry_residual)
 from diracstab.eigen import eigvals, inverse_vectors
 from diracstab.operator import (
     StabilityOperator,
@@ -211,6 +212,20 @@ class TestAssembly:
             with pytest.raises(ValueError, match="must be finite"):
                 assemble("gn", 0.5, p, grid)
 
+    @pytest.mark.parametrize("model,largest,rejected", [
+        ("mtm", 1.1e77, 1.2e77), ("gn", 1.3e154, 1.4e154),
+    ])
+    def test_rejects_p_whose_blocks_overflow(self, grid_cache, model,
+                                             largest, rejected):
+        # mtm's B C holds p**4, gn's p**2: both overflow float64 beyond
+        # these, where a Python float's p ** 2 would raise OverflowError
+        grid = grid_cache(8, 10.0)
+        for p in (largest, -largest):
+            assert assemble(model, 0.5, p, grid).p == p
+        for p in (rejected, -rejected, 1e155):
+            with pytest.raises(ValueError, match="must be finite, got"):
+                assemble(model, 0.5, p, grid)
+
     # form is "block" alone, the form the library's operator takes; the
     # ids name it as TestParity's do
     @pytest.mark.parametrize("model", ["mtm", "gn"])
@@ -298,12 +313,12 @@ def real_form(blocks, phase):
 
 
 def written_out_blocks(op):
-    """The (B, C) pairs of parity_products(op)."""
-    return [(b, c) for b, c, _ in parity_products(op)]
+    """The (B, C) pairs of parity_products at op.p."""
+    return [(b, c) for b, c, _ in op_products(op)]
 
 
 def reference_parity_blocks(op):
-    """The blocks of parity_products(op) at op.p, written out, by the
+    """The blocks of parity_products at op.p, written out, by the
     complex chain from the dense oracle: two (N+1)-square pairs where B C
     is block diagonal, one 2(N+1)-square pair for gn at p > 0."""
     m = op.grid.n + 1
@@ -475,11 +490,11 @@ class TestParity:
         # there the residual taken in the parity bases
         omega = 0.5 if model == "mtm" else 2.0 / 3.0
         op = assemble(model, omega, p, grid_cache(n, 10.0))
-        solves = spectrum._parity_solve(op)
-        kept = conjugate_classes(solves)
-        values, _, half = spectrum._refined_values(solves, solves, kept)
+        pairs = op_products(op)
+        kept = conjugate_classes(spectrum._parity_solve(pairs))
+        values, _, half = spectrum._refined_values(pairs, pairs, kept)
         assert values.size == op.dim and np.max(half) <= 1e-13
-        oracle_values, oracle = lifted_residuals(op, solves, kept)
+        oracle_values, oracle = lifted_residuals(op, pairs, kept)
         np.testing.assert_array_equal(oracle_values, values)
         np.testing.assert_allclose(oracle, half, rtol=0, atol=1e-14)
 
@@ -497,7 +512,7 @@ class TestParityProducts:
         omega = 0.5 if model == "mtm" else 2.0 / 3.0
         op = (free_operator if free else assemble)(
             model, omega, p, grid_cache(n, 10.0))
-        for b, c, bc in parity_products(op):
+        for b, c, bc in op_products(op):
             scale = np.linalg.norm(b) * np.linalg.norm(c)
             np.testing.assert_allclose(bc, b @ c, rtol=0, atol=1e-14 * scale)
 
@@ -507,11 +522,11 @@ class TestParityProducts:
         op = assemble(model, omega, 0.0, grid_cache(100, 10.0))
         base = parity_base(op)
         # the base's read-only arrays themselves
-        got = parity_products(op, base)
+        got = parity_products(op.model, op.p, base)
         assert all(x is y for pair, arrays in zip(got, base)
                    for x, y in zip(pair, arrays))
         for (b, c), (got_b, got_c, bc) in zip(parity_blocks(op),
-                                               parity_products(op)):
+                                               op_products(op)):
             assert np.array_equal(got_b, b) and np.array_equal(got_c, c)
             assert np.array_equal(bc, b @ c)
 
@@ -536,7 +551,8 @@ class TestParityProducts:
         grid = grid_cache(20, 10.0)
         op = assemble(model, omega, p, grid)
         base = parity_base(assemble(model, omega, 0.0, grid))
-        for got, want in zip(parity_products(op, base), parity_products(op)):
+        for got, want in zip(parity_products(model, p, base),
+                             op_products(op)):
             assert all(np.array_equal(x, y) for x, y in zip(got, want))
 
 
@@ -576,8 +592,8 @@ class TestParityTransfer:
         bands = continuous_bands("gn", omega, p)
         products = []
         for n in (80, 160):
-            (_, _, bc), = parity_products(assemble("gn", omega, p,
-                                                   grid_cache(n, 10.0)))
+            (_, _, bc), = op_products(assemble("gn", omega, p,
+                                               grid_cache(n, 10.0)))
             products.append(bc)
         coarse_bc, fine_bc = products
         coarse_mu = eigvals(coarse_bc).values

@@ -13,7 +13,7 @@ import pytest
 import diracstab.pool as pool
 import diracstab.spectrum as spectrum
 from conftest import (blas_threads, conjugate_classes, free_operator,
-                      lifted_residuals, lifted_vectors,
+                      lifted_residuals, lifted_vectors, op_products,
                       pthreads_blas_threads, stability_matrix, thread_ids)
 from diracstab.cheb import build_grid
 from diracstab.eigen import EigenSet, eigvals, inverse_vectors
@@ -131,17 +131,17 @@ class TestParitySolve:
             self, grid_cache):
         op = assemble("gn", 2.0 / 3.0, 0.3, grid_cache(160, 10.0))
         bands = continuous_bands("gn", 2.0 / 3.0, 0.3)
-        solves = spectrum._parity_solve(op)
-        kept = spectrum._classes(solves, bands, default_margin(bands),
-                                 2.0 / 3.0)
-        iso, _, residuals = spectrum._refined_values(solves, solves, kept)
+        pairs = op_products(op)
+        kept = spectrum._classes(spectrum._parity_solve(pairs), bands,
+                                 default_margin(bands), 2.0 / 3.0)
+        iso, _, residuals = spectrum._refined_values(pairs, pairs, kept)
         assert iso.size == 4
         assert np.all(np.abs(iso) > spectrum._NEAR_ORIGIN_RADIUS)
         assert np.max(residuals) <= 1e-12
         # two steps of inverse iteration on the 4(N+1)-square A
         a = stability_matrix(op)
         full = inverse_vectors(a, iso, inverse_vectors(a, iso))
-        values, _, vectors = lifted_vectors(op, solves, kept)
+        values, _, vectors = lifted_vectors(op, pairs, kept)
         np.testing.assert_array_equal(values, iso)
         for u, w in zip(vectors.T, full.T):
             assert np.linalg.norm(u) == pytest.approx(1.0, abs=1e-14)
@@ -150,12 +150,12 @@ class TestParitySolve:
     def test_parity_residuals_equal_full_matrix_residuals(self, grid_cache):
         op = assemble("gn", 2.0 / 3.0, 0.3, grid_cache(160, 10.0))
         bands = continuous_bands("gn", 2.0 / 3.0, 0.3)
-        solves = spectrum._parity_solve(op)
-        kept = spectrum._classes(solves, bands, default_margin(bands),
-                                 2.0 / 3.0)
-        iso, _, half = spectrum._refined_values(solves, solves, kept)
+        pairs = op_products(op)
+        kept = spectrum._classes(spectrum._parity_solve(pairs), bands,
+                                 default_margin(bands), 2.0 / 3.0)
+        iso, _, half = spectrum._refined_values(pairs, pairs, kept)
         assert iso.size == 4 and np.max(half) <= 1e-12
-        values, oracle = lifted_residuals(op, solves, kept)
+        values, oracle = lifted_residuals(op, pairs, kept)
         np.testing.assert_array_equal(values, iso)
         np.testing.assert_allclose(oracle, half, rtol=0, atol=1e-14)
 
@@ -180,9 +180,9 @@ class TestParitySolve:
                                                       shifted_matrices):
         # the kernel cluster at p = 0 sits inside the near-origin radius
         op = assemble("gn", 2.0 / 3.0, 0.0, grid_cache(60, 10.0))
-        solves = spectrum._parity_solve(op)
-        kept = conjugate_classes(solves, near_origin)
-        near, _, half = spectrum._refined_values(solves, solves, kept)
+        pairs = op_products(op)
+        kept = conjugate_classes(spectrum._parity_solve(pairs), near_origin)
+        near, _, half = spectrum._refined_values(pairs, pairs, kept)
         assert near.size > sum(mu.size for mu in kept) > 0
         # two one-step shifted M = [[0, B], [C, 0]] per conjugate class,
         # not per value, at 2(N+1) where the blocks split, in place of the
@@ -190,7 +190,7 @@ class TestParitySolve:
         assert [m.shape for m in shifted_matrices] == \
             [(122, 122)] * (2 * sum(mu.size for mu in kept))
         assert np.max(half) <= 1e-12
-        values, oracle = lifted_residuals(op, solves, kept)
+        values, oracle = lifted_residuals(op, pairs, kept)
         np.testing.assert_array_equal(values, near)
         np.testing.assert_allclose(oracle, half, rtol=0, atol=1e-14)
 
@@ -224,9 +224,9 @@ class TestParitySolve:
         # one vector per class, mirrored to every member, so that the
         # members' residuals are equal bit for bit
         op = assemble(model, omega, p, grid_cache(n, 10.0))
-        solves = spectrum._parity_solve(op)
-        kept = conjugate_classes(solves, near_origin)
-        near, _, half = spectrum._refined_values(solves, solves, kept)
+        pairs = op_products(op)
+        kept = conjugate_classes(spectrum._parity_solve(pairs), near_origin)
+        near, _, half = spectrum._refined_values(pairs, pairs, kept)
         squares = near ** 2
         keys = np.where(squares.imag < 0.0, squares.conj(), squares)
         sizes = []
@@ -236,7 +236,7 @@ class TestParitySolve:
             assert np.all(shared.view(np.int64) == shared[:1].view(np.int64))
         assert sum(sizes) == near.size and set(sizes) <= {2, 4}
         assert len(sizes) == sum(mu.size for mu in kept) > 0
-        values, oracle = lifted_residuals(op, solves, kept)
+        values, oracle = lifted_residuals(op, pairs, kept)
         np.testing.assert_array_equal(values, near)
         np.testing.assert_allclose(oracle, half, rtol=0, atol=1e-14)
 
@@ -244,13 +244,13 @@ class TestParitySolve:
                                                             grid_cache):
         # gn at p > 0: one 2(N+1)-square block pair, M of order 4(N+1)
         op = assemble("gn", 2.0 / 3.0, 0.003, grid_cache(100, 10.0))
-        solves = spectrum._parity_solve(op)
-        assert len(solves) == 1
-        kept = conjugate_classes(solves, near_origin)
-        near, _, half = spectrum._refined_values(solves, solves, kept)
+        pairs = op_products(op)
+        assert len(pairs) == 1
+        kept = conjugate_classes(spectrum._parity_solve(pairs), near_origin)
+        near, _, half = spectrum._refined_values(pairs, pairs, kept)
         assert near.size > 0
         assert np.max(half) <= 1e-12
-        values, oracle = lifted_residuals(op, solves, kept)
+        values, oracle = lifted_residuals(op, pairs, kept)
         np.testing.assert_array_equal(values, near)
         np.testing.assert_allclose(oracle, half, rtol=0, atol=1e-14)
 
@@ -326,6 +326,25 @@ class TestTracking:
         with pytest.raises(ValueError, match="jobs"):
             track_branches("mtm", 0.0, [0.1, 0.2], grid_cache(30, 10.0),
                            jobs=jobs)
+
+    @pytest.mark.parametrize("model,p_grid", [
+        ("gn", [0.1, 0.2, np.inf]), ("gn", [0.1, np.nan, 0.3]),
+        ("mtm", [0.1, 1e155]),
+    ], ids=["inf", "nan", "overflow"])
+    def test_rejects_a_p_before_any_worker_starts(self, grid_cache,
+                                                  monkeypatch, model,
+                                                  p_grid):
+        started = []
+        forked = spectrum.map_forked
+
+        def recording(*args):
+            started.append(args)
+            return forked(*args)
+
+        monkeypatch.setattr(spectrum, "map_forked", recording)
+        with pytest.raises(ValueError, match="must be finite, got"):
+            track_branches(model, 0.5, p_grid, grid_cache(20, 10.0), jobs=2)
+        assert started == []
 
     def test_sweep_solves_values_only(self, grid_cache, monkeypatch,
                                       file_record):
@@ -826,10 +845,10 @@ def refine_with(monkeypatch, change):
     refining = []
     refined, vectors = spectrum._refined_values, spectrum.inverse_vectors
 
-    def flagged(pairs, solves, kept, transfer=None):
+    def flagged(pairs, starts, kept, transfer=None):
         refining.append(transfer is not None)
         try:
-            return refined(pairs, solves, kept, transfer)
+            return refined(pairs, starts, kept, transfer)
         finally:
             refining.pop()
 
@@ -919,21 +938,62 @@ class TestTwoGrid:
         p = 0.3
         grid = grid_cache(n, 10.0)
         _, coarse = spectrum._sweep_levels(model, omega, grid)
-        solves = spectrum._parity_solve(
-            assemble(model, omega, p, coarse.grid), coarse.base)
+        starts = parity_products(model, p, coarse.base)
         bands = continuous_bands(model, omega, p)
-        kept = spectrum._classes(solves, bands, default_margin(bands), omega)
+        kept = spectrum._classes(spectrum._parity_solve(starts), bands,
+                                 default_margin(bands), omega)
         op = assemble(model, omega, p, grid)
-        pairs = parity_products(op)
-        found, _, residuals = spectrum._refined_values(pairs, solves, kept,
+        pairs = op_products(op)
+        found, _, residuals = spectrum._refined_values(pairs, starts, kept,
                                                        coarse.transfer)
         assert found.size == count
         assert np.all(np.abs(found) > spectrum._NEAR_ORIGIN_RADIUS)
         assert np.max(residuals) <= 1e-12
-        values, oracle = lifted_residuals(op, pairs, kept, solves,
+        values, oracle = lifted_residuals(op, pairs, kept, starts,
                                           coarse.transfer)
         np.testing.assert_array_equal(values, found)
         np.testing.assert_allclose(oracle, residuals, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("model,omega,n,p0,p,route", [
+        ("gn", 2.0 / 3.0, 160, None, 0.3, _TWO_GRID),
+        ("mtm", 0.0, 120, 0.2, 0.25, "refined value drifts"),
+    ], ids=["two-grid", "full"])
+    def test_point_assembles_no_operator(self, grid_cache, monkeypatch,
+                                         model, omega, n, p0, p, route):
+        # a point writes its blocks from p and the levels' p = 0 products
+        fine, coarse = spectrum._sweep_levels(model, omega,
+                                              grid_cache(n, 10.0))
+        assembled = []
+        build = spectrum.assemble
+
+        def recording(*args):
+            assembled.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(spectrum, "assemble", recording)
+        assert spectrum._solve_isolated(model, omega, fine, coarse, p0,
+                                        p)[2] == route
+        assert assembled == []
+
+    def test_late_guard_point_writes_its_fine_pairs_once(self, grid_cache,
+                                                         monkeypatch):
+        # mtm omega = 0 at N = 120 drifts between the grids: the full
+        # solve after the guard solves the fine pairs already written
+        fine, coarse = spectrum._sweep_levels("mtm", 0.0,
+                                              grid_cache(120, 10.0))
+        written = []
+        products = spectrum.parity_products
+
+        def recording(model, p, base):
+            written.append((p, "fine" if base is fine.base
+                            else "coarse" if base is coarse.base else None))
+            return products(model, p, base)
+
+        monkeypatch.setattr(spectrum, "parity_products", recording)
+        _, _, route = spectrum._solve_isolated("mtm", 0.0, fine, coarse,
+                                               0.2, 0.25)
+        assert route == "refined value drifts"
+        assert sorted(written) == [(0.25, "coarse"), (0.25, "fine")]
 
     def test_first_point_takes_full_solve(self, grid_cache, routes):
         track_branches("gn", 2.0 / 3.0, [0.2, 0.25, 0.3],
@@ -1029,12 +1089,12 @@ class TestTwoGrid:
         # nearest-root rule would tie
         grid = grid_cache(120, 10.0)
         _, coarse = spectrum._sweep_levels("mtm", 0.0, grid)
-        solves = spectrum._parity_solve(assemble("mtm", 0.0, 0.2, coarse.grid),
-                                        coarse.base)
+        starts = parity_products("mtm", 0.2, coarse.base)
         bands = continuous_bands("mtm", 0.0, 0.2)
-        kept = spectrum._classes(solves, bands, default_margin(bands), 0.0)
-        pairs = parity_products(assemble("mtm", 0.0, 0.2, grid))
-        found, lams, _ = spectrum._refined_values(pairs, solves, kept,
+        kept = spectrum._classes(spectrum._parity_solve(starts), bands,
+                                 default_margin(bands), 0.0)
+        pairs = op_products(assemble("mtm", 0.0, 0.2, grid))
+        found, lams, _ = spectrum._refined_values(pairs, starts, kept,
                                                   coarse.transfer)
         tie = np.abs(np.abs(found) - 0.1) <= 1e-3
         assert sorted(found[tie].imag) == pytest.approx([-0.1, 0.1], abs=1e-3)

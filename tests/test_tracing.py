@@ -53,7 +53,8 @@ def test_traced_sweep_records_each_layer(tracing, tmp_path, monkeypatch,
     # --jobs 2 they would open in forked workers, out of the tracer's reach
     track = [s for s in tracer.spans if s.name == "spectrum.track_branches"]
     assert len(track) == 1
-    # one assembly per point, and the p = 0 one of the sweep's base
+    # the p = 0 one of the sweep's base alone: a point writes its blocks
+    # from p and that base, with no operator of its own
     assemblies = [s for s in tracer.spans if s.name == "operator.assemble"]
-    assert len(assemblies) == 3
+    assert len(assemblies) == 1
     assert all(s.parent == track[0].sid for s in assemblies)
