@@ -32,8 +32,8 @@ the per-value resolution check of Boyd's rule (Chebyshev and Fourier
 Spectral Methods, ch. 7).  Guards send a point to the full solve at N
 instead, which finds every value the fine grid has; _solve_isolated
 lists them and returns the point's route, two-grid or the first guard
-that failed, which track_branches logs.  spectrum, slope_fit and
-validate keep the full solve.
+that failed, which track_branches logs; none reads where the sweep
+starts.  spectrum, slope_fit and validate keep the full solve.
 """
 
 from __future__ import annotations
@@ -377,7 +377,7 @@ def _classes(mus, bands, margin, omega):
             for mu, r in zip(mus, roots)]
 
 
-def _solve_isolated(model, omega, fine, coarse, p0, p):
+def _solve_isolated(model, omega, fine, coarse, p):
     """One sweep point: (isolated eigenvalues, their residuals, the
     route), the values sorted by (imag, real) like parity_eigvals'; each
     conjugate class's values share one residual.
@@ -394,7 +394,6 @@ def _solve_isolated(model, omega, fine, coarse, p0, p):
     that failed, and the full solve at N finds every value the fine grid
     has, with the fine grid as its own coarse one.  The guards, in order:
     - no coarse grid: N_c is below _COARSE_FLOOR;
-    - the sweep's first point p0, whose values seed the branches;
     - a closed gap, where band modes make the isolated count move with N;
     - a coarse value within _NEAR_ORIGIN_RADIUS of 0, where C x / lambda
       is ill-conditioned and the full solve takes each such class's
@@ -412,7 +411,6 @@ def _solve_isolated(model, omega, fine, coarse, p0, p):
     margin = default_margin(bands)
     pairs = parity_products(model, p, fine.base)
     route = ("coarse grid below the floor" if coarse is None
-             else "first point" if p == p0
              else "gap closed" if bands.gap_width == 0.0 else _TWO_GRID)
     if route == _TWO_GRID:
         starts = parity_products(model, p, coarse.base)
@@ -477,10 +475,10 @@ def track_branches(model, omega: float, p_grid, grid: ChebGrid,
     passes operator._checked_p before any worker starts, and each process
     that solves points builds _sweep_levels on its first one, on the
     pool's one BLAS thread.  The matching pass is sequential and
-    deterministic, so the branches do not depend on jobs.  Each point but
-    the first takes the two-grid route of _solve_isolated where its guards
-    allow; a guard sends the point to the full solve at N, whose candidates
-    the refined ones equal to about 1e-12.  This process logs each point's
+    deterministic, so the branches do not depend on jobs.  Each point
+    takes the two-grid route of _solve_isolated where its guards allow; a
+    guard sends the point to the full solve at N, whose candidates the
+    refined ones equal to about 1e-12.  This process logs each point's
     route once at DEBUG level, in p order, as "p=...: two-grid" or "p=...:
     full solve (<guard>)", so the log does not depend on jobs.  Branches
     are seeded at the first grid point from the asymptotic predictions plus
@@ -514,7 +512,7 @@ def track_branches(model, omega: float, p_grid, grid: ChebGrid,
     def solve(p):
         if not levels:
             levels.extend(_sweep_levels(model, omega, grid))
-        return _solve_isolated(model, omega, *levels, ps[0], p)
+        return _solve_isolated(model, omega, *levels, p)
 
     solved = map_forked(solve, ps, jobs)
     for p, (_, _, route) in zip(ps, solved):

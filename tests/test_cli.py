@@ -322,6 +322,30 @@ class TestSweep:
             outputs.append((rows, json.dumps(summary)))
         assert outputs[0] == outputs[1] == outputs[2]
 
+    # the first point of a range is solved as any other: a range that
+    # starts at a later p gives the same rows from there on, bit for bit.
+    # Branch ids restart with the range, so they are left out
+    @pytest.mark.parametrize("model,omega,n,start", [
+        ("gn", "0.6667", "160", "0.5"), ("mtm", "0.5", "200", "0.3"),
+    ], ids=["gn", "mtm"])
+    def test_rows_do_not_depend_on_where_the_range_starts(
+            self, outdir, capsys, monkeypatch, model, omega, n, start):
+        use_workers(monkeypatch, 2)
+        rows = []
+        for first, jobs in (("0.05", "2"), (start, "1")):
+            assert cli.main(["sweep", "--model", model, "--omega", omega,
+                             "--n", n, "--p-range", f"{first}:1.0:0.05",
+                             "--jobs", jobs, "--out", f"from{first}.csv"]) == 0
+            lines = produced_file(capsys, outdir).read_text().splitlines()
+            columns = lines[1].split(",")
+            keep = [columns.index(c) for c in ("p", "re_lambda", "im_lambda",
+                                               "class")]
+            kept = [tuple(line.split(",")[k] for k in keep)
+                    for line in lines[2:]]
+            rows.append(sorted((r for r in kept if float(r[0]) >= float(start)),
+                               key=lambda r: (*map(float, r[:3]), r[3])))
+        assert rows[0] and rows[0] == rows[1]
+
     def test_convergence_failure_in_a_worker_exits_3(self, capsys,
                                                      monkeypatch):
         # patched before the pool forks, so its workers inherit it

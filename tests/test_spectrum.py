@@ -167,7 +167,7 @@ class TestParitySolve:
         # that iterate, and its four values share the residual
         fine, _ = spectrum._sweep_levels("mtm", 0.5, grid_cache(20, 10.0))
         iso, residuals, route = spectrum._solve_isolated(
-            "mtm", 0.5, fine, None, 0.3, 0.3)
+            "mtm", 0.5, fine, None, 0.3)
         assert route == "coarse grid below the floor"
         mus = iso ** 2
         assert iso.size == 4 and np.all(iso.real != 0.0)
@@ -202,7 +202,7 @@ class TestParitySolve:
         # no coarse grid: the full solve, as below the floor
         fine, _ = spectrum._sweep_levels("mtm", 0.25, grid_cache(n, 10.0))
         iso, residuals, route = spectrum._solve_isolated(
-            "mtm", 0.25, fine, None, None, 0.95)
+            "mtm", 0.25, fine, None, 0.95)
         assert route == "coarse grid below the floor"
         near = iso[np.abs(iso) <= spectrum._NEAR_ORIGIN_RADIUS]
         assert near.size == 2 and np.all(near.imag == 0.0)
@@ -895,12 +895,13 @@ class TestTwoGrid:
                     assert x.lam.real == 0.0
         if model == "gn":
             # the coarse grid resolves every gn value to the drift tolerance
-            assert taken == {float(p): _TWO_GRID for p in ps[1:]} | {
-                float(ps[0]): "first point"}
+            assert taken == {float(p): _TWO_GRID for p in ps}
         if (model, omega, n) == _MTM_SPLIT_GRID[:3]:
-            # a real pair in one component pair, a quartet in the other
+            # a real pair in one component pair, a quartet in the other;
+            # at p = 0.1 the real pair drifts by 1.12e-6 from N_c = 100
+            # to N = 200, just past the tolerance of 1.10e-6
             assert [taken[p] for p in ps] == [
-                "first point", _TWO_GRID, _TWO_GRID, _TWO_GRID,
+                "refined value drifts", _TWO_GRID, _TWO_GRID, _TWO_GRID,
                 "refined value drifts"]
 
     @pytest.mark.parametrize("model,omega,n,p,classes", [
@@ -912,7 +913,7 @@ class TestTwoGrid:
         grid = grid_cache(n, 10.0)
         fine, coarse = spectrum._sweep_levels(model, omega, grid)
         lams, _, route = spectrum._solve_isolated(model, omega, fine, coarse,
-                                                  None, p)
+                                                  p)
         assert route == _TWO_GRID
         # a conjugate class of mu = lambda**2: +-lambda and their conjugates
         mus = lams ** 2
@@ -954,12 +955,12 @@ class TestTwoGrid:
         np.testing.assert_array_equal(values, found)
         np.testing.assert_allclose(oracle, residuals, rtol=0, atol=1e-14)
 
-    @pytest.mark.parametrize("model,omega,n,p0,p,route", [
-        ("gn", 2.0 / 3.0, 160, None, 0.3, _TWO_GRID),
-        ("mtm", 0.0, 120, 0.2, 0.25, "refined value drifts"),
+    @pytest.mark.parametrize("model,omega,n,p,route", [
+        ("gn", 2.0 / 3.0, 160, 0.3, _TWO_GRID),
+        ("mtm", 0.0, 120, 0.25, "refined value drifts"),
     ], ids=["two-grid", "full"])
     def test_point_assembles_no_operator(self, grid_cache, monkeypatch,
-                                         model, omega, n, p0, p, route):
+                                         model, omega, n, p, route):
         # a point writes its blocks from p and the levels' p = 0 products
         fine, coarse = spectrum._sweep_levels(model, omega,
                                               grid_cache(n, 10.0))
@@ -971,7 +972,7 @@ class TestTwoGrid:
             return build(*args)
 
         monkeypatch.setattr(spectrum, "assemble", recording)
-        assert spectrum._solve_isolated(model, omega, fine, coarse, p0,
+        assert spectrum._solve_isolated(model, omega, fine, coarse,
                                         p)[2] == route
         assert assembled == []
 
@@ -991,15 +992,9 @@ class TestTwoGrid:
 
         monkeypatch.setattr(spectrum, "parity_products", recording)
         _, _, route = spectrum._solve_isolated("mtm", 0.0, fine, coarse,
-                                               0.2, 0.25)
+                                               0.25)
         assert route == "refined value drifts"
         assert sorted(written) == [(0.25, "coarse"), (0.25, "fine")]
-
-    def test_first_point_takes_full_solve(self, grid_cache, routes):
-        track_branches("gn", 2.0 / 3.0, [0.2, 0.25, 0.3],
-                       grid_cache(160, 10.0), jobs=2)
-        assert dict(routes) == {0.2: "first point", 0.25: _TWO_GRID,
-                                0.3: _TWO_GRID}
 
     @pytest.mark.parametrize("model,omega,n,ps", [
         ("gn", 2.0 / 3.0, 160, [0.2, 0.25, 0.3]),
@@ -1018,7 +1013,7 @@ class TestTwoGrid:
             logged[jobs] = [r.getMessage() for r in routes.records()]
         assert logged[1] == logged[2]
         if model == "gn":
-            assert logged[1] == ["p=0.2: full solve (first point)",
+            assert logged[1] == ["p=0.2: two-grid",
                                  "p=0.25: two-grid", "p=0.3: two-grid"]
 
     def test_closed_gap_takes_full_solve(self, grid_cache, routes):
@@ -1115,7 +1110,7 @@ class TestTwoGrid:
         margin = default_margin(bands)
         fine, _ = spectrum._sweep_levels(model, omega, grid)
         values, residuals, route = spectrum._solve_isolated(
-            model, omega, fine, None, p, p)
+            model, omega, fine, None, p)
         assert route == "coarse grid below the floor"
         every = parity_eigvals(assemble(model, omega, p, grid)).values
         tracked = every[(bands.distance(every) > margin)
